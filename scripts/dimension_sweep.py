@@ -16,9 +16,8 @@ import time
 from pathlib import Path
 
 from affkit.killing import killing_jet_space
-from affkit.surface import type_a
+from affkit.surface import GAMMA_KEYS, type_a
 
-GAMMA_KEYS = ("111", "112", "121", "122", "211", "212", "221", "222")
 
 
 def main() -> int:

@@ -28,7 +28,7 @@ import numpy as np
 from . import linalg
 from .scalars import ONE, Scalar, as_fraction
 from .surface import AffineSurface
-from .symexpr import Expr, parse
+from .symexpr import Expr, compile_exprs, parse
 
 JET_DIM = 6
 STABILIZATION_CAP = 12
@@ -40,6 +40,10 @@ class KillingError(Exception):
 
 class NoStabilization(KillingError):
     """The prolongation did not stabilize within the round cap."""
+
+
+class OutsideDomain(KillingError):
+    """A jet extension target lies outside the surface's x1-domain."""
 
 
 @dataclass(frozen=True)
@@ -58,9 +62,7 @@ class VectorField:
         return (v1.real, v2.real)
 
     def eval_array(self, x1, x2) -> np.ndarray:
-        out = np.stack([self.a1.eval_array(x1, x2), self.a2.eval_array(x1, x2)],
-                       axis=-1)
-        return out.real
+        return np.moveaxis(compile_exprs([self.a1, self.a2])(x1, x2).real, 0, -1)
 
 
 @dataclass(frozen=True)
@@ -325,56 +327,10 @@ def jet_of(s: AffineSurface, X: VectorField) -> Jet1:
     )
 
 
-class _CompiledSystem:
-    """Numeric evaluator for the sparse symbolic jet system matrices."""
-
-    def __init__(self, s: AffineSurface):
-        m1, m2, _ = prolongation_symbolic(s)
-        self.entries = []
-        for m in (m1, m2):
-            self.entries.append([(r, c, m[r][c]) for r in range(JET_DIM)
-                                 for c in range(JET_DIM) if not m[r][c].is_zero])
-
-    def matrix(self, axis: int, x1: float, x2: float) -> np.ndarray:
-        out = np.zeros((JET_DIM, JET_DIM), dtype=complex)
-        for r, c, e in self.entries[axis]:
-            out[r, c] = e.eval_numeric((x1, x2))
-        return out
-
-
 def extend_jet(s: AffineSurface, v: Jet1, q, step: float = 1e-3):
-    """Integrate the jet along the L-shaped path (x1 leg, then x2 leg).
-
-    Returns the six floats (a1, a2, d1 a1, d2 a1, d1 a2, d2 a2) at q.
-    """
-    system = _CompiledSystem(s)
-    state = np.array([complex(x) for x in v.as_vector()])
-    x1, x2 = float(s.basepoint[0]), float(s.basepoint[1])
-    q1, q2 = float(q[0]), float(q[1])
-
-    for axis, (start, stop, fixed) in enumerate(((x1, q1, x2), (x2, q2, q1))):
-        span = stop - start
-        if span == 0.0:
-            continue
-        n = max(1, math.ceil(abs(span) / step))
-        h = span / n
-        t = start
-        for _ in range(n):
-            def rhs(tt, y):
-                if axis == 0:
-                    m = system.matrix(0, tt, fixed)
-                else:
-                    m = system.matrix(1, fixed, tt)
-                return m @ y
-            k1 = rhs(t, state)
-            k2 = rhs(t + h / 2, state + h / 2 * k1)
-            k3 = rhs(t + h / 2, state + h / 2 * k2)
-            k4 = rhs(t + h, state + h * k3)
-            state = state + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += h
-    if np.max(np.abs(state.imag)) > 1e-8 * (1 + np.max(np.abs(state))):
-        raise KillingError("jet extension produced a non-real jet")
-    return tuple(float(x) for x in state.real)
+    """The six floats (a1, a2, d1 a1, d2 a1, d1 a2, d2 a2) at q: a one-row
+    ``JetField.jets_at`` (x1 leg, then x2 leg)."""
+    return JetField(s, v, step).jet_at(q)
 
 
 class JetField:
@@ -385,8 +341,53 @@ class JetField:
         self.jet = jet
         self.step = step
 
+    def jets_at(self, points) -> np.ndarray:
+        """Extended jets (N, 6) at the points (N, 2), all rows in lockstep.
+
+        Each row integrates d v / d tau = span * M_i v in unit pseudo-time
+        with ``numeric._rk4``, along x1 from the basepoint, then along x2.
+        A leg takes one step count for the whole batch, ceil(max|span| /
+        step), so a row's result depends on the largest span in its batch,
+        as with ``numeric.flow_batch``.  The domain constrains x1 only, so
+        checking the targets covers every path.
+        """
+        from .numeric import _rk4
+
+        s = self.surface
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        lo, hi = s.domain_bounds()
+        if np.any(pts[:, 0] <= lo) or np.any(pts[:, 0] >= hi):
+            raise OutsideDomain(f"jet extension target leaves x1 in ({lo}, {hi})")
+        jet = np.array([complex(x) for x in self.jet.as_vector()])
+        state = np.repeat([jet if jet.imag.any() else jet.real], len(pts), axis=0)
+        base = (float(s.basepoint[0]), float(s.basepoint[1]))
+        m1, m2, _ = prolongation_symbolic(s)
+        for axis, m in enumerate((m1, m2)):
+            spans = pts[:, axis] - base[axis]
+            tmax = float(np.max(np.abs(spans)))
+            if tmax == 0.0:
+                continue
+            rows, cols = np.nonzero([[not e.is_zero for e in row] for row in m])
+            entries = compile_exprs([m[r][c] for r, c in zip(rows, cols)])
+            fixed = np.full(len(pts), base[1]) if axis == 0 else pts[:, 0]
+
+            def rhs(tau, y):
+                moving = base[axis] + tau * spans
+                vals = entries(moving, fixed) if axis == 0 else entries(fixed, moving)
+                mat = np.zeros((len(pts), JET_DIM, JET_DIM), dtype=vals.dtype)
+                mat[:, rows, cols] = vals.T
+                return spans[:, None] * (mat @ y[:, :, None])[:, :, 0]
+
+            state = _rk4(rhs, state, max(1, math.ceil(tmax / self.step)))
+        if np.iscomplexobj(state):
+            scale = 1 + np.max(np.abs(state), axis=1)
+            if np.any(np.max(np.abs(state.imag), axis=1) > 1e-8 * scale):
+                raise KillingError("jet extension produced a non-real jet")
+            state = state.real
+        return state
+
     def jet_at(self, p) -> tuple[float, ...]:
-        return extend_jet(self.surface, self.jet, p, self.step)
+        return tuple(float(x) for x in self.jets_at([p])[0])
 
     def value(self, p) -> tuple[float, float]:
         full = self.jet_at(p)

@@ -40,14 +40,6 @@ def mat_vec(a: Mat, v: Vec) -> Vec:
     return [sum((a[i][j] * v[j] for j in range(len(v))), ZERO) for i in range(len(a))]
 
 
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a: Mat, s: Scalar) -> Mat:
-    return [[x * s for x in row] for row in a]
-
-
 def trace(a: Mat) -> Scalar:
     return sum((a[i][i] for i in range(len(a))), ZERO)
 

@@ -8,21 +8,21 @@ finite-difference residuals of the Killing equations vanish on a grid.
 
 Finite-difference steps are 1e-5 for first derivatives and 1e-4 for
 second derivatives, balancing truncation against double rounding.
-All integrators are fixed-step classical RK4; batches integrate with a
-shared step count so roundoff correlates across a stencil.
+All integration (flows, geodesics, jet extension) is the one fixed-step
+RK4 loop ``_rk4``; a batch shares one step count, so roundoff correlates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable
 
 import numpy as np
 
 from .killing import VectorField
-from .surface import AffineSurface
+from .surface import GAMMA_KEYS, AffineSurface
+from .symexpr import compile_exprs
 
 FD_FIRST = 1e-5
 FD_SECOND = 1e-4
@@ -77,29 +77,25 @@ class FlowReport:
 # field evaluation helpers
 # ---------------------------------------------------------------------------
 
-def _field_array_fn(field) -> Callable[[np.ndarray], np.ndarray]:
-    """Uniform (N,2) -> (N,2) evaluator for VectorFields and callables."""
+def _field_array_fn(field) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Uniform (x1, x2) -> (2, N) evaluator for VectorFields and callables."""
     if isinstance(field, VectorField):
-        return lambda pts: field.eval_array(pts[..., 0], pts[..., 1])
+        components = compile_exprs([field.a1, field.a2])
+        return lambda x1, x2: components(x1, x2).real
 
-    def wrapped(pts: np.ndarray) -> np.ndarray:
-        flat = pts.reshape(-1, 2)
-        vals = np.array([field((p[0], p[1])) for p in flat], dtype=float)
-        return vals.reshape(pts.shape)
+    def wrapped(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+        return np.array([field(p) for p in zip(x1, x2)], dtype=float).reshape(-1, 2).T
 
     return wrapped
 
 
 def _gamma_array_fn(s: AffineSurface):
-    entries = [(i, j, k, s.g(i, j, k))
-               for i, j, k in product((1, 2), repeat=3) if not s.g(i, j, k).is_zero]
+    """(..., 2) -> (..., 2, 2, 2) evaluator of the symbols, indexed [i, j, k]."""
+    symbols = compile_exprs([s.gamma[key] for key in GAMMA_KEYS])
 
     def gamma(pts: np.ndarray) -> np.ndarray:
-        out = np.zeros(pts.shape[:-1] + (2, 2, 2))
-        x1, x2 = pts[..., 0], pts[..., 1]
-        for i, j, k, e in entries:
-            out[..., i - 1, j - 1, k - 1] = e.eval_array(x1, x2).real
-        return out
+        out = np.moveaxis(symbols(pts[..., 0], pts[..., 1]).real, 0, -1)
+        return out.reshape(pts.shape[:-1] + (2, 2, 2))
 
     return gamma
 
@@ -115,16 +111,18 @@ def _check_domain(s: AffineSurface, pts: np.ndarray) -> None:
 # integrators
 # ---------------------------------------------------------------------------
 
-def _rk4(rhs, y: np.ndarray, n_steps: int) -> np.ndarray:
+def _rk4(rhs, y: np.ndarray, n_steps: int, path: bool = False) -> np.ndarray:
     """Classical RK4 over unit pseudo-time with n_steps fixed steps.
 
     The state update is compensated (Kahan) so that roundoff does not
     accumulate over steps; stencil differences of flowed points then sit
-    at the single-rounding floor.
+    at the single-rounding floor.  With ``path`` the states after every
+    step are returned too, stacked (n_steps + 1, ...) from the initial one.
     """
     h = 1.0 / n_steps
     t = 0.0
     comp = np.zeros_like(y)
+    states = [y]
     for _ in range(n_steps):
         k1 = rhs(t, y)
         k2 = rhs(t + h / 2, y + (h / 2) * k1)
@@ -135,7 +133,9 @@ def _rk4(rhs, y: np.ndarray, n_steps: int) -> np.ndarray:
         comp = (y_next - y) - dy
         y = y_next
         t += h
-    return y
+        if path:
+            states.append(y)
+    return np.stack(states) if path else y
 
 
 def flow_batch(field, points: np.ndarray, t, step: float = 1e-3) -> np.ndarray:
@@ -143,6 +143,8 @@ def flow_batch(field, points: np.ndarray, t, step: float = 1e-3) -> np.ndarray:
 
     Each row integrates d y / d tau = t_row * X(y) over unit pseudo-time, so
     all rows advance in lockstep and finish exactly at their target times.
+    The step count is ceil(max|t| / step) for the whole batch, so a row's
+    result depends on the largest time in its batch.
     """
     f = _field_array_fn(field)
     times = np.broadcast_to(np.asarray(t, dtype=float), (points.shape[0],))
@@ -150,8 +152,8 @@ def flow_batch(field, points: np.ndarray, t, step: float = 1e-3) -> np.ndarray:
     if tmax == 0.0:
         return points.copy()
     n = max(1, math.ceil(tmax / step))
-    scale = times[:, None]
-    return _rk4(lambda _, y: scale * f(y), points.astype(float), n)
+    rows = np.ascontiguousarray(points.T, dtype=float)  # (2, N): x1 and x2 rows
+    return _rk4(lambda _, y: times * f(y[0], y[1]), rows, n).T
 
 
 def flow(field, p, t: float, step: float = 1e-3):
@@ -160,63 +162,50 @@ def flow(field, p, t: float, step: float = 1e-3):
     return (float(out[0, 0]), float(out[0, 1]))
 
 
+def _geodesic_rhs(s: AffineSurface):
+    """Geodesic equation on states (4, N): rows x1, x2, v1, v2.
+
+    The acceleration -G_ij^k v^i v^j is one two-operand contraction of
+    (v x v) (4, N) with the symbols reshaped (4, 2, N).  Only the symmetric
+    part of the connection acts; torsion drops out of the quadratic form.
+    """
+    symbols = compile_exprs([s.gamma[key] for key in GAMMA_KEYS])
+
+    def rhs(_, y):
+        vel = y[2:]
+        vv = (vel[:, None, :] * vel[None, :, :]).reshape(4, -1)
+        g = symbols(y[0], y[1]).real.reshape(4, 2, -1)
+        return np.concatenate([vel, -np.einsum("mn,mkn->kn", vv, g)])
+
+    return rhs
+
+
 def geodesic_endpoints(s: AffineSurface, p0: np.ndarray, v0: np.ndarray,
                        times, step: float = 1e-3) -> np.ndarray:
     """Endpoint of the geodesic from each p0 with velocity v0 at parameter t.
 
     Affine reparametrization folds the time into the initial velocity, so a
-    batch with distinct times still shares one fixed step count.
+    batch with distinct times shares one step count, ceil(max|t| / step),
+    and a row's endpoint depends on the largest time in its batch.
     """
-    gamma = _gamma_array_fn(s)
     times = np.broadcast_to(np.asarray(times, dtype=float), (p0.shape[0],))
     tmax = float(np.max(np.abs(times)))
     if tmax == 0.0:
         return p0.copy()
     n = max(1, math.ceil(tmax / step))
-    state = np.concatenate([p0.astype(float), v0 * times[:, None]], axis=1)
-
-    def rhs(_, y):
-        pos, vel = y[:, :2], y[:, 2:]
-        g = gamma(pos)
-        acc = -np.einsum("nijk,ni,nj->nk", g, vel, vel)
-        return np.concatenate([vel, acc], axis=1)
-
-    out = _rk4(rhs, state, n)
-    _check_domain(s, out[:, :2])
-    return out[:, :2]
+    state = np.concatenate([p0.T, (v0 * times[:, None]).T]).astype(float)
+    out = _rk4(_geodesic_rhs(s), state, n)[:2].T
+    _check_domain(s, out)
+    return out
 
 
 def geodesic(s: AffineSurface, p, v, s_max: float, step: float = 1e-3):
-    """Sampled geodesic path: returns (parameters, points (N,2)).
-
-    Only the symmetric part of the connection acts; torsion drops out of
-    the quadratic form in the velocity.
-    """
+    """Sampled geodesic path: returns (parameters, points (N,2))."""
     n = max(1, math.ceil(abs(s_max) / step))
-    params = np.linspace(0.0, s_max, n + 1)
-    gamma = _gamma_array_fn(s)
-    state = np.array([[p[0], p[1], v[0] * s_max, v[1] * s_max]], dtype=float)
-    samples = [state[0, :2].copy()]
-
-    def rhs(_, y):
-        pos, vel = y[:, :2], y[:, 2:]
-        g = gamma(pos)
-        acc = -np.einsum("nijk,ni,nj->nk", g, vel, vel)
-        return np.concatenate([vel, acc], axis=1)
-
-    h = 1.0 / n
-    t = 0.0
-    for _ in range(n):
-        k1 = rhs(t, state)
-        k2 = rhs(t + h / 2, state + (h / 2) * k1)
-        k3 = rhs(t + h / 2, state + (h / 2) * k2)
-        k4 = rhs(t + h, state + h * k3)
-        state = state + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-        samples.append(state[0, :2].copy())
-    pts = np.array(samples)
+    state = np.array([[p[0]], [p[1]], [v[0] * s_max], [v[1] * s_max]], dtype=float)
+    pts = _rk4(_geodesic_rhs(s), state, n, path=True)[:, :2, 0]
     _check_domain(s, pts)
-    return params, pts
+    return np.linspace(0.0, s_max, n + 1), pts
 
 
 # ---------------------------------------------------------------------------
@@ -300,36 +289,31 @@ def fd_residuals(s: AffineSurface, field, grid: Grid | None = None) -> float:
 
     For symbolic fields the second derivatives come from second central
     differences of the values (h = 1e-4).  For jet-extended numeric fields
-    (anything exposing ``jet_at``) the integrated first derivatives are
-    differenced once instead, which is much better conditioned.
+    (anything exposing ``jets_at``) the integrated first derivatives are
+    differenced once instead, which is much better conditioned; all 5N
+    stencil points are extended in one batch.
     """
     g = grid or default_grid(s)
     pts = g.points()
     h = FD_SECOND
 
-    if hasattr(field, "jet_at"):
-        jets = {}
-        offsets = {"c": (0, 0), "e1+": (h, 0), "e1-": (-h, 0),
-                   "e2+": (0, h), "e2-": (0, -h)}
-        for name, (dx, dy) in offsets.items():
-            jets[name] = np.array([field.jet_at((p[0] + dx, p[1] + dy))
-                                   for p in pts])
-        a = jets["c"][:, 0:2]
-        # jet layout: (a1, a2, d1 a1, d2 a1, d1 a2, d2 a2)
-        da = np.empty((len(pts), 2, 2))  # [n, l, k] = d_l a^k
-        da[:, 0, 0] = jets["c"][:, 2]
-        da[:, 1, 0] = jets["c"][:, 3]
-        da[:, 0, 1] = jets["c"][:, 4]
-        da[:, 1, 1] = jets["c"][:, 5]
+    if hasattr(field, "jets_at"):
+        offsets = np.array([(0.0, 0.0), (h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)])
+        stencil = (offsets[:, None, :] + pts[None, :, :]).reshape(-1, 2)
+        jc, jp1, jm1, jp2, jm2 = field.jets_at(stencil).reshape(5, len(pts), -1)
+        a = jc[:, 0:2]
+        # jet layout (a1, a2, d1 a1, d2 a1, d1 a2, d2 a2); da[n, l, k] = d_l a^k
+        da = jc[:, 2:].reshape(-1, 2, 2).transpose(0, 2, 1)
         dda = np.empty((len(pts), 2, 2, 2))  # [n, i, j, k]
         for k, (c1, c2) in enumerate(((2, 3), (4, 5))):
-            dda[:, 0, 0, k] = (jets["e1+"][:, c1] - jets["e1-"][:, c1]) / (2 * h)
-            dda[:, 1, 1, k] = (jets["e2+"][:, c2] - jets["e2-"][:, c2]) / (2 * h)
-            m = (jets["e2+"][:, c1] - jets["e2-"][:, c1]) / (2 * h)
+            dda[:, 0, 0, k] = (jp1[:, c1] - jm1[:, c1]) / (2 * h)
+            dda[:, 1, 1, k] = (jp2[:, c2] - jm2[:, c2]) / (2 * h)
+            m = (jp2[:, c1] - jm2[:, c1]) / (2 * h)
             dda[:, 0, 1, k] = m
             dda[:, 1, 0, k] = m
     else:
-        f = _field_array_fn(field)
+        field_rows = _field_array_fn(field)
+        f = lambda q: field_rows(q[:, 0], q[:, 1]).T
         e1 = np.array([h, 0.0])
         e2 = np.array([0.0, h])
         vc = f(pts)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -258,27 +258,9 @@ class Expr:
         return total
 
     def eval_array(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        """Vectorized complex evaluation on numpy arrays (no pole checks)."""
-        total = np.zeros(np.broadcast(x1, x2).shape, dtype=complex)
-        sin1 = cos1 = None
-        for t in self.terms:
-            val = np.full_like(total, complex(t.coeff))
-            if t.p1:
-                val = val * x1 ** t.p1
-            if t.p2:
-                val = val * x2 ** t.p2
-            if t.s:
-                if sin1 is None:
-                    sin1 = np.sin(x1)
-                val = val * sin1
-            if t.c:
-                if cos1 is None:
-                    cos1 = np.cos(x1)
-                val = val * cos1 ** t.c
-            if not t.freq.is_zero:
-                val = val * np.exp(complex(t.freq) * x2)
-            total += val
-        return total
+        """Vectorized complex evaluation on numpy arrays: the one-expression
+        case of ``compile_exprs``, with its pole checks."""
+        return compile_exprs([self])(x1, x2)[0].astype(complex, copy=False)
 
     # -------------------------------------------------------------- printing
 
@@ -299,6 +281,71 @@ class Expr:
 
 
 _ZERO_EXPR = Expr(())
+
+
+def compile_exprs(exprs) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Vectorized evaluator ``f(x1, x2) -> (len(exprs),) + shape`` for a list
+    of expressions, ``shape`` being the broadcast shape of x1 and x2.
+
+    A term is coeff * A(x1) * B(x2), A = x1^p1 sin^s cos^c, B = x2^p2
+    exp(freq*x2).  Coefficients are converted once; sin, cos and each
+    distinct A and B are computed once per call for all expressions, and
+    one matrix product with the coefficients sums the terms.  The result is
+    real when all coefficients and frequencies are.  Poles as in
+    ``eval_numeric``: EvaluationPoleError at x1 = 0 with a negative power
+    of x1, or at |cos(x1)| < 1e-12 with a negative power of cos(x1).
+    """
+    terms = [(row, t) for row, e in enumerate(exprs) for t in e.terms]
+    real = all(t.coeff.is_real and t.freq.is_real for _, t in terms)
+    number = (lambda sc: float(sc.re)) if real else complex
+    keys = [((t.p1, t.s, t.c), (t.p2, number(t.freq))) for _, t in terms]
+    pairs = list(dict.fromkeys(keys))
+    coeffs = np.zeros((len(exprs), len(pairs)), dtype=float if real else complex)
+    for (row, t), key in zip(terms, keys):
+        coeffs[row, pairs.index(key)] += number(t.coeff)
+    keys_a = list(dict.fromkeys(a for a, _ in pairs))
+    keys_b = list(dict.fromkeys(b for _, b in pairs))
+    pair_idx = [(keys_a.index(a), keys_b.index(b)) for a, b in pairs]
+    x1_pole = any(p1 < 0 for p1, _, _ in keys_a)
+    cos_pole = any(c < 0 for _, _, c in keys_a)
+    need_sin = any(s for _, s, _ in keys_a)
+    need_cos = any(c for _, _, c in keys_a)
+
+    def evaluate(x1, x2) -> np.ndarray:
+        x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
+        if x1.shape != x2.shape:
+            x1, x2 = np.broadcast_arrays(x1, x2)
+        shape = (len(exprs),) + x1.shape
+        x1, x2 = x1.reshape(-1), x2.reshape(-1)
+        if not pairs:
+            return np.zeros(shape, dtype=coeffs.dtype)
+        if x1_pole and np.any(x1 == 0.0):
+            raise EvaluationPoleError("negative power of x1 at x1 = 0")
+        sin1 = np.sin(x1) if need_sin else None
+        cos1 = np.cos(x1) if need_cos else None
+        if cos_pole and np.min(np.abs(cos1)) < 1e-12:
+            raise EvaluationPoleError("negative power of cos(x1) at a zero of cos")
+        table_a = [_product(x1 ** p1 if p1 else None, sin1 if s else None,
+                            cos1 ** c if c else None) for p1, s, c in keys_a]
+        table_b = [_product(x2 ** p2 if p2 else None, np.exp(freq * x2) if freq else None)
+                   for p2, freq in keys_b]
+        columns = np.empty((len(pairs), x1.size), dtype=coeffs.dtype)
+        for column, (a, b) in zip(columns, pair_idx):
+            product = _product(table_a[a], table_b[b])
+            column[...] = 1.0 if product is None else product
+        # np.dot, not @: with a single column matmul skips BLAS and is 4x slower
+        return np.dot(coeffs, columns).reshape(shape)
+
+    return evaluate
+
+
+def _product(*factors):
+    """Product of the factors that are not None; None if none are left."""
+    out = None
+    for f in factors:
+        if f is not None:
+            out = f if out is None else out * f
+    return out
 
 
 def _coef_text(sc: Scalar) -> str:

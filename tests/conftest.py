@@ -7,7 +7,8 @@ import pytest
 from hypothesis import settings
 
 from affkit.killing import VectorField
-from affkit.surface import sphere, type_a, type_b
+from affkit.paperchecks import sphere_killing_triple
+from affkit.surface import GAMMA_KEYS, sphere, type_a, type_b
 from affkit.symexpr import parse
 
 settings.register_profile("ci", max_examples=25, deadline=None)
@@ -30,14 +31,7 @@ def sphere_surface():
 def sphere_fields():
     """The rotation triple: cos(x2) d1 + tan(x1)sin(x2) d2, its quarter-turn
     partner, and d2; exponentials encode the x2 trig functions."""
-    x_field = VectorField(
-        parse("1/2*exp(1*i*x2)+1/2*exp(-1*i*x2)"),
-        parse("-1/2*i*tan(x1)*exp(1*i*x2)+1/2*i*tan(x1)*exp(-1*i*x2)"))
-    y_field = VectorField(
-        parse("1/2*i*exp(1*i*x2)-1/2*i*exp(-1*i*x2)"),
-        parse("1/2*tan(x1)*exp(1*i*x2)+1/2*tan(x1)*exp(-1*i*x2)"))
-    z_field = VectorField(parse("0"), parse("1"))
-    return x_field, y_field, z_field
+    return sphere_killing_triple()
 
 
 @pytest.fixture(scope="session")
@@ -53,8 +47,7 @@ def type_b_radial_fields():
 
 
 def random_type_a(rand, nonflat=False):
-    keys = ("111", "112", "121", "122", "211", "212", "221", "222")
     while True:
-        s = type_a({k: rand.randint(-2, 2) for k in keys})
-        if not nonflat or any(not s.gamma[k].is_zero for k in keys):
+        s = type_a({k: rand.randint(-2, 2) for k in GAMMA_KEYS})
+        if not nonflat or any(not s.gamma[k].is_zero for k in GAMMA_KEYS):
             return s

@@ -15,14 +15,13 @@ from affkit.linalg import rank
 from affkit.numeric import Grid, fd_residuals, flow_preserves_connection
 from affkit.paperchecks import constraint_rows, sphere_killing_triple
 from affkit.scalars import ONE, ZERO
-from affkit.surface import (is_flat, nabla_ricci, ricci, sphere, torsion,
-                            type_a, type_b)
+from affkit.surface import (GAMMA_KEYS, is_flat, nabla_ricci, ricci, sphere,
+                            torsion, type_a, type_b)
 from affkit.symexpr import Expr, parse
 
 from conftest import SEED
 from helpers_oracle import taylor_killing_dim
 
-GAMMA_KEYS = ("111", "112", "121", "122", "211", "212", "221", "222")
 D1 = VectorField(parse("1"), parse("0"))
 D2 = VectorField(parse("0"), parse("1"))
 RADIAL = VectorField(parse("-x1"), parse("-x2"))

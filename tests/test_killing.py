@@ -1,23 +1,23 @@
 """Killing residuals, the exact jet solver, and numeric jet extension."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from affkit.killing import (
-    Jet1, JetField, VectorField, extend_jet, is_killing, jet_of,
-    killing_jet_space, prolongation, residuals,
+    Jet1, JetField, KillingError, OutsideDomain, VectorField, extend_jet,
+    is_killing, jet_of, killing_jet_space, prolongation, residuals,
 )
+from affkit.numeric import default_grid
 from affkit.scalars import ONE, ZERO, Scalar
-from affkit.surface import make_surface, sphere, type_a, type_b
+from affkit.surface import GAMMA_KEYS, make_surface, sphere, type_a, type_b
 from affkit.symexpr import Expr, parse
 
 from conftest import random_type_a
 from helpers_oracle import taylor_killing_dim
 
-gamma_vals = st.fixed_dictionaries(
-    {k: st.integers(-2, 2) for k in ("111", "112", "121", "122",
-                                     "211", "212", "221", "222")})
+gamma_vals = st.fixed_dictionaries({k: st.integers(-2, 2) for k in GAMMA_KEYS})
 
 D2 = VectorField(parse("0"), parse("1"))
 
@@ -277,3 +277,49 @@ def test_jet_field_wrapper(sphere_surface, sphere_fields):
     v = jf.value((0.2, 0.1))
     want = x_field.eval_real((0.2, 0.1))
     assert abs(v[0] - want[0]) < 1e-7 and abs(v[1] - want[1]) < 1e-7
+
+
+def test_jets_at_matches_closed_form_on_sphere_stencil(sphere_surface, sphere_fields):
+    # A 5x5 grid with the five-point stencil of each grid point, extended in
+    # one batch, against the closed-form triple and its first derivatives.
+    grid = default_grid(sphere_surface, n=5, half_width=0.2, center=(0.1, 0.3))
+    h = 1e-4
+    offsets = np.array([(0, 0), (h, 0), (-h, 0), (0, h), (0, -h)])
+    pts = (grid.points()[:, None, :] + offsets[None, :, :]).reshape(-1, 2)
+    for f in sphere_fields:
+        jets = JetField(sphere_surface, jet_of(sphere_surface, f)).jets_at(pts)
+        assert jets.shape == (len(pts), 6)
+        parts = [f.a1, f.a2, f.a1.diff("x1"), f.a1.diff("x2"),
+                 f.a2.diff("x1"), f.a2.diff("x2")]
+        for p, got in zip(pts, jets):
+            want = [e.eval_numeric(p).real for e in parts]
+            assert np.max(np.abs(got - want)) < 1e-6
+
+
+def test_jets_at_rows_match_one_row_extensions(sphere_surface, sphere_fields):
+    jf = JetField(sphere_surface, jet_of(sphere_surface, sphere_fields[1]))
+    pts = [(0.3, 0.7), (-0.2, 0.1), (0.0, 0.0), (0.5, -0.4)]
+    batch = jf.jets_at(pts)
+    for p, row in zip(pts, batch):
+        assert np.max(np.abs(row - np.array(jf.jet_at(p)))) < 1e-9
+        assert tuple(row) == pytest.approx(extend_jet(sphere_surface, jf.jet, p), abs=1e-9)
+
+
+def test_extend_jet_rejects_targets_outside_the_domain(sphere_surface, sphere_fields,
+                                                      type_b_radial_fields):
+    # |x1| < pi/2 on the sphere: past the pole of tan the integration used to
+    # return a huge jet without complaint.
+    jet = jet_of(sphere_surface, sphere_fields[0])
+    with pytest.raises(OutsideDomain):
+        extend_jet(sphere_surface, jet, (1.6, 0.0))
+    with pytest.raises(OutsideDomain):
+        JetField(sphere_surface, jet).jets_at([(0.2, 0.1), (-1.6, 0.1)])
+    # x1 > 0 on A/x1 surfaces: the x1 leg would cross the pole at x1 = 0.
+    s = type_b({"111": 1, "122": -1, "212": 2})
+    radial = type_b_radial_fields[1]
+    assert is_killing(s, radial)
+    with pytest.raises(OutsideDomain):
+        extend_jet(s, jet_of(s, radial), (-0.5, 0.3))
+    assert issubclass(OutsideDomain, KillingError)
+    full = extend_jet(s, jet_of(s, radial), (0.5, 0.3))
+    assert full[:2] == pytest.approx((-0.5, -0.3), abs=1e-9)

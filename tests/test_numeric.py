@@ -8,7 +8,7 @@ import pytest
 from affkit.killing import JetField, VectorField, killing_jet_space
 from affkit.numeric import (
     DomainExit, Grid, default_grid, fd_residuals, flow, flow_batch,
-    flow_preserves_connection, geodesic,
+    flow_preserves_connection, geodesic, geodesic_endpoints,
 )
 from affkit.surface import type_a, type_b
 from affkit.symexpr import parse
@@ -96,6 +96,16 @@ def test_geodesic_torsion_drops_out():
     _, p1 = geodesic(sym, (0.0, 0.0), (0.4, 0.3), 1.0, step=1e-2)
     _, p2 = geodesic(twisted, (0.0, 0.0), (0.4, 0.3), 1.0, step=1e-2)
     assert np.allclose(p1[-1], p2[-1], atol=1e-13)
+
+
+def test_geodesic_endpoints_match_sampled_geodesics(sphere_surface):
+    # One right-hand side and one integrator behind both entry points.
+    p0 = np.array([[0.1, 0.0], [-0.2, 0.5], [0.3, -0.1]])
+    v0 = np.array([[0.6, 0.8], [1.0, 0.0], [-0.3, 0.4]])
+    ends = geodesic_endpoints(sphere_surface, p0, v0, 0.7, step=1e-2)
+    for p, v, end in zip(p0, v0, ends):
+        _, pts = geodesic(sphere_surface, p, v, 0.7, step=1e-2)
+        assert np.allclose(end, pts[-1], rtol=0, atol=1e-13)
 
 
 def test_type_b_geodesic_domain_exit():

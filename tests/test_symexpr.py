@@ -3,15 +3,17 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from affkit.scalars import Scalar, ONE, ZERO
+from affkit.surface import GAMMA_KEYS, sphere, type_b
 from affkit.symexpr import (
     COS, SEC, SIN, TAN, X1, X2,
     DivisionError, EvaluationPoleError, Expr, NotExactlyEvaluable,
-    ParseError, Term, parse,
+    ParseError, Term, compile_exprs, parse,
 )
 
 
@@ -220,6 +222,68 @@ def test_eval_array_agrees_with_scalar_eval(e):
     vals = e.eval_array(xs, ys)
     for k in range(3):
         assert abs(vals[k] - e.eval_numeric((xs[k], ys[k]))) < 1e-10
+
+
+def _sphere_symbols(rng):
+    return [sphere().gamma[k] for k in GAMMA_KEYS]
+
+
+def _a_over_x1_symbols(rng):
+    s = type_b({k: rng.randint(-2, 2) for k in GAMMA_KEYS})
+    return [s.gamma[k] for k in GAMMA_KEYS]
+
+
+def _trig_exp_exprs(rng):
+    texts = ["1/2*exp(1*i*x2)+1/2*exp(-1*i*x2)",
+             "-1/2*i*tan(x1)*exp(1*i*x2)+1/2*i*tan(x1)*exp(-1*i*x2)",
+             "x1^2*sec(x1)^3 - 3/4*x2^2*exp(1/2*x2)",
+             "(1+2*i)*exp(1-3*i*x2)*sin(x1)*x2 + 5", "0", "7/3"]
+    return [parse(t) for t in texts]
+
+
+@pytest.mark.parametrize("fixture", [_sphere_symbols, _a_over_x1_symbols, _trig_exp_exprs])
+def test_compiled_evaluator_matches_eval_numeric(fixture, rng):
+    exprs = fixture(rng)
+    x1 = [rng.uniform(0.05, 1.5) for _ in range(20)]
+    x2 = [rng.uniform(-2.0, 2.0) for _ in range(20)]
+    vals = compile_exprs(exprs)(x1, x2)
+    assert vals.shape == (len(exprs), 20)
+    for row, e in enumerate(exprs):
+        for n in range(20):
+            want = e.eval_numeric((x1[n], x2[n]))
+            assert abs(vals[row, n] - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_compiled_evaluator_broadcasts_and_stays_real():
+    ev = compile_exprs([parse("x1*x2"), parse("cos(x1)"), parse("0")])
+    vals = ev(np.array([[0.5], [1.0]]), np.array([1.0, 2.0, 3.0]))
+    assert vals.shape == (3, 2, 3) and vals.dtype == float
+    assert vals[0, 1, 2] == 3.0 and vals[1, 0, 0] == math.cos(0.5)
+    assert not vals[2].any()
+    assert compile_exprs([parse("exp(1*i*x2)")])(0.0, 1.0).dtype == complex
+
+
+@pytest.mark.parametrize("text, point", [
+    ("1/x1", (0.0, 0.3)),
+    ("x2 + 1/x1^2", (0.0, -1.0)),
+    ("sec(x1)", (math.pi / 2, 0.0)),
+    ("x1 + tan(x1)*exp(1*i*x2)", (-math.pi / 2, 1.0)),
+])
+def test_compiled_evaluator_raises_where_eval_numeric_does(text, point):
+    e = parse(text)
+    with pytest.raises(EvaluationPoleError):
+        e.eval_numeric(point)
+    ev = compile_exprs([parse("x1"), e])
+    ev([0.7], [point[1]])  # regular point: no error
+    with pytest.raises(EvaluationPoleError):
+        ev([0.7, point[0]], [0.0, point[1]])
+    with pytest.raises(EvaluationPoleError):
+        e.eval_array(np.array([point[0]]), np.array([point[1]]))
+
+
+def test_compiled_evaluator_has_no_pole_without_negative_powers():
+    vals = compile_exprs([parse("x1*cos(x1)")])([0.0, math.pi / 2], [0.0, 0.0])
+    assert abs(vals).max() < 1e-15
 
 
 @given(exprs(max_terms=3))
