@@ -15,9 +15,7 @@ import random
 import sys
 
 from affkit.liealg import ClassificationInconclusive, NotHomogeneousCandidate, classify
-from affkit.surface import is_flat, surface_to_json, type_a, type_b
-
-GAMMA_KEYS = ("111", "112", "121", "122", "211", "212", "221", "222")
+from affkit.surface import GAMMA_KEYS, is_flat, surface_to_json, type_a, type_b
 
 
 def main() -> int:

@@ -14,6 +14,8 @@ rows of the first-order system.  Differentiating constraint rows along the
 system and re-evaluating at the basepoint cuts the jet space down until
 the dimension stabilizes; all of this is exact Gaussian-rational
 arithmetic, so the dimensions (at most 6) are exact integers.
+The prolongation is built once per surface as a :class:`JetSystem` and
+returned with the jet space for brackets and classification to reuse.
 """
 
 from __future__ import annotations
@@ -83,15 +85,13 @@ class Jet1:
     def from_vector(v) -> "Jet1":
         return Jet1(*v)
 
-    def value(self) -> tuple[Scalar, Scalar]:
-        return (self.a1, self.a2)
-
 
 @dataclass
 class KillingJetSpace:
     basis: list[Jet1]
     dim: int
     constraint_history: list[int]
+    system: JetSystem
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +183,27 @@ def prolongation(s: AffineSurface, p) -> tuple[list[list[Scalar]], list[list[Sca
     return ev(m1), ev(m2), ev(c0)
 
 
+@dataclass(frozen=True)
+class JetSystem:
+    """One surface's prolongation: symbolic M1, M2 and C0, and the exact
+    rows giving dd_ij a^k = row . v at the basepoint, keyed (i, j, k)."""
+
+    m1: ExprMat
+    m2: ExprMat
+    c0: list[list[Expr]]
+    second: dict[tuple[int, int, int], list[Scalar]]
+
+
+def jet_system(s: AffineSurface) -> JetSystem:
+    """Build the prolongation once and evaluate its second-derivative rows."""
+    m1, m2, c0 = prolongation_symbolic(s)
+    # dd_ij a^k (i <= j) is row b^k_j of M_i; dd_21 a^k = dd_12 a^k.
+    second = {(i, j, k): [e.eval_exact(s.basepoint)
+                          for e in (m1, m2)[min(i, j) - 1][_idx_b(k, max(i, j))]]
+              for i, j, k in product((1, 2), repeat=3)}
+    return JetSystem(m1, m2, c0, second)
+
+
 def _integrability_rows(m1: ExprMat, m2: ExprMat) -> list[list[Expr]]:
     """Rows of d1 M2 - d2 M1 + M2 M1 - M1 M2; they vanish on jets of
     genuine solutions and constrain everything else."""
@@ -220,22 +241,18 @@ class _ExactRankTracker:
         work = row[:]
         for basis_row, piv in zip(self.reduced, self.pivots):
             if not work[piv].is_zero:
-                f = work[piv]
-                work = [x - f * y for x, y in zip(work, basis_row)]
+                work = linalg._eliminate(work, work[piv], basis_row)
         piv = next((c for c in range(JET_DIM) if not work[c].is_zero), None)
         if piv is None:
             return
         inv = ONE / work[piv]
-        work = [x * inv for x in work]
+        work = [x if x.is_zero else x * inv for x in work]
         self.reduced.append(work)
         self.pivots.append(piv)
 
     @property
     def rank(self) -> int:
         return len(self.reduced)
-
-    def matrix(self) -> list[list[Scalar]]:
-        return [row[:] for row in self.reduced]
 
 
 def killing_jet_space(s: AffineSurface) -> KillingJetSpace:
@@ -254,8 +271,9 @@ def killing_jet_space(s: AffineSurface) -> KillingJetSpace:
     from .surface import is_flat
 
     point = s.basepoint
-    m1, m2, c0 = prolongation_symbolic(s)
-    base_rows = [row for row in c0 if any(not e.is_zero for e in row)]
+    system = jet_system(s)
+    m1, m2 = system.m1, system.m2
+    base_rows = [row for row in system.c0 if any(not e.is_zero for e in row)]
     for row in _integrability_rows(m1, m2):
         if any(not e.is_zero for e in row):
             base_rows.append(row)
@@ -272,9 +290,9 @@ def killing_jet_space(s: AffineSurface) -> KillingJetSpace:
         tracker.add([e.eval_exact(point) for e in row])
 
     def finish(history):
-        basis = linalg.nullspace(tracker.matrix(), n_cols=JET_DIM)
+        basis = linalg.nullspace(tracker.reduced, n_cols=JET_DIM)
         jets = [Jet1.from_vector(v) for v in basis]
-        return KillingJetSpace(jets, len(jets), history)
+        return KillingJetSpace(jets, len(jets), history, system)
 
     flat = None
     history = [JET_DIM - tracker.rank]
@@ -340,6 +358,7 @@ class JetField:
         self.surface = s
         self.jet = jet
         self.step = step
+        self.system = jet_system(s)
 
     def jets_at(self, points) -> np.ndarray:
         """Extended jets (N, 6) at the points (N, 2), all rows in lockstep.
@@ -361,8 +380,7 @@ class JetField:
         jet = np.array([complex(x) for x in self.jet.as_vector()])
         state = np.repeat([jet if jet.imag.any() else jet.real], len(pts), axis=0)
         base = (float(s.basepoint[0]), float(s.basepoint[1]))
-        m1, m2, _ = prolongation_symbolic(s)
-        for axis, m in enumerate((m1, m2)):
+        for axis, m in enumerate((self.system.m1, self.system.m2)):
             spans = pts[:, axis] - base[axis]
             tmax = float(np.max(np.abs(spans)))
             if tmax == 0.0:
@@ -397,10 +415,6 @@ class JetField:
 # ---------------------------------------------------------------------------
 # field files
 # ---------------------------------------------------------------------------
-
-def field_to_json(X: VectorField) -> dict:
-    return {"a1": str(X.a1), "a2": str(X.a2)}
-
 
 def field_from_json(data: dict) -> VectorField:
     return VectorField(parse(data.get("a1", "0")), parse(data.get("a2", "0")))

@@ -12,6 +12,10 @@ for subalgebra witnesses of the three target presentations:
 
 Witnesses are certificates: every reported relation is re-verified exactly
 through the jet bracket before it is returned.
+
+Jet brackets take their second derivatives from the surface's
+``killing.JetSystem``, built by ``killing_jet_space`` and kept on the
+presentation by ``structure_constants``: one classification builds it once.
 """
 
 from __future__ import annotations
@@ -19,12 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 import numpy as np
 
 from . import linalg
-from .killing import (JET_DIM, Jet1, KillingJetSpace, VectorField,
-                      killing_jet_space, prolongation_symbolic)
+from .killing import (JET_DIM, Jet1, JetSystem, KillingJetSpace, VectorField,
+                      jet_system, killing_jet_space)
 from .scalars import ONE, ZERO, Scalar
 from .surface import AffineSurface
 from .symexpr import Expr
@@ -62,50 +67,31 @@ def bracket_fields(X: VectorField, Y: VectorField) -> VectorField:
     return VectorField(comps[0], comps[1])
 
 
-def _second_derivatives(s: AffineSurface, jet: Jet1) -> dict[tuple[int, int, int], Scalar]:
-    """dd_ij a^k at the basepoint from the jet system (exact)."""
-    m1, m2, _ = prolongation_symbolic(s)
-    p = s.basepoint
-    v = jet.as_vector()
-    out = {}
-    # Row of M_i holding dd at b^k_j; index layout matches killing module.
-    rows = {(1, 1): (m1, 2), (1, 2): (m1, 3), (2, 2): (m2, 3)}
-    for k in (1, 2):
-        for (i, j), (m, base) in rows.items():
-            row = m[base + 2 * (k - 1)]
-            val = ZERO
-            for c in range(JET_DIM):
-                if not row[c].is_zero:
-                    val = val + row[c].eval_exact(p) * v[c]
-            out[(i, j, k)] = out[(j, i, k)] = val
-    return out
+def _second_derivatives(system: JetSystem, v: list[Scalar]) -> dict[tuple[int, int, int], Scalar]:
+    """dd_ij a^k at the basepoint of the jet vector v, keyed (i, j, k) (exact)."""
+    return {key: sum((r * x for r, x in zip(row, v) if not r.is_zero and not x.is_zero), ZERO)
+            for key, row in system.second.items()}
 
 
-def bracket_jets(s: AffineSurface, vx: Jet1, vy: Jet1) -> Jet1:
-    """Jet of [X, Y] from the jets of two Killing fields."""
-    ddx = _second_derivatives(s, vx)
-    ddy = _second_derivatives(s, vy)
-    ax = (vx.a1, vx.a2)
-    ay = (vy.a1, vy.a2)
-    bx = {(k, i): vx.as_vector()[2 + 2 * (k - 1) + (i - 1)]
-          for k in (1, 2) for i in (1, 2)}
-    by = {(k, i): vy.as_vector()[2 + 2 * (k - 1) + (i - 1)]
-          for k in (1, 2) for i in (1, 2)}
+def bracket_jets(s: AffineSurface, vx: Jet1, vy: Jet1,
+                 system: JetSystem | None = None) -> Jet1:
+    """Jet of [X, Y] from the jets of two Killing fields.
 
-    val = {}
-    der = {}
-    for k in (1, 2):
-        acc = ZERO
-        for l in (1, 2):
-            acc = acc + ax[l - 1] * by[(k, l)] - ay[l - 1] * bx[(k, l)]
-        val[k] = acc
+    [X, Y]^k = X^l d_l Y^k - Y^l d_l X^k, differentiated once with the
+    second derivatives of the surface's jet system (built here if not given).
+    """
+    system = system or jet_system(s)
+    x, y = vx.as_vector(), vy.as_vector()
+    ddx, ddy = _second_derivatives(system, x), _second_derivatives(system, y)
+    b = lambda v, k, i: v[2 * k + i - 1]     # d_i a^k in the jet layout
+    out = [ZERO] * JET_DIM
+    for k, l in product((1, 2), repeat=2):
+        out[k - 1] = out[k - 1] + x[l - 1] * b(y, k, l) - y[l - 1] * b(x, k, l)
         for m in (1, 2):
-            acc = ZERO
-            for l in (1, 2):
-                acc = acc + bx[(l, m)] * by[(k, l)] + ax[l - 1] * ddy[(m, l, k)]
-                acc = acc - by[(l, m)] * bx[(k, l)] - ay[l - 1] * ddx[(m, l, k)]
-            der[(k, m)] = acc
-    return Jet1(val[1], val[2], der[(1, 1)], der[(1, 2)], der[(2, 1)], der[(2, 2)])
+            out[2 * k + m - 1] = (out[2 * k + m - 1]
+                                  + b(x, l, m) * b(y, k, l) + x[l - 1] * ddy[(m, l, k)]
+                                  - b(y, l, m) * b(x, k, l) - y[l - 1] * ddx[(m, l, k)])
+    return Jet1.from_vector(out)
 
 
 # ---------------------------------------------------------------------------
@@ -118,17 +104,19 @@ class LieAlgebraPresentation:
     c: list[list[list[Scalar]]]          # [e_i, e_j] = sum_k c[i][j][k] e_k
     jets: list[Jet1]
     eval_matrix: list[list[Scalar]]      # 2 x dim basis-field values at P
+    system: JetSystem | None = None      # the surface's, when built from one
 
     def ad(self, xi: list[Scalar]) -> list[list[Scalar]]:
         """Matrix of ad(xi) in the basis: column j holds [xi, e_j]."""
         n = self.dim
         out = [[ZERO] * n for _ in range(n)]
-        for j in range(n):
-            for i in range(n):
-                if xi[i].is_zero:
-                    continue
-                for k in range(n):
-                    out[k][j] = out[k][j] + xi[i] * self.c[i][j][k]
+        for i in range(n):
+            if xi[i].is_zero:
+                continue
+            for j in range(n):
+                for k, cijk in enumerate(self.c[i][j]):
+                    if not cijk.is_zero:
+                        out[k][j] = out[k][j] + xi[i] * cijk
         return out
 
     def bracket_coeffs(self, u: list[Scalar], v: list[Scalar]) -> list[Scalar]:
@@ -140,8 +128,10 @@ class LieAlgebraPresentation:
             for j in range(n):
                 if v[j].is_zero:
                     continue
-                for k in range(n):
-                    out[k] = out[k] + u[i] * v[j] * self.c[i][j][k]
+                uv = u[i] * v[j]
+                for k, cijk in enumerate(self.c[i][j]):
+                    if not cijk.is_zero:
+                        out[k] = out[k] + uv * cijk
         return out
 
     def killing_form(self) -> list[list[Scalar]]:
@@ -166,7 +156,7 @@ def structure_constants(s: AffineSurface,
     c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            bj = bracket_jets(s, ks.basis[i], ks.basis[j]).as_vector()
+            bj = bracket_jets(s, ks.basis[i], ks.basis[j], ks.system).as_vector()
             coeffs = linalg.solve(cols, bj)
             if coeffs is None:
                 raise SolveFailure(
@@ -176,7 +166,7 @@ def structure_constants(s: AffineSurface,
                 c[j][i][k] = -coeffs[k]
     eval_matrix = [[basis_vecs[k][0] for k in range(n)],
                    [basis_vecs[k][1] for k in range(n)]]
-    return LieAlgebraPresentation(n, c, ks.basis, eval_matrix)
+    return LieAlgebraPresentation(n, c, ks.basis, eval_matrix, ks.system)
 
 
 def jacobi_residual(L: LieAlgebraPresentation) -> list[Scalar]:
@@ -295,30 +285,24 @@ def grading_check(L: LieAlgebraPresentation, xi: list[Scalar],
                         report.violations.append(
                             f"[E({ea.alpha}), E({eb.alpha})] escapes E({target_alpha})")
         else:
-            za = complex(ea.alpha) if isinstance(ea.alpha, Scalar) else ea.alpha
-            zb = complex(eb.alpha) if isinstance(eb.alpha, Scalar) else eb.alpha
-            target_z = za + zb
+            # complex() takes exact Scalars and numeric values alike
+            target_z = complex(ea.alpha) + complex(eb.alpha)
             target = next((sp for sp in spaces
-                           if abs((complex(sp.alpha) if isinstance(sp.alpha, Scalar)
-                                   else sp.alpha) - target_z) < 1e-7), None)
+                           if abs(complex(sp.alpha) - target_z) < 1e-7), None)
+            tb = np.array([[complex(x) for x in bv]
+                           for bv in (target.basis if target is not None else [])])
             cf = np.array([[complex(L.c[i][j][k]) for k in range(n)]
                            for i in range(n) for j in range(n)]).reshape(n, n, n)
             for u in ea.basis:
-                uf = np.array([complex(x) for x in u]) if ea.exact else np.asarray(u)
+                uf = np.array([complex(x) for x in u])
                 for v in eb.basis:
-                    vf = np.array([complex(x) for x in v]) if eb.exact else np.asarray(v)
+                    vf = np.array([complex(x) for x in v])
                     w = np.einsum("i,j,ijk->k", uf, vf, cf)
-                    if target is None:
+                    if tb.size == 0:
                         resid = float(np.linalg.norm(w))
                     else:
-                        tb = np.array(
-                            [[complex(x) for x in bv] for bv in target.basis]
-                            if target.exact else [np.asarray(bv) for bv in target.basis])
-                        if tb.size == 0:
-                            resid = float(np.linalg.norm(w))
-                        else:
-                            sol, *_ = np.linalg.lstsq(tb.T, w, rcond=None)
-                            resid = float(np.linalg.norm(tb.T @ sol - w))
+                        sol, *_ = np.linalg.lstsq(tb.T, w, rcond=None)
+                        resid = float(np.linalg.norm(tb.T @ sol - w))
                     report.pairs_checked += 1
                     if resid > tol * max(1.0, float(np.linalg.norm(w))):
                         report.ok = False
@@ -372,14 +356,10 @@ def _search_candidates(n: int, budget: int):
 
     def emit(vec):
         nonlocal yielded
-        ints = tuple(vec)
-        if all(v == 0 for v in ints):
+        g = gcd(*vec)
+        if g == 0:
             return None
-        from math import gcd
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        ints = tuple(v // g for v in ints)
+        ints = tuple(v // g for v in vec)
         lead = next(v for v in ints if v != 0)
         if lead < 0:
             ints = tuple(-v for v in ints)
@@ -415,14 +395,10 @@ def _search_candidates(n: int, budget: int):
 
 def _verified_bracket(s, L, u, v) -> list[Scalar]:
     """Bracket computed straight from the jets, as basis coefficients."""
-    n = L.dim
-    ju = [sum((L.jets[i].as_vector()[r] * u[i] for i in range(n)), ZERO)
-          for r in range(JET_DIM)]
-    jv = [sum((L.jets[i].as_vector()[r] * v[i] for i in range(n)), ZERO)
-          for r in range(JET_DIM)]
-    bj = bracket_jets(s, Jet1.from_vector(ju), Jet1.from_vector(jv)).as_vector()
-    cols = [[L.jets[k].as_vector()[r] for k in range(n)] for r in range(JET_DIM)]
-    coeffs = linalg.solve(cols, bj)
+    rows = [list(row) for row in zip(*(jet.as_vector() for jet in L.jets))]
+    ju, jv = ([sum((x * c for x, c in zip(row, w)), ZERO) for row in rows] for w in (u, v))
+    bj = bracket_jets(s, Jet1.from_vector(ju), Jet1.from_vector(jv), L.system).as_vector()
+    coeffs = linalg.solve(rows, bj)
     if coeffs is None:
         raise SolveFailure("witness bracket left the jet space")
     return coeffs

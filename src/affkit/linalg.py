@@ -4,6 +4,8 @@ Small dense matrices as lists of lists of Scalar.  Everything here is
 fraction-free in spirit but implemented directly over the field: row
 echelon with exact division, nullspace bases in reduced form, exact rank,
 linear solves, and the characteristic polynomial by Faddeev-LeVerrier.
+Products and row operations skip zero entries, since the matrices met
+here (ad matrices, constraint rows) are mostly zero.
 """
 
 from __future__ import annotations
@@ -25,14 +27,15 @@ def identity(n: int) -> Mat:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    n, k, m = len(a), len(b), len(b[0])
-    out = zeros(n, m)
-    for i in range(n):
-        for j in range(m):
-            acc = ZERO
-            for t in range(k):
-                acc = acc + a[i][t] * b[t][j]
-            out[i][j] = acc
+    """Exact product; zero entries of either factor are skipped."""
+    nonzero_b = [[(j, y) for j, y in enumerate(row) if not y.is_zero] for row in b]
+    out = zeros(len(a), len(b[0]))
+    for row, acc in zip(a, out):
+        for x, terms in zip(row, nonzero_b):
+            if x.is_zero:
+                continue
+            for j, y in terms:
+                acc[j] = acc[j] + x * y
     return out
 
 
@@ -58,16 +61,20 @@ def rref(rows: Mat) -> tuple[Mat, list[int]]:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
         inv = ONE / m[r][col]
-        m[r] = [x * inv for x in m[r]]
+        m[r] = [x if x.is_zero else x * inv for x in m[r]]
         for i in range(n_rows):
             if i != r and not m[i][col].is_zero:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                m[i] = _eliminate(m[i], m[i][col], m[r])
         pivots.append(col)
         r += 1
         if r == n_rows:
             break
     return m, pivots
+
+
+def _eliminate(row: Vec, f: Scalar, pivot_row: Vec) -> Vec:
+    """``row - f * pivot_row``, skipping the zeros of the pivot row."""
+    return [x if y.is_zero else x - f * y for x, y in zip(row, pivot_row)]
 
 
 def rank(rows: Mat) -> int:
@@ -123,18 +130,21 @@ def in_span(basis: list[Vec], v: Vec) -> bool:
 def charpoly(a: Mat) -> list[Scalar]:
     """Coefficients [c_0, ..., c_n] of det(t*I - A), monic (c_n = 1).
 
-    Faddeev-LeVerrier recursion; exact over the Gaussian rationals.
+    Faddeev-LeVerrier recursion M_1 = A, M_k = A (M_{k-1} + c_{n-k+1} I);
+    exact over the Gaussian rationals.
     """
     n = len(a)
     coeffs = [ZERO] * (n + 1)
     coeffs[n] = ONE
-    m = identity(n)
+    m = [row[:] for row in a]
     for k in range(1, n + 1):
-        m = mat_mul(a, m)
         ck = -(trace(m) / Fraction(k))
         coeffs[n - k] = ck
+        if k == n:
+            break
         for i in range(n):
             m[i][i] = m[i][i] + ck
+        m = mat_mul(a, m)
     return coeffs
 
 
@@ -160,7 +170,7 @@ def poly_deflate(coeffs: list[Scalar], root: Scalar) -> list[Scalar]:
 
 
 def mat_pow(a: Mat, n: int) -> Mat:
-    out = identity(len(a))
-    for _ in range(n):
+    out = [row[:] for row in a] if n else identity(len(a))
+    for _ in range(n - 1):
         out = mat_mul(out, a)
     return out

@@ -77,16 +77,10 @@ class FlowReport:
 # field evaluation helpers
 # ---------------------------------------------------------------------------
 
-def _field_array_fn(field) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Uniform (x1, x2) -> (2, N) evaluator for VectorFields and callables."""
-    if isinstance(field, VectorField):
-        components = compile_exprs([field.a1, field.a2])
-        return lambda x1, x2: components(x1, x2).real
-
-    def wrapped(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        return np.array([field(p) for p in zip(x1, x2)], dtype=float).reshape(-1, 2).T
-
-    return wrapped
+def _field_array_fn(field: VectorField) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """(x1, x2) -> (2, N) evaluator of a VectorField."""
+    components = compile_exprs([field.a1, field.a2])
+    return lambda x1, x2: components(x1, x2).real
 
 
 def _gamma_array_fn(s: AffineSurface):

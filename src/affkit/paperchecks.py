@@ -18,7 +18,7 @@ from . import linalg
 from .killing import VectorField, is_killing, killing_jet_space
 from .liealg import classify, grading_check, jacobi_residual, structure_constants
 from .scalars import ONE, ZERO, Scalar
-from .surface import nabla_ricci, ricci, sphere, torsion, type_a, type_b
+from .surface import GAMMA_KEYS, nabla_ricci, ricci, sphere, torsion, type_a, type_b
 from .symexpr import Expr, parse
 
 NEGATIVE_CONTROLS = ("ricci-sign", "drop-kernel-row", "corrupt-structure")
@@ -109,7 +109,8 @@ def verify_paper(negative_control: str | None = None, seed: int = 0,
     killing_ok = all(is_killing(sph, f) for f in triple)
     items.append(CheckItem("sphere-killing-triple", killing_ok,
                            "rotation fields satisfy the Killing equations"))
-    dim = killing_jet_space(sph).dim
+    sph_space = killing_jet_space(sph)
+    dim = sph_space.dim
     items.append(CheckItem("sphere-killing-dimension", dim == 3, f"dim = {dim}"))
 
     result = classify(sph)
@@ -124,7 +125,7 @@ def verify_paper(negative_control: str | None = None, seed: int = 0,
     fixtures = [sph, type_a({}), type_a({"112": 1, "221": 1}),
                 type_b({"221": 1})]
     for surf in fixtures:
-        pres = structure_constants(surf)
+        pres = structure_constants(surf, sph_space if surf is sph else None)
         if negative_control == "corrupt-structure" and surf is sph:
             pres.c[2][0][2] = pres.c[2][0][2] + ONE
             pres.c[0][2][2] = pres.c[0][2][2] - ONE
@@ -146,11 +147,10 @@ def verify_paper(negative_control: str | None = None, seed: int = 0,
 
     # --- dimension bound sweep --------------------------------------------
     rng = random.Random(seed)
-    keys = ("111", "112", "121", "122", "211", "212", "221", "222")
     bound_ok = True
     worst = 0
     for _ in range(sweep_size):
-        surf = type_a({k: rng.randint(-2, 2) for k in keys})
+        surf = type_a({k: rng.randint(-2, 2) for k in GAMMA_KEYS})
         d = killing_jet_space(surf).dim
         worst = max(worst, d)
         if d > 6:

@@ -3,7 +3,8 @@
 A :class:`Scalar` is a complex number ``re + im*i`` with arbitrary-precision
 rational parts.  All arithmetic is exact; there is no rounding anywhere.
 Scalars with ``im == 0`` are closed under the four field operations, and
-conjugation is an involution.
+conjugation is an involution.  When both operands are real, ``+ - * /``
+take a fast path: one Fraction operation and a shared zero imaginary part.
 """
 
 from __future__ import annotations
@@ -50,9 +51,13 @@ class Scalar:
         return self.re * self.re + self.im * self.im
 
     def __add__(self, other: Scalar) -> Scalar:
+        if not self.im and not other.im:
+            return Scalar(self.re + other.re, _F0)
         return Scalar(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: Scalar) -> Scalar:
+        if not self.im and not other.im:
+            return Scalar(self.re - other.re, _F0)
         return Scalar(self.re - other.re, self.im - other.im)
 
     def __neg__(self) -> Scalar:
@@ -61,6 +66,8 @@ class Scalar:
     def __mul__(self, other) -> Scalar:
         if isinstance(other, (int, Fraction)):
             return Scalar(self.re * other, self.im * other)
+        if not self.im and not other.im:
+            return Scalar(self.re * other.re, _F0)
         return Scalar(self.re * other.re - self.im * other.im,
                       self.re * other.im + self.im * other.re)
 
@@ -69,6 +76,8 @@ class Scalar:
     def __truediv__(self, other) -> Scalar:
         if isinstance(other, (int, Fraction)):
             return Scalar(self.re / other, self.im / other)
+        if not self.im and not other.im:
+            return Scalar(self.re / other.re, _F0)   # Fraction raises on zero
         n2 = other.norm2()
         if not n2:
             raise ZeroDivisionError("division by zero Scalar")
@@ -98,6 +107,7 @@ class Scalar:
         return f"{self.re}{sign}{abs(self.im)}*i"
 
 
-ZERO = Scalar(Fraction(0), Fraction(0))
+_F0 = Fraction(0)
+ZERO = Scalar(_F0, _F0)
 ONE = Scalar(Fraction(1), Fraction(0))
 I = Scalar(Fraction(0), Fraction(1))

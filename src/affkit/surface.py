@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -29,6 +30,12 @@ GAMMA_KEYS = ("111", "112", "121", "122", "211", "212", "221", "222")
 
 # Maximum derivative order checked at the basepoint when validating.
 VALIDATION_ORDER = 8
+
+# Domain notes: "", "x1 > a", "x1 < b", "a < x1 < b" and "|x1| < pi/2" (or
+# "abs(x1) < pi/2"); a bound is a rational p/q or pi/q, either signed.
+_BOUND = r"(-?(?:\d+(?:/\d+)?|pi(?:/\d+)?))"
+_DOMAIN_FORMS = [re.compile(form) for form in
+                 (rf"x1>{_BOUND}()", rf"()x1<{_BOUND}", rf"{_BOUND}<x1<{_BOUND}")]
 
 
 class SurfaceError(Exception):
@@ -66,12 +73,27 @@ class AffineSurface:
 
     def domain_bounds(self) -> tuple[float, float]:
         """Open x1-interval of validity parsed from the domain note."""
-        note = self.domain_note.replace(" ", "")
-        if note == "x1>0":
-            return (0.0, math.inf)
-        if note in ("|x1|<pi/2", "abs(x1)<pi/2"):
-            return (-math.pi / 2, math.pi / 2)
+        return parse_domain(self.domain_note)
+
+
+def parse_domain(note: str) -> tuple[float, float]:
+    """The open x1-interval of a domain note; SurfaceError for any other note."""
+    text = note.replace(" ", "")
+    text = "-pi/2<x1<pi/2" if text in ("|x1|<pi/2", "abs(x1)<pi/2") else text
+    if not text:
         return (-math.inf, math.inf)
+    for form in _DOMAIN_FORMS:
+        if match := form.fullmatch(text):
+            lo, hi = (_bound(g) if g else default
+                      for g, default in zip(match.groups(), (-math.inf, math.inf)))
+            if lo < hi:
+                return (lo, hi)
+    raise SurfaceError(f"unsupported domain note {note!r}: use x1 > a, x1 < b, "
+                       "a < x1 < b or |x1| < pi/2")
+
+
+def _bound(text: str) -> float:
+    return float(Fraction(text.replace("pi", "1"))) * (math.pi if "pi" in text else 1)
 
 
 def make_surface(gamma: dict[str, Expr], basepoint, domain_note: str = "") -> AffineSurface:
@@ -79,9 +101,14 @@ def make_surface(gamma: dict[str, Expr], basepoint, domain_note: str = "") -> Af
 
     Every symbol together with all mixed x1/x2 derivatives up to total
     order 8 must evaluate exactly at the basepoint; the error names the
-    offending symbol and derivative order.
+    offending symbol and derivative order.  The domain note must parse
+    (``parse_domain``) and its interval must contain the basepoint.
     """
     bp = (as_fraction(basepoint[0]), as_fraction(basepoint[1]))
+    lo, hi = parse_domain(domain_note)
+    if not lo < bp[0] < hi:
+        raise SurfaceError(
+            f"basepoint ({bp[0]}, {bp[1]}) lies outside the domain {domain_note!r}")
     full = {key: gamma.get(key, Expr.zero()) for key in GAMMA_KEYS}
     for key, expr in full.items():
         x1_column = [expr]

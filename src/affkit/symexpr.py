@@ -118,10 +118,6 @@ class Expr:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def is_constant(self) -> bool:
-        return all(t.p1 == t.p2 == t.s == t.c == 0 and t.freq.is_zero for t in self.terms)
-
     # ----------------------------------------------------------- arithmetic
 
     def __add__(self, other: Expr) -> Expr:

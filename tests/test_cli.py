@@ -1,11 +1,22 @@
 """CLI contract: JSON output, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from affkit.cli import main
-from affkit.surface import sphere, surface_to_json, type_b
+from affkit.surface import sphere, surface_to_json, type_a, type_b
+
+# Stdout of `classify` and `killing --basis` recorded before the exact core
+# skipped zeros and real-only work; exact answers must not change by a byte.
+GOLDEN = Path(__file__).parent / "data" / "cli"
+GOLDEN_SURFACES = {
+    "sphere": sphere,
+    "flat": lambda: type_a({}),
+    "type_a_112_221": lambda: type_a({"112": 1, "221": 1}),
+    "type_b_221": lambda: type_b({"221": 1}),
+}
 
 
 @pytest.fixture
@@ -171,6 +182,32 @@ def test_output_is_byte_stable(files, capsys):
     main(["classify", files["sphere"]])
     out2 = capsys.readouterr().out
     assert out1 == out2
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SURFACES))
+@pytest.mark.parametrize("command", ["classify", "killing_basis"])
+def test_output_matches_recorded_bytes(name, command, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(surface_to_json(GOLDEN_SURFACES[name]())))
+    argv = (["classify", str(path)] if command == "classify"
+            else ["killing", str(path), "--basis"])
+    assert main(argv) == 0
+    want = (GOLDEN / f"{name}.{command}.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("domain, basepoint", [
+    ("x1 >= 0", ["1", "0"]),          # not in the grammar
+    ("x2 > 0", ["1", "0"]),           # constrains the wrong coordinate
+    ("x1 > 0", ["-1", "0"]),          # basepoint outside the domain
+    ("|x1| < pi/2", ["2", "0"]),
+])
+def test_bad_domain_exits_two(domain, basepoint, tmp_path, capsys):
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps({"gamma": {}, "basepoint": basepoint, "domain": domain}))
+    code, payload, err = run(capsys, "killing", str(path), "--dim")
+    assert code == 2 and payload is None
+    assert "domain" in err
 
 
 def test_output_file_flag(files, capsys, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from affkit.killing import Jet1, VectorField, jet_of
+from affkit.killing import Jet1, VectorField, jet_of, killing_jet_space
 from affkit.liealg import (
     LieAlgebraPresentation, NotHomogeneousCandidate,
     bracket_fields, bracket_jets, classify, effective, generalized_eigenspaces,
@@ -131,6 +131,23 @@ def test_jet_bracket_commutes_with_jet_of(sphere_surface, sphere_fields):
 # ---------------------------------------------------------------------------
 # structure constants
 # ---------------------------------------------------------------------------
+
+def test_classify_builds_the_prolongation_once(flat_surface, monkeypatch):
+    import affkit.killing as killing
+    built = []
+    original = killing.prolongation_symbolic
+    monkeypatch.setattr(killing, "prolongation_symbolic",
+                        lambda s: built.append(s) or original(s))
+    result = classify(flat_surface)
+    assert result.dim == 6 and len(built) == 1
+
+
+def test_bracket_jets_builds_its_own_system_for_a_bare_surface(sphere_surface):
+    ks = killing_jet_space(sphere_surface)
+    for u, v in combinations(ks.basis, 2):
+        assert (bracket_jets(sphere_surface, u, v)
+                == bracket_jets(sphere_surface, u, v, ks.system))
+
 
 def test_flat_structure_constants_match_hand_table(flat_surface):
     # Basis jets are d1, d2, x1 d1, x2 d1, x1 d2, x2 d2 in that order;

@@ -4,12 +4,32 @@ from fractions import Fraction
 
 from hypothesis import given
 import hypothesis.strategies as st
+import sympy as sp
 
 from affkit.linalg import (
-    charpoly, identity, in_span, mat_mul, mat_vec, nullspace, poly_deflate,
-    poly_eval, rank, rref, solve,
+    charpoly, identity, in_span, mat_mul, mat_pow, mat_vec, nullspace,
+    poly_deflate, poly_eval, rank, rref, solve,
 )
 from affkit.scalars import ONE, ZERO, Scalar
+
+# Sparse Gaussian-rational entries: about half zero, the rest real,
+# imaginary or general, as in ad matrices and constraint rows.
+ENTRIES = st.one_of(
+    st.just(ZERO), st.just(ZERO),
+    st.builds(lambda a: Scalar.of(a), st.integers(-3, 3)),
+    st.builds(lambda b: Scalar.of(0, b), st.integers(-3, 3)),
+    st.builds(lambda a, b, q: Scalar.of(Fraction(a, q), Fraction(b, q)),
+              st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 4)))
+
+
+def sparse_matrices(rows, cols):
+    return st.lists(st.lists(ENTRIES, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def to_sympy(z: Scalar):
+    return sp.Rational(z.re.numerator, z.re.denominator) + sp.I * sp.Rational(
+        z.im.numerator, z.im.denominator)
 
 
 def S(x):
@@ -82,3 +102,39 @@ def test_cayley_hamilton(rows):
                 acc[i][j] = acc[i][j] + ck * power[i][j]
         power = mat_mul(power, a)
     assert all(x.is_zero for row in acc for x in row)
+
+
+@st.composite
+def product_pairs(draw):
+    n, k, m = (draw(st.integers(1, 5)) for _ in range(3))
+    return draw(sparse_matrices(n, k)), draw(sparse_matrices(k, m))
+
+
+@given(product_pairs())
+def test_sparse_mat_mul_matches_naive_triple_loop(pair):
+    a, b = pair
+    naive = [[ZERO] * len(b[0]) for _ in a]
+    for i in range(len(a)):
+        for j in range(len(b[0])):
+            for t in range(len(b)):
+                naive[i][j] = naive[i][j] + a[i][t] * b[t][j]
+    assert mat_mul(a, b) == naive
+
+
+@given(st.integers(0, 6).flatmap(lambda n: sparse_matrices(n, n)))
+def test_charpoly_matches_sympy(a):
+    n = len(a)
+    t = sp.Symbol("t")
+    want = sp.Matrix(n, n, [to_sympy(x) for row in a for x in row]).charpoly(t)
+    got = charpoly(a)
+    assert len(got) == n + 1
+    for ours, theirs in zip(reversed(got), want.all_coeffs()):
+        assert sp.expand(to_sympy(ours) - theirs) == 0
+
+
+@given(st.integers(1, 4).flatmap(lambda n: sparse_matrices(n, n)), st.integers(0, 4))
+def test_mat_pow_matches_repeated_products(a, k):
+    want = identity(len(a))
+    for _ in range(k):
+        want = mat_mul(want, a)
+    assert mat_pow(a, k) == want

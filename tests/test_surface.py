@@ -1,5 +1,6 @@
 """Surface constructors and tensor calculus against independent oracles."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -10,8 +11,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from affkit.surface import (
-    GAMMA_KEYS, BadBasepoint, curvature, is_flat, make_surface, nabla_ricci,
-    ricci, sphere, surface_from_json, surface_to_json, torsion, type_a, type_b,
+    GAMMA_KEYS, AffineSurface, BadBasepoint, SurfaceError, curvature, is_flat,
+    make_surface, nabla_ricci, ricci, sphere, surface_from_json, surface_to_json,
+    torsion, type_a, type_b,
 )
 from affkit.symexpr import Expr, parse
 
@@ -45,6 +47,40 @@ def test_make_surface_rejects_pole_at_basepoint():
 def test_make_surface_rejects_trig_at_nonzero_basepoint():
     with pytest.raises(BadBasepoint):
         make_surface({"111": parse("sin(x1)")}, (Fraction(1, 10), 0))
+
+
+@pytest.mark.parametrize("note, bounds", [
+    ("", (-math.inf, math.inf)),
+    ("x1 > 0", (0.0, math.inf)),
+    ("x1>-1/2", (-0.5, math.inf)),
+    ("x1 < 3", (-math.inf, 3.0)),
+    ("-1/2 < x1 < 2", (-0.5, 2.0)),
+    ("0 < x1 < pi", (0.0, math.pi)),
+    ("|x1| < pi/2", (-math.pi / 2, math.pi / 2)),
+    ("abs(x1)<pi/2", (-math.pi / 2, math.pi / 2)),
+])
+def test_domain_note_grammar(note, bounds):
+    assert make_surface({}, (1, 0), note).domain_bounds() == bounds
+
+
+@pytest.mark.parametrize("note", [
+    "x1 >= 0", "x2 > 0", "x1", "0 < x1", "3 < x1 < 1", "x1 > a",
+    "|x1| < 1", "x1 > 0 and x1 < 2",
+])
+def test_unknown_domain_note_is_rejected(note):
+    with pytest.raises(SurfaceError, match="domain note"):
+        make_surface({}, (1, 0), note)
+    with pytest.raises(SurfaceError):
+        AffineSurface(type_a({}).gamma, (Fraction(1), Fraction(0)), note).domain_bounds()
+
+
+@pytest.mark.parametrize("note, basepoint", [
+    ("x1 > 0", (-1, 0)), ("x1 > 0", (0, 0)), ("x1 < 3", (3, 0)),
+    ("|x1| < pi/2", (Fraction(8, 5), 0)),
+])
+def test_basepoint_outside_domain_is_rejected(note, basepoint):
+    with pytest.raises(SurfaceError, match="outside the domain"):
+        make_surface({}, basepoint, note)
 
 
 def test_type_a_constructor():
