@@ -17,9 +17,10 @@ Three constructions:
 All verification is numeric on a grid.  Chart maps are built from batched
 fixed-step RK4 integrations (every stencil point advances with the same
 step count, keeping roundoff correlated; a leg that depends on one chart
-coordinate only is integrated once per distinct value), and the pullback
-here uses fourth-order stencils at h = 1e-3, whose rounding floor (~1e-9)
-sits well below every report threshold.
+coordinate only is integrated once per distinct value).  The symbols are
+pulled back by ``numeric.pullback_gamma_batch``, the same 17-point
+fourth-order stencil at h = 1e-3 that checks Killing flows, and
+``Chart.jacobian`` reads that stencil's gradient.
 """
 
 from __future__ import annotations
@@ -33,12 +34,10 @@ import numpy as np
 
 from .killing import VectorField, is_killing
 from .liealg import bracket_fields
-from .numeric import (Grid, _check_domain, _gamma_array_fn, _rk4, flow_batch,
-                      geodesic_endpoints)
+from .numeric import (Grid, _rk4, _stencil, flow_batch, geodesic_endpoints,
+                      pullback_gamma_batch)
 from .surface import AffineSurface
 from .symexpr import compile_exprs
-
-FD_CHART = 1e-3
 
 
 class ChartError(Exception):
@@ -86,71 +85,10 @@ class Chart:
         out = self.forward(np.array([q], dtype=float))
         return (float(out[0, 0]), float(out[0, 1]))
 
-    def jacobian(self, q, h: float = FD_CHART) -> np.ndarray:
-        """Finite-difference differential dT at a chart point (2x2)."""
-        q = np.asarray(q, dtype=float)
-        cols = []
-        for axis in (0, 1):
-            offs = np.zeros((4, 2))
-            offs[:, axis] = [-2 * h, -h, h, 2 * h]
-            vals = self.forward(q[None, :] + offs)
-            cols.append(np.einsum("k,kc->c", _W1, vals) / h)
-        return np.stack(cols, axis=1)
-
-
-# ---------------------------------------------------------------------------
-# fourth-order pullback of the symbols through an arbitrary map
-# ---------------------------------------------------------------------------
-
-_W1 = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0     # offsets -2h, -h, +h, +2h
-_W2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0  # with center
-
-
-def _stencil_offsets(h: float) -> np.ndarray:
-    axis = [-2 * h, -h, h, 2 * h]
-    pts = [(0.0, 0.0)]
-    pts += [(a, 0.0) for a in axis]
-    pts += [(0.0, a) for a in axis]
-    pts += [(a, b) for a in axis for b in axis]
-    return np.array(pts)
-
-
-def pullback_gamma_batch(s: AffineSurface, transport, qs: np.ndarray,
-                         h: float = FD_CHART) -> np.ndarray:
-    """Pulled-back symbols (N,2,2,2) at chart points qs (N,2)."""
-    gamma = _gamma_array_fn(s)
-    offsets = _stencil_offsets(h)
-    n_pts = qs.shape[0]
-    stencil = (qs[:, None, :] + offsets[None, :, :]).reshape(-1, 2)
-    mapped = transport(stencil)
-    _check_domain(s, mapped)
-    mapped = mapped.reshape(n_pts, len(offsets), 2)
-
-    center = mapped[:, 0]
-    ax1 = mapped[:, 1:5]    # -2h, -h, +h, +2h along axis 1
-    ax2 = mapped[:, 5:9]
-    cross = mapped[:, 9:].reshape(n_pts, 4, 4, 2)
-
-    jac = np.empty((n_pts, 2, 2))
-    jac[:, :, 0] = np.einsum("k,nkc->nc", _W1, ax1) / h
-    jac[:, :, 1] = np.einsum("k,nkc->nc", _W1, ax2) / h
-
-    djac = np.empty((n_pts, 2, 2, 2))  # [n, i, c, j] = d_i J^c_j
-    with_c1 = np.concatenate([ax1[:, :2], center[:, None, :], ax1[:, 2:]], axis=1)
-    with_c2 = np.concatenate([ax2[:, :2], center[:, None, :], ax2[:, 2:]], axis=1)
-    djac[:, 0, :, 0] = np.einsum("k,nkc->nc", _W2, with_c1) / h**2
-    djac[:, 1, :, 1] = np.einsum("k,nkc->nc", _W2, with_c2) / h**2
-    mixed = np.einsum("a,b,nabc->nc", _W1, _W1, cross) / h**2
-    djac[:, 0, :, 1] = mixed
-    djac[:, 1, :, 0] = mixed
-
-    det = np.linalg.det(jac)
-    if np.min(np.abs(det)) < 1e-6:
-        raise ChartError("chart Jacobian is singular on the grid")
-    jinv = np.linalg.inv(jac)
-    pulled = np.einsum("nkc,nicj->nijk", jinv, djac)
-    pulled += np.einsum("nkc,nabc,nai,nbj->nijk", jinv, gamma(center), jac, jac)
-    return pulled
+    def jacobian(self, q) -> np.ndarray:
+        """Finite-difference differential dT at a chart point (2x2), [c, j] = d_j T^c."""
+        _, grad, _ = _stencil(self.forward, np.array([q], dtype=float))
+        return grad[0].T
 
 
 def pullback_gamma(s: AffineSurface, chart: Chart, q) -> dict[str, float]:

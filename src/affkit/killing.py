@@ -63,9 +63,6 @@ class VectorField:
             raise KillingError("field has a non-real value at this point")
         return (v1.real, v2.real)
 
-    def eval_array(self, x1, x2) -> np.ndarray:
-        return np.moveaxis(compile_exprs([self.a1, self.a2])(x1, x2).real, 0, -1)
-
 
 @dataclass(frozen=True)
 class Jet1:
@@ -359,6 +356,11 @@ class JetField:
         self.jet = jet
         self.step = step
         self.system = jet_system(s)
+        # Per axis: the nonzero entries of M_i, compiled once.
+        self._legs = []
+        for m in (self.system.m1, self.system.m2):
+            rows, cols = np.nonzero([[not e.is_zero for e in row] for row in m])
+            self._legs.append((rows, cols, compile_exprs([m[r][c] for r, c in zip(rows, cols)])))
 
     def jets_at(self, points) -> np.ndarray:
         """Extended jets (N, 6) at the points (N, 2), all rows in lockstep.
@@ -380,13 +382,11 @@ class JetField:
         jet = np.array([complex(x) for x in self.jet.as_vector()])
         state = np.repeat([jet if jet.imag.any() else jet.real], len(pts), axis=0)
         base = (float(s.basepoint[0]), float(s.basepoint[1]))
-        for axis, m in enumerate((self.system.m1, self.system.m2)):
+        for axis, (rows, cols, entries) in enumerate(self._legs):
             spans = pts[:, axis] - base[axis]
             tmax = float(np.max(np.abs(spans)))
             if tmax == 0.0:
                 continue
-            rows, cols = np.nonzero([[not e.is_zero for e in row] for row in m])
-            entries = compile_exprs([m[r][c] for r, c in zip(rows, cols)])
             fixed = np.full(len(pts), base[1]) if axis == 0 else pts[:, 0]
 
             def rhs(tau, y):

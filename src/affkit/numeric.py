@@ -6,8 +6,12 @@ exact computations: a field is Killing iff pulling the connection back
 through its time-t flow reproduces the Christoffel symbols, and iff the
 finite-difference residuals of the Killing equations vanish on a grid.
 
-Finite-difference steps are 1e-5 for first derivatives and 1e-4 for
-second derivatives, balancing truncation against double rounding.
+Every value, Jacobian and Hessian of a map comes from one 17-point
+fourth-order stencil at h = 1e-3 (``_stencil``), whose rounding floor
+(~1e-9) sits well below every report threshold: the pullback of the
+symbols through flows and chart maps (``pullback_gamma_batch``) and the
+derivatives of symbolic fields in ``fd_residuals``.  First derivatives of
+the symbols and of jet-extended fields are central differences at 1e-4.
 All integration (flows, geodesics, jet extension) is the one fixed-step
 RK4 loop ``_rk4``; a batch shares one step count, so roundoff correlates.
 """
@@ -24,8 +28,8 @@ from .killing import VectorField
 from .surface import GAMMA_KEYS, AffineSurface
 from .symexpr import compile_exprs
 
-FD_FIRST = 1e-5
 FD_SECOND = 1e-4
+FD_STENCIL = 1e-3
 
 
 class NumericError(Exception):
@@ -34,6 +38,10 @@ class NumericError(Exception):
 
 class DomainExit(NumericError):
     """A trajectory or grid left the surface's validity domain."""
+
+
+class SingularMap(NumericError):
+    """A map's Jacobian is singular where symbols are pulled back."""
 
 
 @dataclass(frozen=True)
@@ -203,48 +211,60 @@ def geodesic(s: AffineSurface, p, v, s_max: float, step: float = 1e-3):
 
 
 # ---------------------------------------------------------------------------
-# connection preservation through a flow
+# the fourth-order stencil and the pullback of the symbols through a map
 # ---------------------------------------------------------------------------
 
-def _pullback_deviation(s: AffineSurface, transport, grid_pts: np.ndarray) -> float:
-    """Max deviation between the symbols and their pullback through the map.
+# Offsets in units of FD_STENCIL: the centre, -2h, -h, +h, +2h on each axis,
+# then the diagonals (+-h, +-h) and (+-2h, +-2h).
+_OFFSETS = FD_STENCIL * np.array(
+    [(0, 0)] + [(a, 0) for a in (-2, -1, 1, 2)] + [(0, a) for a in (-2, -1, 1, 2)]
+    + [(r * a, r * b) for r in (1, 2) for a in (1, -1) for b in (1, -1)], dtype=float)
+_AXES = ([1, 2, 0, 3, 4], [5, 6, 0, 7, 8])  # rows at -2h, -h, 0, +h, +2h
+_W1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0])     # times 1 / (12 h)
+_W2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0])  # times 1 / (12 h^2)
 
-    ``transport`` maps a stacked stencil (N,2) -> (N,2).  The Jacobian uses
-    first central differences at 1e-5, its derivative second differences at
-    1e-4, then the standard transformation rule.
+
+def _stencil(f, pts: np.ndarray):
+    """Value (M, m), gradient (M, 2, m) and Hessian (M, 2, 2, m) of a map.
+
+    ``f`` maps stacked points (K, 2) -> (K, m) and is called once on all
+    17M stencil points.  The gradient is [n, i, c] = d_i f^c and the
+    Hessian [n, i, j, c] = d_i d_j f^c; the mixed derivative is
+    (16 S(h) - S(2h)) / (48 h^2) with S(h) = f(h, h) - f(h, -h) - f(-h, h)
+    + f(-h, -h).  Every entry is exact for polynomials of degree 4.
     """
-    gamma = _gamma_array_fn(s)
-    h1, h2 = FD_FIRST, FD_SECOND
-    offsets = np.array([
-        (0.0, 0.0),
-        (h1, 0.0), (-h1, 0.0), (0.0, h1), (0.0, -h1),
-        (h2, 0.0), (-h2, 0.0), (0.0, h2), (0.0, -h2),
-        (h2, h2), (h2, -h2), (-h2, h2), (-h2, -h2),
-    ])
-    n_pts = grid_pts.shape[0]
-    stencil = (grid_pts[:, None, :] + offsets[None, :, :]).reshape(-1, 2)
-    _check_domain(s, stencil)
-    mapped = transport(stencil)
-    _check_domain(s, mapped)
-    mapped = mapped.reshape(n_pts, len(offsets), 2)
+    h = FD_STENCIL
+    vals = f((pts[:, None, :] + _OFFSETS).reshape(-1, 2)).reshape(len(pts), len(_OFFSETS), -1)
+    grad = np.stack([np.einsum("k,nkc->nc", _W1, vals[:, axis]) for axis in _AXES],
+                    axis=1) / (12 * h)
+    hess = np.empty((len(pts), 2, 2, vals.shape[2]))
+    for i, axis in enumerate(_AXES):
+        hess[:, i, i] = np.einsum("k,nkc->nc", _W2, vals[:, axis]) / (12 * h**2)
+    s1, s2 = (vals[:, r] - vals[:, r + 1] - vals[:, r + 2] + vals[:, r + 3] for r in (9, 13))
+    hess[:, 0, 1] = hess[:, 1, 0] = (16 * s1 - s2) / (48 * h**2)
+    return vals[:, 0], grad, hess
 
-    center = mapped[:, 0]
-    jac = np.empty((n_pts, 2, 2))
-    jac[:, :, 0] = (mapped[:, 1] - mapped[:, 2]) / (2 * h1)
-    jac[:, :, 1] = (mapped[:, 3] - mapped[:, 4]) / (2 * h1)
-    djac = np.empty((n_pts, 2, 2, 2))  # [n, i, c, j] = d_i J^c_j
-    djac[:, 0, :, 0] = (mapped[:, 5] - 2 * center + mapped[:, 6]) / h2**2
-    djac[:, 1, :, 1] = (mapped[:, 7] - 2 * center + mapped[:, 8]) / h2**2
-    mixed = (mapped[:, 9] - mapped[:, 10] - mapped[:, 11] + mapped[:, 12]) / (4 * h2**2)
-    djac[:, 0, :, 1] = mixed
-    djac[:, 1, :, 0] = mixed
 
-    g_at_image = gamma(center)
-    g_at_pts = gamma(grid_pts)
-    jinv = np.linalg.inv(jac)
-    pulled = np.einsum("nkc,nicj->nijk", jinv, djac)
-    pulled += np.einsum("nkc,nabc,nai,nbj->nijk", jinv, g_at_image, jac, jac)
-    return float(np.max(np.abs(pulled - g_at_pts)))
+def pullback_gamma_batch(s: AffineSurface, transport, qs: np.ndarray) -> np.ndarray:
+    """Symbols pulled back through ``transport``, (N, 2, 2, 2) at points qs (N, 2).
+
+    ``transport`` maps stacked points (K, 2) -> (K, 2); its images must lie
+    in the domain (DomainExit) and its Jacobian must be invertible
+    (SingularMap).  The transformation rule is
+    G~_ij^k = (dT^-1)^k_c (d_i d_j T^c + G_ab^c(T) d_i T^a d_j T^b).
+    """
+    def mapped(pts):
+        out = transport(pts)
+        _check_domain(s, out)
+        return out
+
+    image, d, dd = _stencil(mapped, qs)   # d[n, i, c] = d_i T^c
+    if np.min(np.abs(np.linalg.det(d))) < 1e-6:
+        raise SingularMap("map Jacobian is singular on the grid")
+    jinv = np.linalg.inv(d.transpose(0, 2, 1))
+    pulled = np.einsum("nkc,nijc->nijk", jinv, dd)
+    pulled += np.einsum("nkc,nabc,nia,njb->nijk", jinv, _gamma_array_fn(s)(image), d, d)
+    return pulled
 
 
 def flow_preserves_connection(s: AffineSurface, X, t: float,
@@ -255,9 +275,14 @@ def flow_preserves_connection(s: AffineSurface, X, t: float,
     Killing fields give deviations at rounding level; fields that fail the
     Killing equations show O(t) deviations.
     """
-    g = grid or default_grid(s)
-    deviation = _pullback_deviation(
-        s, lambda pts: flow_batch(X, pts, t, step), g.points())
+    pts = (grid or default_grid(s)).points()
+
+    def transport(stencil):
+        _check_domain(s, stencil)
+        return flow_batch(X, stencil, t, step)
+
+    pulled = pullback_gamma_batch(s, transport, pts)
+    deviation = float(np.max(np.abs(pulled - _gamma_array_fn(s)(pts))))
     return FlowReport(deviation, t, step)
 
 
@@ -281,17 +306,17 @@ def _gamma_and_derivs(s: AffineSurface, pts: np.ndarray):
 def fd_residuals(s: AffineSurface, field, grid: Grid | None = None) -> float:
     """Max |K_ij^k| over the grid by finite differences.
 
-    For symbolic fields the second derivatives come from second central
-    differences of the values (h = 1e-4).  For jet-extended numeric fields
+    For symbolic fields the value and both derivatives come from the
+    fourth-order stencil ``_stencil``.  For jet-extended numeric fields
     (anything exposing ``jets_at``) the integrated first derivatives are
     differenced once instead, which is much better conditioned; all 5N
     stencil points are extended in one batch.
     """
     g = grid or default_grid(s)
     pts = g.points()
-    h = FD_SECOND
 
     if hasattr(field, "jets_at"):
+        h = FD_SECOND
         offsets = np.array([(0.0, 0.0), (h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)])
         stencil = (offsets[:, None, :] + pts[None, :, :]).reshape(-1, 2)
         jc, jp1, jm1, jp2, jm2 = field.jets_at(stencil).reshape(5, len(pts), -1)
@@ -307,24 +332,7 @@ def fd_residuals(s: AffineSurface, field, grid: Grid | None = None) -> float:
             dda[:, 1, 0, k] = m
     else:
         field_rows = _field_array_fn(field)
-        f = lambda q: field_rows(q[:, 0], q[:, 1]).T
-        e1 = np.array([h, 0.0])
-        e2 = np.array([0.0, h])
-        vc = f(pts)
-        vp1, vm1 = f(pts + e1), f(pts - e1)
-        vp2, vm2 = f(pts + e2), f(pts - e2)
-        vpp = f(pts + e1 + e2)
-        vpm = f(pts + e1 - e2)
-        vmp = f(pts - e1 + e2)
-        vmm = f(pts - e1 - e2)
-        a = vc
-        da = np.stack([(vp1 - vm1) / (2 * h), (vp2 - vm2) / (2 * h)], axis=1)
-        dda = np.empty((len(pts), 2, 2, 2))
-        dda[:, 0, 0, :] = (vp1 - 2 * vc + vm1) / h**2
-        dda[:, 1, 1, :] = (vp2 - 2 * vc + vm2) / h**2
-        mixed = (vpp - vpm - vmp + vmm) / (4 * h**2)
-        dda[:, 0, 1, :] = mixed
-        dda[:, 1, 0, :] = mixed
+        a, da, dda = _stencil(lambda q: field_rows(q[:, 0], q[:, 1]).T, pts)
 
     g0, dg = _gamma_and_derivs(s, pts)
     res = dda.copy()

@@ -10,7 +10,7 @@ from affkit.coords import (
 )
 from affkit.killing import VectorField
 from affkit.liealg import classify
-from affkit.numeric import Grid
+from affkit.numeric import Grid, NumericError, SingularMap
 from affkit.surface import type_a, type_b
 from affkit.symexpr import parse
 
@@ -55,6 +55,15 @@ def test_pullback_homothety_fixes_type_b():
     for key, expr in s.gamma.items():
         want = expr.eval_numeric((1.1, 0.2)).real
         assert abs(got[key] - want) < 1e-8
+
+
+def test_degenerate_chart_map_raises_singular_map(sphere_surface):
+    # T(x1, x2) = (x1, x1) collapses the plane onto a line.
+    chart = Chart("collapse", lambda pts: np.stack([pts[:, 0], pts[:, 0]], axis=1),
+                  Grid((0.0, 0.0), (0.2, 0.2), 5))
+    with pytest.raises(SingularMap):
+        pullback_gamma(sphere_surface, chart, (0.1, 0.2))
+    assert issubclass(SingularMap, NumericError)   # the CLI exits with code 2
 
 
 # ---------------------------------------------------------------------------

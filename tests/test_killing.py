@@ -305,6 +305,18 @@ def test_jets_at_rows_match_one_row_extensions(sphere_surface, sphere_fields):
         assert tuple(row) == pytest.approx(extend_jet(sphere_surface, jf.jet, p), abs=1e-9)
 
 
+def test_jet_field_compiles_its_system_once(sphere_surface, sphere_fields, monkeypatch):
+    import affkit.killing as mod
+    calls = []
+    compile_exprs = mod.compile_exprs
+    monkeypatch.setattr(mod, "compile_exprs",
+                        lambda exprs: calls.append(exprs) or compile_exprs(exprs))
+    jf = JetField(sphere_surface, jet_of(sphere_surface, sphere_fields[0]))
+    first = jf.jets_at([(0.3, 0.7), (-0.2, 0.1)])
+    assert np.array_equal(jf.jets_at([(0.3, 0.7), (-0.2, 0.1)]), first)
+    assert len(calls) == 2   # one per axis, in the constructor
+
+
 def test_extend_jet_rejects_targets_outside_the_domain(sphere_surface, sphere_fields,
                                                       type_b_radial_fields):
     # |x1| < pi/2 on the sphere: past the pole of tan the integration used to

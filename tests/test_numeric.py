@@ -5,14 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from affkit.killing import JetField, VectorField, killing_jet_space
+from affkit.killing import JetField, VectorField, killing_jet_space, residuals
 from affkit.numeric import (
-    DomainExit, Grid, default_grid, fd_residuals, flow, flow_batch,
-    flow_preserves_connection, geodesic, geodesic_endpoints,
+    FD_STENCIL, DomainExit, Grid, _stencil, default_grid, fd_residuals, flow,
+    flow_batch, flow_preserves_connection, geodesic, geodesic_endpoints,
 )
 from affkit.surface import type_a, type_b
 from affkit.symexpr import parse
 
+D1 = VectorField(parse("1"), parse("0"))
 D2 = VectorField(parse("0"), parse("1"))
 ZERO_FIELD = VectorField(parse("0"), parse("0"))
 
@@ -115,6 +116,77 @@ def test_type_b_geodesic_domain_exit():
 
 
 # ---------------------------------------------------------------------------
+# the fourth-order stencil
+# ---------------------------------------------------------------------------
+
+STENCIL_PTS = np.array([[0.0, 0.0], [0.3, -0.2], [-0.45, 0.4], [0.5, 0.5]])
+
+
+def _closed_form(maps):
+    """Stack per-component (f, d1 f, d2 f, d11 f, d12 f, d22 f) like _stencil."""
+    vals = np.stack([m[0] for m in maps], axis=-1)
+    grad = np.stack([np.stack(m[1:3], axis=-1) for m in maps], axis=-1)
+    hess = np.stack([np.stack([np.stack(m[3:5], axis=-1), np.stack(m[4:6], axis=-1)],
+                              axis=-2) for m in maps], axis=-1)
+    return vals, grad, hess
+
+
+def _polynomial(q):
+    # Degree 4: every stencil formula is exact, only rounding is left.
+    x, y = q[:, 0], q[:, 1]
+    return np.stack([x**4 - 2 * x**2 * y + x * y**3 + 3,
+                     y**4 - x**3 * y + x,
+                     x**2 * y**2 - 5 * y], axis=1)
+
+
+def _polynomial_derivs(x, y):
+    return _closed_form([
+        (x**4 - 2 * x**2 * y + x * y**3 + 3, 4 * x**3 - 4 * x * y + y**3,
+         -2 * x**2 + 3 * x * y**2, 12 * x**2 - 4 * y, -4 * x + 3 * y**2, 6 * x * y),
+        (y**4 - x**3 * y + x, -3 * x**2 * y + 1, 4 * y**3 - x**3,
+         -6 * x * y, -3 * x**2, 12 * y**2),
+        (x**2 * y**2 - 5 * y, 2 * x * y**2, 2 * x**2 * y - 5,
+         2 * y**2, 4 * x * y, 2 * x**2),
+    ])
+
+
+def _transcendental(q):
+    x, y = q[:, 0], q[:, 1]
+    return np.stack([np.sin(x) * np.exp(y), np.cos(x * y), np.exp(x - y**2)], axis=1)
+
+
+def _transcendental_derivs(x, y):
+    e, c, s, g = np.exp(y), np.cos(x * y), np.sin(x * y), np.exp(x - y**2)
+    return _closed_form([
+        (np.sin(x) * e, np.cos(x) * e, np.sin(x) * e,
+         -np.sin(x) * e, np.cos(x) * e, np.sin(x) * e),
+        (c, -y * s, -x * s, -y**2 * c, -s - x * y * c, -x**2 * c),
+        (g, g, -2 * y * g, g, -2 * y * g, (4 * y**2 - 2) * g),
+    ])
+
+
+def test_stencil_is_exact_on_quartic_polynomials():
+    val, grad, hess = _stencil(_polynomial, STENCIL_PTS)
+    want_val, want_grad, want_hess = _polynomial_derivs(*STENCIL_PTS.T)
+    # Only the rounding of values of size <= 4, divided by 12 h and 12 h^2,
+    # is left; a second-order stencil would be off by about h^2 f_xxxx / 12,
+    # i.e. 2e-6.
+    ulp = 4 * np.finfo(float).eps
+    assert np.array_equal(val, want_val)
+    assert np.max(np.abs(grad - want_grad)) < 5 * ulp / FD_STENCIL
+    assert np.max(np.abs(hess - want_hess)) < 20 * ulp / FD_STENCIL**2
+    assert np.array_equal(hess[:, 0, 1], hess[:, 1, 0])
+
+
+def test_stencil_matches_closed_form_derivatives_of_trig_exp_map():
+    val, grad, hess = _stencil(_transcendental, STENCIL_PTS)
+    want_val, want_grad, want_hess = _transcendental_derivs(*STENCIL_PTS.T)
+    assert np.array_equal(val, want_val)
+    assert np.max(np.abs(grad - want_grad)) < 1e-8
+    assert np.max(np.abs(hess - want_hess)) < 1e-8
+
+
+# ---------------------------------------------------------------------------
 # connection preservation through flows
 # ---------------------------------------------------------------------------
 
@@ -137,6 +209,21 @@ def test_non_killing_field_breaks_connection(sphere_surface):
     assert rep.max_gamma_deviation > 1e-2
 
 
+def test_flow_check_rejects_a_stencil_outside_the_domain():
+    # The grid reaches x1 = 0 and its stencil crosses it, while d1 moves
+    # every image into x1 > 0: only the check on the flow's input fires.
+    s = type_b({})
+    with pytest.raises(DomainExit):
+        flow_preserves_connection(s, D1, 0.2, Grid((0.2, 0.0), (0.2, 0.2), 5))
+
+
+def test_flow_check_rejects_images_outside_the_domain():
+    s = type_b({})
+    back = VectorField(parse("-1"), parse("0"))
+    with pytest.raises(DomainExit):
+        flow_preserves_connection(s, back, 0.5, Grid((0.5, 0.0), (0.2, 0.2), 5))
+
+
 # ---------------------------------------------------------------------------
 # finite-difference residuals
 # ---------------------------------------------------------------------------
@@ -153,6 +240,17 @@ def test_fd_residuals_zero_field(sphere_surface):
 def test_fd_residuals_negative_control(sphere_surface):
     bad = VectorField(parse("x1"), parse("0"))
     assert fd_residuals(sphere_surface, bad) > 1e-2
+
+
+@pytest.mark.parametrize("a1, a2", [("x1", "0"), ("x1^2", "x2^2"),
+                                    ("sin(x1)*x2", "cos(x1)")])
+def test_fd_residuals_match_exact_residuals_of_non_killing_fields(sphere_surface, a1, a2):
+    field = VectorField(parse(a1), parse(a2))
+    grid = Grid((0.1, 0.1), (0.2, 0.2), 5)
+    exact = max(abs(e.eval_numeric(tuple(p)))
+                for e in residuals(sphere_surface, field).values() for p in grid.points())
+    assert exact > 0.5
+    assert abs(fd_residuals(sphere_surface, field, grid) - exact) < 1e-8
 
 
 def test_extended_jet_basis_has_small_residuals(sphere_surface):
