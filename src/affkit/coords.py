@@ -15,9 +15,9 @@ Three constructions:
   constant.
 
 All verification is numeric on a grid.  Chart maps are built from batched
-fixed-step RK4 integrations (every stencil point advances with the same
-step count, keeping roundoff correlated; a leg that depends on one chart
-coordinate only is integrated once per distinct value).  The symbols are
+``numeric._rk4`` integrations (every stencil point of a leg advances in
+one call; a leg that depends on one chart coordinate only is integrated
+once per distinct value).  The symbols are
 pulled back by ``numeric.pullback_gamma_batch``, the same 17-point
 fourth-order stencil at h = 1e-3 that checks Killing flows, and
 ``Chart.jacobian`` reads that stencil's gradient.
@@ -202,43 +202,6 @@ def commuting_chart(s: AffineSurface, X: VectorField, Y: VectorField, *,
     return _finalize("commuting", forward, grid, report, tol)
 
 
-# ---------------------------------------------------------------------------
-# shear ODE (public sampled form) and the radial chart
-# ---------------------------------------------------------------------------
-
-def solve_shear_ode(u, v, x_range: tuple[float, float], step: float = 1e-3,
-                    eps0: float | None = None):
-    """Sampled solution of u * eps' = eps - v on x_range.
-
-    Integration starts at the midpoint x0 with eps(x0) = v(x0) unless an
-    explicit initial value is supplied.  Returns (xs, eps) arrays.
-    """
-    x0 = 0.5 * (x_range[0] + x_range[1])
-    if abs(float(u(x0))) < 1e-12:
-        raise ShearSingular("u vanishes at the anchor point")
-    e0 = float(v(x0)) if eps0 is None else float(eps0)
-
-    def march(x_stop):
-        span = x_stop - x0
-        n = max(1, math.ceil(abs(span) / step))
-
-        def rhs(tau, e):
-            x = x0 + tau * span
-            uu = float(u(x))
-            if abs(uu) < 1e-12:
-                raise ShearSingular(f"u vanishes at x = {x}")
-            return span * (e - float(v(x))) / uu
-
-        es = _rk4(rhs, np.array([e0]), n, path=True)[:, 0]
-        return x0 + span * np.arange(n + 1) / n, es
-
-    left_x, left_e = march(x_range[0])
-    right_x, right_e = march(x_range[1])
-    xs = np.concatenate([left_x[::-1], right_x[1:]])
-    es = np.concatenate([left_e[::-1], right_e[1:]])
-    return xs, es
-
-
 def type_b_chart(s: AffineSurface, X: VectorField, Y: VectorField, *,
                  center: tuple[float, float] | None = None,
                  n: int = 11, half_width: float = 0.2,
@@ -285,12 +248,7 @@ def type_b_chart(s: AffineSurface, X: VectorField, Y: VectorField, *,
         # eps' = -(eps + v0)/u with eps(0) = 0: among the valid shears
         # (they differ by a homogeneous solution) this one fixes the slice
         # w2 = 0, so the chart origin lands exactly on the center point.
-        eps = np.zeros(len(w1_targets))
         spans = np.asarray(w1_targets, dtype=float)
-        tmax = float(np.max(np.abs(spans)))
-        if tmax == 0.0:
-            return eps
-        n_steps = max(1, math.ceil(tmax / step))
 
         def rhs(tau, e):
             uu, vv = x_components(tau * spans)
@@ -298,18 +256,13 @@ def type_b_chart(s: AffineSurface, X: VectorField, Y: VectorField, *,
                 raise ShearSingular("u vanishes along the shear range")
             return -(e + vv) / uu * spans
 
-        return _rk4(rhs, eps, n_steps)
+        return _rk4(rhs, np.zeros(len(spans)), spans, step)
 
     def radial_inverse(xhat: np.ndarray) -> np.ndarray:
         # d w1 / d xhat = -u(w1)/xhat, w1(1) = 0, marched in unit time.
         spans = np.asarray(xhat, dtype=float) - 1.0
         if np.min(np.asarray(xhat, dtype=float)) <= 0:
             raise ChartError("radial coordinate must stay positive")
-        w = np.zeros(len(spans))
-        tmax = float(np.max(np.abs(spans)))
-        if tmax == 0.0:
-            return w
-        n_steps = max(1, math.ceil(tmax / step))
 
         def rhs(tau, y):
             uu, _ = x_components(y)
@@ -317,7 +270,7 @@ def type_b_chart(s: AffineSurface, X: VectorField, Y: VectorField, *,
                 raise ShearSingular("u vanishes along the radial range")
             return -(uu / (1.0 + tau * spans)) * spans
 
-        return _rk4(rhs, w, n_steps)
+        return _rk4(rhs, np.zeros(len(spans)), spans, step)
 
     def forward(pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)

@@ -21,7 +21,6 @@ returned with the jet space for brackets and classification to reuse.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -356,21 +355,22 @@ class JetField:
         self.jet = jet
         self.step = step
         self.system = jet_system(s)
-        # Per axis: the nonzero entries of M_i, compiled once.
+        # Per axis: the nonzero entries of M_i, compiled once, with the
+        # 0/1 matrix (6, nnz) that scatters entry products onto their rows.
         self._legs = []
         for m in (self.system.m1, self.system.m2):
             rows, cols = np.nonzero([[not e.is_zero for e in row] for row in m])
-            self._legs.append((rows, cols, compile_exprs([m[r][c] for r, c in zip(rows, cols)])))
+            scatter = np.zeros((JET_DIM, len(rows)))
+            scatter[rows, np.arange(len(rows))] = 1.0
+            self._legs.append((cols, scatter, compile_exprs([m[r][c] for r, c in zip(rows, cols)])))
 
     def jets_at(self, points) -> np.ndarray:
         """Extended jets (N, 6) at the points (N, 2), all rows in lockstep.
 
-        Each row integrates d v / d tau = span * M_i v in unit pseudo-time
-        with ``numeric._rk4``, along x1 from the basepoint, then along x2.
-        A leg takes one step count for the whole batch, ceil(max|span| /
-        step), so a row's result depends on the largest span in its batch,
-        as with ``numeric.flow_batch``.  The domain constrains x1 only, so
-        checking the targets covers every path.
+        The (6, N) state integrates d v / d tau = span * M_i v in unit
+        pseudo-time with ``numeric._rk4``, along x1 from the basepoint, then
+        along x2.  The domain constrains x1 only, so checking the targets
+        covers every path.
         """
         from .numeric import _rk4
 
@@ -380,29 +380,24 @@ class JetField:
         if np.any(pts[:, 0] <= lo) or np.any(pts[:, 0] >= hi):
             raise OutsideDomain(f"jet extension target leaves x1 in ({lo}, {hi})")
         jet = np.array([complex(x) for x in self.jet.as_vector()])
-        state = np.repeat([jet if jet.imag.any() else jet.real], len(pts), axis=0)
+        state = np.repeat((jet if jet.imag.any() else jet.real)[:, None], len(pts), axis=1)
         base = (float(s.basepoint[0]), float(s.basepoint[1]))
-        for axis, (rows, cols, entries) in enumerate(self._legs):
+        for axis, (cols, scatter, entries) in enumerate(self._legs):
             spans = pts[:, axis] - base[axis]
-            tmax = float(np.max(np.abs(spans)))
-            if tmax == 0.0:
-                continue
             fixed = np.full(len(pts), base[1]) if axis == 0 else pts[:, 0]
 
-            def rhs(tau, y):
+            def rhs(tau, v):
                 moving = base[axis] + tau * spans
                 vals = entries(moving, fixed) if axis == 0 else entries(fixed, moving)
-                mat = np.zeros((len(pts), JET_DIM, JET_DIM), dtype=vals.dtype)
-                mat[:, rows, cols] = vals.T
-                return spans[:, None] * (mat @ y[:, :, None])[:, :, 0]
+                return spans * (scatter @ (vals * v[cols]))
 
-            state = _rk4(rhs, state, max(1, math.ceil(tmax / self.step)))
+            state = _rk4(rhs, state, spans, self.step)
         if np.iscomplexobj(state):
-            scale = 1 + np.max(np.abs(state), axis=1)
-            if np.any(np.max(np.abs(state.imag), axis=1) > 1e-8 * scale):
+            scale = 1 + np.max(np.abs(state), axis=0)
+            if np.any(np.max(np.abs(state.imag), axis=0) > 1e-8 * scale):
                 raise KillingError("jet extension produced a non-real jet")
             state = state.real
-        return state
+        return state.T
 
     def jet_at(self, p) -> tuple[float, ...]:
         return tuple(float(x) for x in self.jets_at([p])[0])

@@ -6,14 +6,13 @@ exact computations: a field is Killing iff pulling the connection back
 through its time-t flow reproduces the Christoffel symbols, and iff the
 finite-difference residuals of the Killing equations vanish on a grid.
 
-Every value, Jacobian and Hessian of a map comes from one 17-point
-fourth-order stencil at h = 1e-3 (``_stencil``), whose rounding floor
-(~1e-9) sits well below every report threshold: the pullback of the
-symbols through flows and chart maps (``pullback_gamma_batch``) and the
-derivatives of symbolic fields in ``fd_residuals``.  First derivatives of
-the symbols and of jet-extended fields are central differences at 1e-4.
-All integration (flows, geodesics, jet extension) is the one fixed-step
-RK4 loop ``_rk4``; a batch shares one step count, so roundoff correlates.
+Every derivative comes from one 17-point fourth-order stencil at
+h = 1e-3 (``_stencil``), whose rounding floor (~1e-9) sits well below
+every report threshold: the pullback of the symbols through flows and
+chart maps (``pullback_gamma_batch``) and every derivative in
+``fd_residuals``.  Every integration (flows, geodesics, jet extension,
+chart legs) is one call of the fixed-step RK4 loop ``_rk4``, which alone
+sets the step count from the spans of its batch.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from .killing import VectorField
 from .surface import GAMMA_KEYS, AffineSurface
 from .symexpr import compile_exprs
 
-FD_SECOND = 1e-4
 FD_STENCIL = 1e-3
 
 
@@ -86,7 +84,14 @@ class FlowReport:
 # ---------------------------------------------------------------------------
 
 def _field_array_fn(field: VectorField) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """(x1, x2) -> (2, N) evaluator of a VectorField."""
+    """(x1, x2) -> (2, N) evaluator of a real VectorField.
+
+    A component that differs from its own conjugate takes non-real values
+    at real points; dropping their imaginary part would check another field.
+    """
+    for e in (field.a1, field.a2):
+        if not (e - e.conjugate()).is_zero:
+            raise NumericError(f"field component {e} is not real")
     components = compile_exprs([field.a1, field.a2])
     return lambda x1, x2: components(x1, x2).real
 
@@ -113,15 +118,21 @@ def _check_domain(s: AffineSurface, pts: np.ndarray) -> None:
 # integrators
 # ---------------------------------------------------------------------------
 
-def _rk4(rhs, y: np.ndarray, n_steps: int, path: bool = False) -> np.ndarray:
-    """Classical RK4 over unit pseudo-time with n_steps fixed steps.
+def _rk4(rhs, y: np.ndarray, spans, step: float, path: bool = False) -> np.ndarray:
+    """Classical RK4 over unit pseudo-time, one step count for the batch.
 
-    The state update is compensated (Kahan) so that roundoff does not
-    accumulate over steps; stencil differences of flowed points then sit
-    at the single-rounding floor.  With ``path`` the states after every
+    ``rhs(tau, y)`` integrates a batch whose rows cover lengths ``spans``
+    (time, path parameter or coordinate span) scaled onto tau in [0, 1].
+    The step rule lives here only: ceil(max|span| / step) fixed steps for
+    every row, so a row's result depends on the largest span in its batch;
+    when every span is zero, ``y`` comes back unchanged and ``rhs`` is never
+    called.  The state update is compensated (Kahan) so that roundoff does
+    not accumulate over steps; stencil differences of flowed points then
+    sit at the single-rounding floor.  With ``path`` the states after every
     step are returned too, stacked (n_steps + 1, ...) from the initial one.
     """
-    h = 1.0 / n_steps
+    n_steps = math.ceil(float(np.max(np.abs(spans))) / step)
+    h = 1.0 / max(n_steps, 1)
     t = 0.0
     comp = np.zeros_like(y)
     states = [y]
@@ -141,21 +152,15 @@ def _rk4(rhs, y: np.ndarray, n_steps: int, path: bool = False) -> np.ndarray:
 
 
 def flow_batch(field, points: np.ndarray, t, step: float = 1e-3) -> np.ndarray:
-    """Flow many points for (possibly distinct) times with a shared step count.
+    """Flow many points for (possibly distinct) times in lockstep.
 
-    Each row integrates d y / d tau = t_row * X(y) over unit pseudo-time, so
-    all rows advance in lockstep and finish exactly at their target times.
-    The step count is ceil(max|t| / step) for the whole batch, so a row's
-    result depends on the largest time in its batch.
+    Each row integrates d y / d tau = t_row * X(y) over unit pseudo-time
+    with ``_rk4``, so all rows finish exactly at their target times.
     """
     f = _field_array_fn(field)
     times = np.broadcast_to(np.asarray(t, dtype=float), (points.shape[0],))
-    tmax = float(np.max(np.abs(times)))
-    if tmax == 0.0:
-        return points.copy()
-    n = max(1, math.ceil(tmax / step))
-    rows = np.ascontiguousarray(points.T, dtype=float)  # (2, N): x1 and x2 rows
-    return _rk4(lambda _, y: times * f(y[0], y[1]), rows, n).T
+    rows = np.array(points.T, dtype=float, order="C")  # (2, N) copy: x1 and x2 rows
+    return _rk4(lambda _, y: times * f(y[0], y[1]), rows, times, step).T
 
 
 def flow(field, p, t: float, step: float = 1e-3):
@@ -186,28 +191,22 @@ def geodesic_endpoints(s: AffineSurface, p0: np.ndarray, v0: np.ndarray,
                        times, step: float = 1e-3) -> np.ndarray:
     """Endpoint of the geodesic from each p0 with velocity v0 at parameter t.
 
-    Affine reparametrization folds the time into the initial velocity, so a
-    batch with distinct times shares one step count, ceil(max|t| / step),
-    and a row's endpoint depends on the largest time in its batch.
+    Affine reparametrization folds the time into the initial velocity, so
+    a batch with distinct times runs as one ``_rk4`` call.
     """
     times = np.broadcast_to(np.asarray(times, dtype=float), (p0.shape[0],))
-    tmax = float(np.max(np.abs(times)))
-    if tmax == 0.0:
-        return p0.copy()
-    n = max(1, math.ceil(tmax / step))
     state = np.concatenate([p0.T, (v0 * times[:, None]).T]).astype(float)
-    out = _rk4(_geodesic_rhs(s), state, n)[:2].T
+    out = _rk4(_geodesic_rhs(s), state, times, step)[:2].T
     _check_domain(s, out)
     return out
 
 
 def geodesic(s: AffineSurface, p, v, s_max: float, step: float = 1e-3):
     """Sampled geodesic path: returns (parameters, points (N,2))."""
-    n = max(1, math.ceil(abs(s_max) / step))
     state = np.array([[p[0]], [p[1]], [v[0] * s_max], [v[1] * s_max]], dtype=float)
-    pts = _rk4(_geodesic_rhs(s), state, n, path=True)[:, :2, 0]
+    pts = _rk4(_geodesic_rhs(s), state, s_max, step, path=True)[:, :2, 0]
     _check_domain(s, pts)
-    return np.linspace(0.0, s_max, n + 1), pts
+    return np.linspace(0.0, s_max, len(pts)), pts
 
 
 # ---------------------------------------------------------------------------
@@ -290,51 +289,37 @@ def flow_preserves_connection(s: AffineSurface, X, t: float,
 # finite-difference Killing residuals
 # ---------------------------------------------------------------------------
 
-def _gamma_and_derivs(s: AffineSurface, pts: np.ndarray):
-    gamma = _gamma_array_fn(s)
-    h = FD_SECOND
-    g0 = gamma(pts)
-    e1 = np.array([h, 0.0])
-    e2 = np.array([0.0, h])
-    dg = np.stack([
-        (gamma(pts + e1) - gamma(pts - e1)) / (2 * h),
-        (gamma(pts + e2) - gamma(pts - e2)) / (2 * h),
-    ], axis=1)  # [n, l, i, j, k]
-    return g0, dg
-
-
 def fd_residuals(s: AffineSurface, field, grid: Grid | None = None) -> float:
     """Max |K_ij^k| over the grid by finite differences.
 
-    For symbolic fields the value and both derivatives come from the
-    fourth-order stencil ``_stencil``.  For jet-extended numeric fields
-    (anything exposing ``jets_at``) the integrated first derivatives are
-    differenced once instead, which is much better conditioned; all 5N
-    stencil points are extended in one batch.
+    One ``_stencil`` call differentiates the symbols and the field together.
+    A symbolic field takes its first and second derivatives from the
+    stencil's gradient and Hessian.  A jet-extended field (anything exposing
+    ``jets_at``) carries its first derivatives in the jet, so they are read
+    at the centre points and only differentiated once more, which is much
+    better conditioned; all 17N stencil points are extended in one batch.
     """
-    g = grid or default_grid(s)
-    pts = g.points()
-
-    if hasattr(field, "jets_at"):
-        h = FD_SECOND
-        offsets = np.array([(0.0, 0.0), (h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)])
-        stencil = (offsets[:, None, :] + pts[None, :, :]).reshape(-1, 2)
-        jc, jp1, jm1, jp2, jm2 = field.jets_at(stencil).reshape(5, len(pts), -1)
-        a = jc[:, 0:2]
-        # jet layout (a1, a2, d1 a1, d2 a1, d1 a2, d2 a2); da[n, l, k] = d_l a^k
-        da = jc[:, 2:].reshape(-1, 2, 2).transpose(0, 2, 1)
-        dda = np.empty((len(pts), 2, 2, 2))  # [n, i, j, k]
-        for k, (c1, c2) in enumerate(((2, 3), (4, 5))):
-            dda[:, 0, 0, k] = (jp1[:, c1] - jm1[:, c1]) / (2 * h)
-            dda[:, 1, 1, k] = (jp2[:, c2] - jm2[:, c2]) / (2 * h)
-            m = (jp2[:, c1] - jm2[:, c1]) / (2 * h)
-            dda[:, 0, 1, k] = m
-            dda[:, 1, 0, k] = m
+    pts = (grid or default_grid(s)).points()
+    gamma = _gamma_array_fn(s)
+    jets = hasattr(field, "jets_at")
+    if jets:
+        columns = field.jets_at
     else:
         field_rows = _field_array_fn(field)
-        a, da, dda = _stencil(lambda q: field_rows(q[:, 0], q[:, 1]).T, pts)
 
-    g0, dg = _gamma_and_derivs(s, pts)
+        def columns(q):
+            return field_rows(q[:, 0], q[:, 1]).T
+
+    vals, grad, hess = _stencil(lambda q: np.hstack([gamma(q).reshape(-1, 8), columns(q)]), pts)
+    g0 = vals[:, :8].reshape(-1, 2, 2, 2)
+    dg = grad[:, :, :8].reshape(-1, 2, 2, 2, 2)  # [n, l, i, j, k] = d_l G_ij^k
+    a = vals[:, 8:10]
+    if jets:
+        # jet layout (a1, a2, d1 a1, d2 a1, d1 a2, d2 a2): column 10 + 2k + j is d_j a^k
+        da = vals[:, 10:].reshape(-1, 2, 2).transpose(0, 2, 1)  # [n, l, k] = d_l a^k
+        dda = grad[:, :, 10:].reshape(-1, 2, 2, 2).transpose(0, 1, 3, 2)  # [n, i, j, k]
+    else:
+        da, dda = grad[:, :, 8:], hess[..., 8:]
     res = dda.copy()
     res += np.einsum("nl,nlijk->nijk", a, dg)
     res -= np.einsum("nijl,nlk->nijk", g0, da)

@@ -57,10 +57,6 @@ class Term(NamedTuple):
     c: int
     freq: Scalar
 
-    @property
-    def key(self):
-        return (self.freq.re, self.freq.im, self.p1, self.p2, self.s, self.c)
-
 
 def _accumulate(acc: dict, coeff: Scalar, p1: int, p2: int, s: int, c: int, freq: Scalar):
     """Add a raw monomial into the accumulator, reducing sin^2 -> 1 - cos^2."""
@@ -252,11 +248,6 @@ class Expr:
                 val *= cmath.exp(complex(t.freq) * x2)
             total += val
         return total
-
-    def eval_array(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        """Vectorized complex evaluation on numpy arrays: the one-expression
-        case of ``compile_exprs``, with its pole checks."""
-        return compile_exprs([self])(x1, x2)[0].astype(complex, copy=False)
 
     # -------------------------------------------------------------- printing
 

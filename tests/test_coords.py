@@ -6,7 +6,7 @@ import pytest
 from affkit.coords import (
     Chart, ChartVerificationError, NotCommuting, NotEffective, NotKilling,
     ZeroAtBasepoint, commuting_chart, normalize_chart, pullback_gamma,
-    pullback_gamma_batch, solve_shear_ode, type_b_chart,
+    pullback_gamma_batch, type_b_chart,
 )
 from affkit.killing import VectorField
 from affkit.liealg import classify
@@ -113,28 +113,6 @@ def test_chart_jacobian_of_near_identity_chart(sphere_surface):
     chart = normalize_chart(sphere_surface, D2, tol=1e-4)
     jac = chart.jacobian((0.05, 0.1))
     assert np.allclose(jac, np.eye(2), atol=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# shear ODE
-# ---------------------------------------------------------------------------
-
-def test_shear_constant_solution():
-    xs, es = solve_shear_ode(lambda x: 1.0, lambda x: 1.0, (-1.0, 1.0), step=1e-2)
-    assert np.max(np.abs(es - 1.0)) < 1e-12
-
-
-def test_shear_zero_solution():
-    xs, es = solve_shear_ode(lambda x: 1.0, lambda x: 0.0, (-1.0, 1.0),
-                             step=1e-2, eps0=0.0)
-    assert np.max(np.abs(es)) < 1e-12
-
-
-def test_shear_affine_particular_solution():
-    # eps' = (eps - x)/1 with eps(0) = 1 has the closed form eps = x + 1.
-    xs, es = solve_shear_ode(lambda x: 1.0, lambda x: x, (-1.0, 1.0),
-                             step=1e-3, eps0=1.0)
-    assert np.max(np.abs(es - (xs + 1.0))) < 1e-8
 
 
 # ---------------------------------------------------------------------------

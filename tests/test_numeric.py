@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from affkit.killing import JetField, VectorField, killing_jet_space, residuals
+from affkit.killing import Jet1, JetField, VectorField, jet_of, killing_jet_space, residuals
 from affkit.numeric import (
-    FD_STENCIL, DomainExit, Grid, _stencil, default_grid, fd_residuals, flow,
-    flow_batch, flow_preserves_connection, geodesic, geodesic_endpoints,
+    FD_STENCIL, DomainExit, Grid, NumericError, _rk4, _stencil, default_grid, fd_residuals,
+    flow, flow_batch, flow_preserves_connection, geodesic, geodesic_endpoints,
 )
+from affkit.scalars import Scalar
 from affkit.surface import type_a, type_b
 from affkit.symexpr import parse
 
@@ -60,6 +61,26 @@ def test_flow_batch_distinct_times():
     assert abs(out[0, 0] - math.exp(0.3)) < 1e-10
     assert abs(out[1, 0] - math.exp(-0.4)) < 1e-10
     assert abs(out[2, 0] - 2 * math.exp(0.1)) < 1e-10
+
+
+@pytest.mark.parametrize("path", [False, True])
+def test_rk4_with_zero_spans_returns_the_state_without_calling_rhs(path):
+    def rhs(t, y):
+        raise AssertionError("rhs called")
+
+    y = np.array([[0.3, -1.0], [2.0, 0.5]])
+    out = _rk4(rhs, y, np.zeros(2), 1e-3, path=path)
+    assert np.array_equal(out, y[None] if path else y)
+
+
+def test_numeric_checks_reject_a_non_real_field():
+    # The imaginary part used to be dropped, so this field checked as 0.0.
+    s = type_a({})
+    field = VectorField(parse("i*x1^2"), parse("0"))
+    with pytest.raises(NumericError):
+        fd_residuals(s, field)
+    with pytest.raises(NumericError):
+        flow_preserves_connection(s, field, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +282,18 @@ def test_extended_jet_basis_has_small_residuals(sphere_surface):
     for jet in ks.basis:
         field = JetField(sphere_surface, jet, step=1e-3)
         assert fd_residuals(sphere_surface, field, grid) < 1e-5
+
+
+def test_jet_branch_of_the_sphere_triple_is_at_rounding_level(sphere_surface, sphere_fields):
+    for f in sphere_fields:
+        field = JetField(sphere_surface, jet_of(sphere_surface, f), step=1e-3)
+        assert fd_residuals(sphere_surface, field) < 1e-10
+
+
+@pytest.mark.parametrize("jet", [(0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 1)])
+def test_jets_outside_the_killing_space_have_large_residuals(sphere_surface, jet):
+    field = JetField(sphere_surface, Jet1(*(Scalar.of(x) for x in jet)))
+    assert fd_residuals(sphere_surface, field) > 1e-2
 
 
 def test_default_grid_shrinks_near_boundary():

@@ -219,7 +219,7 @@ def test_eval_array_agrees_with_scalar_eval(e):
     import numpy as np
     xs = np.array([0.3, -0.4, 1.1])
     ys = np.array([0.1, 0.2, -0.5])
-    vals = e.eval_array(xs, ys)
+    vals = compile_exprs([e])(xs, ys)[0]
     for k in range(3):
         assert abs(vals[k] - e.eval_numeric((xs[k], ys[k]))) < 1e-10
 
@@ -278,7 +278,7 @@ def test_compiled_evaluator_raises_where_eval_numeric_does(text, point):
     with pytest.raises(EvaluationPoleError):
         ev([0.7, point[0]], [0.0, point[1]])
     with pytest.raises(EvaluationPoleError):
-        e.eval_array(np.array([point[0]]), np.array([point[1]]))
+        compile_exprs([e])(np.array([point[0]]), np.array([point[1]]))
 
 
 def test_compiled_evaluator_has_no_pole_without_negative_powers():
