@@ -258,14 +258,12 @@ def killing_jet_space(s: AffineSurface) -> KillingJetSpace:
     jet system before each exact evaluation.  The iteration is provably
     complete once the frontier empties (the symbolic row span is then
     closed under both derivations); otherwise it stops after two fully
-    stagnant rounds, except that a dimension of 6 with constraints present
-    is accepted only for genuinely flat surfaces, since the bound is
-    attained exactly by flat connections.  Constraints whose entries
-    vanish at the basepoint to order beyond the round cap would still be
-    missed; such inputs cannot be locally homogeneous.
+    stagnant rounds below 6.  A plateau at 6 never stops while constraint
+    rows exist: dimension 6 forces isotropy gl(2), hence a flat
+    torsion-free surface, on which every constraint row vanishes
+    identically.  Constraints vanishing at the basepoint to order beyond
+    the round cap raise ``NoStabilization``.
     """
-    from .surface import is_flat
-
     point = s.basepoint
     system = jet_system(s)
     m1, m2 = system.m1, system.m2
@@ -290,7 +288,6 @@ def killing_jet_space(s: AffineSurface) -> KillingJetSpace:
         jets = [Jet1.from_vector(v) for v in basis]
         return KillingJetSpace(jets, len(jets), history, system)
 
-    flat = None
     history = [JET_DIM - tracker.rank]
     for _ in range(STABILIZATION_CAP):
         if not frontier:
@@ -311,17 +308,14 @@ def killing_jet_space(s: AffineSurface) -> KillingJetSpace:
                 tracker.add([e.eval_exact(point) for e in derived])
         frontier = new_frontier
         history.append(JET_DIM - tracker.rank)
-        if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
-            if history[-1] == JET_DIM and base_rows:
-                if flat is None:
-                    flat = is_flat(s)
-                if not flat:
-                    continue  # constraints must eventually bite
+        # A nonempty frontier means constraint rows exist, so a plateau at 6
+        # is never the answer: keep deriving until they bite.
+        if len(history) >= 3 and history[-1] == history[-2] == history[-3] < JET_DIM:
             return finish(history)
-    if history[-1] == JET_DIM and base_rows and not (flat or is_flat(s)):
+    if history[-1] == JET_DIM:
         raise NoStabilization(
             "constraints never became active at the basepoint within "
-            f"{STABILIZATION_CAP} rounds on a curved surface: {history}")
+            f"{STABILIZATION_CAP} rounds: {history}")
     if history[-1] == history[-2]:
         return finish(history)
     raise NoStabilization(

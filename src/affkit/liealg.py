@@ -34,6 +34,10 @@ from .scalars import ONE, ZERO, Scalar
 from .surface import AffineSurface
 from .symexpr import Expr
 
+# Witness candidates per branch; the stream ends by itself in dimensions 2-4
+# (8, 49, 272 candidates), so only dimension 6 (7448) is cut.
+WITNESS_BUDGET = 4000
+
 
 class LieAlgError(Exception):
     pass
@@ -348,9 +352,9 @@ def _unit(n: int, i: int) -> list[Scalar]:
     return [ONE if j == i else ZERO for j in range(n)]
 
 
-def _search_candidates(n: int, budget: int):
+def _search_candidates(n: int):
     """Deterministic candidate stream: basis elements, two-slot integer
-    combinations, then full small-integer combinations up to the budget."""
+    combinations, then full small-integer combinations up to WITNESS_BUDGET."""
     yielded = 0
     seen = set()
 
@@ -383,13 +387,13 @@ def _search_candidates(n: int, budget: int):
                 out = emit(vec)
                 if out is not None:
                     yield out
-                if yielded >= budget:
+                if yielded >= WITNESS_BUDGET:
                     return
     for combo in product(range(-2, 3), repeat=n):
         out = emit(list(combo))
         if out is not None:
             yield out
-        if yielded >= budget:
+        if yielded >= WITNESS_BUDGET:
             return
 
 
@@ -404,9 +408,9 @@ def _verified_bracket(s, L, u, v) -> list[Scalar]:
     return coeffs
 
 
-def _find_type_a(s, L, budget) -> Witness | None:
+def _find_type_a(s, L) -> Witness | None:
     n = L.dim
-    for x in _search_candidates(n, budget):
+    for x in _search_candidates(n):
         kernel = linalg.nullspace(L.ad(x), n_cols=n)
         pool = [x] + kernel
         for u, v in combinations(pool, 2):
@@ -420,9 +424,9 @@ def _find_type_a(s, L, budget) -> Witness | None:
     return None
 
 
-def _find_type_b(s, L, budget, diagnostics) -> Witness | None:
+def _find_type_b(s, L, diagnostics) -> Witness | None:
     n = L.dim
-    for x in _search_candidates(n, budget):
+    for x in _search_candidates(n):
         ad = L.ad(x)
         coeffs = linalg.charpoly(ad)
         roots = np.roots([complex(c) for c in reversed(coeffs)])
@@ -501,14 +505,15 @@ def _det3(m) -> Scalar:
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
-def classify(s: AffineSurface, budget: int = 4000) -> ClassificationResult:
+def classify(s: AffineSurface, space: KillingJetSpace | None = None) -> ClassificationResult:
     """Search the Killing algebra for certified subalgebra witnesses.
 
     Branches are reported in the order TypeA, TypeB, so3 and are not
     exclusive; each witness' relations are re-verified exactly via the jet
-    bracket (TypeA/TypeB) or to residual 1e-9 (so3).
+    bracket (TypeA/TypeB) or to residual 1e-9 (so3).  A precomputed
+    ``space`` of ``s`` is reused instead of solving the jets again.
     """
-    ks = killing_jet_space(s)
+    ks = space or killing_jet_space(s)
     if ks.dim < 2:
         raise NotHomogeneousCandidate(
             f"Killing dimension {ks.dim} < 2; not locally homogeneous")
@@ -520,10 +525,10 @@ def classify(s: AffineSurface, budget: int = 4000) -> ClassificationResult:
 
     diagnostics: list[str] = []
     branches: list[Witness] = []
-    wa = _find_type_a(s, L, budget)
+    wa = _find_type_a(s, L)
     if wa:
         branches.append(wa)
-    wb = _find_type_b(s, L, budget, diagnostics)
+    wb = _find_type_b(s, L, diagnostics)
     if wb:
         branches.append(wb)
     wc = _find_so3(s, L)
@@ -531,5 +536,5 @@ def classify(s: AffineSurface, budget: int = 4000) -> ClassificationResult:
         branches.append(wc)
     if not branches:
         raise ClassificationInconclusive(
-            f"no witness found within budget {budget}; diagnostics: {diagnostics}")
+            f"no witness found within budget {WITNESS_BUDGET}; diagnostics: {diagnostics}")
     return ClassificationResult(L.dim, branches, diagnostics)

@@ -58,15 +58,12 @@ class Grid:
 
 def default_grid(s: AffineSurface, n: int = 5, half_width: float = 0.2,
                  center: tuple[float, float] | None = None) -> Grid:
-    """Grid around the basepoint, shrunk near the domain boundary."""
+    """Grid around the basepoint, shrunk near the domain boundary so that
+    the reach of ``_stencil`` (2 * FD_STENCIL) stays inside the domain."""
     c = center or (float(s.basepoint[0]), float(s.basepoint[1]))
     lo, hi = s.domain_bounds()
-    hw = half_width
-    margin = 0.8
-    if math.isfinite(lo):
-        hw = min(hw, margin * (c[0] - lo))
-    if math.isfinite(hi):
-        hw = min(hw, margin * (hi - c[0]))
+    room = min(c[0] - lo, hi - c[0]) - 2 * FD_STENCIL
+    hw = min(half_width, 0.8 * room)
     if hw <= 0:
         raise DomainExit("grid center too close to the domain boundary")
     return Grid(c, (hw, half_width), n)
@@ -308,6 +305,7 @@ def fd_residuals(s: AffineSurface, field, grid: Grid | None = None) -> float:
         field_rows = _field_array_fn(field)
 
         def columns(q):
+            _check_domain(s, q)
             return field_rows(q[:, 0], q[:, 1]).T
 
     vals, grad, hess = _stencil(lambda q: np.hstack([gamma(q).reshape(-1, 8), columns(q)]), pts)

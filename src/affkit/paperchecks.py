@@ -113,7 +113,7 @@ def verify_paper(negative_control: str | None = None, seed: int = 0,
     dim = sph_space.dim
     items.append(CheckItem("sphere-killing-dimension", dim == 3, f"dim = {dim}"))
 
-    result = classify(sph)
+    result = classify(sph, sph_space)
     so3_ok = result.kinds() == ["so3"]
     items.append(CheckItem(
         "sphere-so3-branch", so3_ok,

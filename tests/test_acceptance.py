@@ -19,12 +19,8 @@ from affkit.surface import (GAMMA_KEYS, is_flat, nabla_ricci, ricci, sphere,
                             torsion, type_a, type_b)
 from affkit.symexpr import Expr, parse
 
-from conftest import SEED
+from conftest import D1, D2, RADIAL, SEED
 from helpers_oracle import taylor_killing_dim
-
-D1 = VectorField(parse("1"), parse("0"))
-D2 = VectorField(parse("0"), parse("1"))
-RADIAL = VectorField(parse("-x1"), parse("-x2"))
 
 
 def report(ok: bool, label: str) -> None:

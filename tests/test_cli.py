@@ -8,6 +8,8 @@ import pytest
 from affkit.cli import main
 from affkit.surface import sphere, surface_to_json, type_a, type_b
 
+from conftest import LATE_CONSTRAINTS
+
 # Stdout of `classify` and `killing --basis` recorded before the exact core
 # skipped zeros and real-only work; exact answers must not change by a byte.
 GOLDEN = Path(__file__).parent / "data" / "cli"
@@ -157,6 +159,15 @@ def test_input_errors_exit_two(files, capsys):
     code, _, err = run(capsys, "tensors", files["broken"], "--ricci")
     assert code == 2
     assert "Gamma_111" in err
+
+
+@pytest.mark.parametrize("gamma, dim", LATE_CONSTRAINTS)
+def test_killing_dim_of_flat_surfaces_with_late_constraints(gamma, dim, tmp_path, capsys):
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps({"gamma": gamma, "basepoint": ["0", "0"]}), encoding="utf-8")
+    code, payload, _ = run(capsys, "killing", str(path), "--dim")
+    assert code == 0
+    assert payload == {"dim": dim}
 
 
 def test_verify_paper_pristine(files, capsys):

@@ -14,9 +14,7 @@ from affkit.numeric import Grid, NumericError, SingularMap
 from affkit.surface import type_a, type_b
 from affkit.symexpr import parse
 
-D1 = VectorField(parse("1"), parse("0"))
-D2 = VectorField(parse("0"), parse("1"))
-RADIAL = VectorField(parse("-x1"), parse("-x2"))
+from conftest import D1, D2, RADIAL
 
 
 def identity_chart(grid=None):

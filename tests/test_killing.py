@@ -11,15 +11,13 @@ from affkit.killing import (
 )
 from affkit.numeric import default_grid
 from affkit.scalars import ONE, ZERO, Scalar
-from affkit.surface import GAMMA_KEYS, make_surface, sphere, type_a, type_b
+from affkit.surface import GAMMA_KEYS, is_flat, make_surface, sphere, type_a, type_b
 from affkit.symexpr import Expr, parse
 
-from conftest import random_type_a
+from conftest import D2, LATE_CONSTRAINTS, RADIAL, random_type_a
 from helpers_oracle import taylor_killing_dim
 
 gamma_vals = st.fixed_dictionaries({k: st.integers(-2, 2) for k in GAMMA_KEYS})
-
-D2 = VectorField(parse("0"), parse("1"))
 
 
 def combine(a, X, b, Y):
@@ -55,8 +53,7 @@ def test_x2_d2_killing_on_alpha_zero_family():
 @given(gamma_vals)
 def test_radial_field_killing_on_every_type_b(vals):
     s = type_b(vals)
-    radial = VectorField(parse("-x1"), parse("-x2"))
-    assert all(e.is_zero for e in residuals(s, radial).values())
+    assert all(e.is_zero for e in residuals(s, RADIAL).values())
     assert all(e.is_zero for e in residuals(s, D2).values())
 
 
@@ -201,13 +198,24 @@ def test_high_order_vanishing_constraints_still_bite():
 def test_no_stabilization_is_reported_for_ultra_degenerate_input(monkeypatch):
     # Obstructions vanishing to order beyond the round cap cannot be
     # resolved at the basepoint; the solver must say so rather than
-    # return the flat-only dimension 6 for a curved surface.
+    # return dimension 6, which needs a flat torsion-free surface.  The
+    # second surface is flat but has torsion.
     import affkit.killing as mod
     from affkit.killing import NoStabilization
     monkeypatch.setattr(mod, "STABILIZATION_CAP", 4)
-    s = make_surface({"111": parse("x1^13*exp(2*x2)")}, (0, 0))
-    with pytest.raises(NoStabilization):
-        mod.killing_jet_space(s)
+    for gamma in ({"111": "x1^13*exp(2*x2)"}, {"211": "x2^13"}):
+        s = make_surface({k: parse(v) for k, v in gamma.items()}, (0, 0))
+        with pytest.raises(NoStabilization):
+            mod.killing_jet_space(s)
+
+
+@pytest.mark.parametrize("gamma, dim", LATE_CONSTRAINTS)
+def test_flat_surfaces_with_late_constraints_match_series_oracle(gamma, dim):
+    # Flat but with torsion, so dimension 6 is impossible: the plateau at 6
+    # must not be accepted, whatever the curvature says.
+    s = make_surface({k: parse(v) for k, v in gamma.items()}, (0, 0))
+    assert is_flat(s)
+    assert killing_jet_space(s).dim == dim == taylor_killing_dim(s, deg=8)
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,7 @@ from affkit.scalars import ONE, ZERO, Scalar
 from affkit.surface import make_surface, sphere, type_a, type_b
 from affkit.symexpr import Expr, parse
 
-from conftest import random_type_a
-
-D1 = VectorField(parse("1"), parse("0"))
-D2 = VectorField(parse("0"), parse("1"))
+from conftest import D1, D2, random_type_a
 
 
 def presentation_from_table(dim, table):
@@ -298,6 +295,23 @@ def test_classify_type_b_surface(type_b_radial_fields):
     assert "TypeB" in res.kinds()
     wb = next(w for w in res.branches if w.kind == "TypeB")
     assert wb.exact
+
+
+def test_verify_paper_builds_the_sphere_jet_system_once(monkeypatch):
+    # The dimension item's jet space is handed to classify and to
+    # structure_constants instead of being solved again.
+    import affkit.killing as killing
+    from affkit.paperchecks import verify_paper
+    built = []
+    original = killing.prolongation_symbolic
+
+    def counting(s):
+        built.append(s)
+        return original(s)
+
+    monkeypatch.setattr(killing, "prolongation_symbolic", counting)
+    assert all(item.passed for item in verify_paper(sweep_size=1))
+    assert sum(s == sphere() for s in built) == 1
 
 
 def test_classify_rejects_rigid_surface():

@@ -14,8 +14,8 @@ from affkit.scalars import Scalar
 from affkit.surface import type_a, type_b
 from affkit.symexpr import parse
 
-D1 = VectorField(parse("1"), parse("0"))
-D2 = VectorField(parse("0"), parse("1"))
+from conftest import D1, D2
+
 ZERO_FIELD = VectorField(parse("0"), parse("0"))
 
 
@@ -303,3 +303,20 @@ def test_default_grid_shrinks_near_boundary():
     assert g.half_width[1] == 2.0
     pts = g.points()
     assert np.all(pts[:, 0] > 0)
+
+
+def test_default_grid_leaves_room_for_the_stencil():
+    # Centred 0.005 from the edge of x1 > 0, the grid's stencil stays inside
+    # the domain, so the flow check and both residual branches run.
+    s = type_b({})
+    grid = default_grid(s, center=(0.005, 0.0))
+    assert np.min(grid.points()[:, 0]) - 2 * FD_STENCIL > 0
+    assert flow_preserves_connection(s, D2, 0.1, grid).max_gamma_deviation < 1e-9
+    assert fd_residuals(s, D2, grid) < 1e-9
+    assert fd_residuals(s, JetField(s, jet_of(s, D2)), grid) < 1e-9
+
+
+def test_symbolic_residuals_reject_a_stencil_outside_the_domain():
+    # The grid stops at x1 = 0.001, but its stencil reaches x1 = -0.001.
+    with pytest.raises(DomainExit):
+        fd_residuals(type_b({}), D2, Grid((0.005, 0.0), (0.004, 0.2), 5))

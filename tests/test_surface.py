@@ -15,9 +15,10 @@ from affkit.surface import (
     make_surface, nabla_ricci, ricci, sphere, surface_from_json, surface_to_json,
     torsion, type_a, type_b,
 )
-from affkit.symexpr import Expr, parse
+from affkit.symexpr import Expr, NotExactlyEvaluable, parse
 
 from helpers_oracle import gamma_sympy, sym_nabla_ricci, sym_ricci, to_sympy
+from test_symexpr import exprs
 
 rational_consts = st.integers(min_value=-2, max_value=2)
 gamma_dicts = st.fixed_dictionaries({k: rational_consts for k in GAMMA_KEYS})
@@ -47,6 +48,34 @@ def test_make_surface_rejects_pole_at_basepoint():
 def test_make_surface_rejects_trig_at_nonzero_basepoint():
     with pytest.raises(BadBasepoint):
         make_surface({"111": parse("sin(x1)")}, (Fraction(1, 10), 0))
+
+
+def evaluable_to_order(e: Expr, bp, order: int) -> bool:
+    """Reference: every mixed x1/x2 derivative up to ``order`` evaluates
+    exactly at bp (the sweep make_surface once ran to order 8)."""
+    column = e
+    for n1 in range(order + 1):
+        d = column
+        for _ in range(order + 1 - n1):
+            try:
+                d.eval_exact(bp)
+            except NotExactlyEvaluable:
+                return False
+            d = d.diff("x2")
+        column = column.diff("x1")
+    return True
+
+
+@settings(max_examples=60)
+@given(exprs(max_terms=3),
+       st.sampled_from([(0, 0), (0, Fraction(1, 2)), (Fraction(-1, 3), 0), (2, Fraction(-3, 2))]))
+def test_order_zero_evaluability_settles_every_derivative(e, bp):
+    try:
+        make_surface({"111": e}, bp)
+        accepted = True
+    except BadBasepoint:
+        accepted = False
+    assert accepted == evaluable_to_order(e, bp, 4)
 
 
 @pytest.mark.parametrize("note, bounds", [
