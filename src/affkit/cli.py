@@ -84,7 +84,10 @@ def cmd_killing(args) -> int:
         res = residuals(s, field)
         symbolic_zero = {key: e.is_zero for key, e in res.items()}
         numeric_max = 0.0
-        probe = (float(s.basepoint[0]) + 0.05, float(s.basepoint[1]) + 0.05)
+        x1, x2 = float(s.basepoint[0]), float(s.basepoint[1])
+        # Step towards the domain's right end by at most half the distance.
+        hi = s.domain_bounds()[1]
+        probe = (x1 + min(0.05, (hi - x1) / 2), x2 + 0.05)
         for e in res.values():
             if not e.is_zero:
                 numeric_max = max(numeric_max, abs(e.eval_numeric(probe)))

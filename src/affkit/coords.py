@@ -9,17 +9,17 @@ Three constructions:
 * ``commuting_chart``: simultaneous flow-box for a commuting effective
   Killing pair; the pulled-back symbols are constant.
 
-* ``type_b_chart``: for an effective pair with [X, Y] = Y: flow-box for Y,
-  a shear removing the inhomogeneous part of X, then a radial coordinate
-  turning X into -x1 d1 - x2 d2; the pulled-back symbols times x1 are
-  constant.
+* ``type_b_chart``: for an effective pair with [X, Y] = Y, the two Killing
+  flows T(x1, x2) = Phi^Y_x2(Phi^X_{-ln x1}(P)).  T sends (1, 0) to P and
+  reads X = -x1 d1 - x2 d2, Y = d2; it is the only chart that does, since
+  the model flows (x1, x2 + s) and (l x1, l x2) act simply transitively on
+  x1 > 0.  The pulled-back symbols times x1 are constant.
 
-All verification is numeric on a grid.  Chart maps are built from batched
-``numeric._rk4`` integrations (every stencil point of a leg advances in
-one call; a leg that depends on one chart coordinate only is integrated
-once per distinct value).  The symbols are
-pulled back by ``numeric.pullback_gamma_batch``, the same 17-point
-fourth-order stencil at h = 1e-3 that checks Killing flows, and
+All verification is numeric on a grid.  Every chart map is two legs: the
+first depends on one chart coordinate only and runs once per distinct
+value, the second is one ``numeric.flow_batch`` over every stencil point.
+The symbols are pulled back by ``numeric.pullback_gamma_batch``, the same
+17-point fourth-order stencil at h = 1e-3 that checks Killing flows, and
 ``Chart.jacobian`` reads that stencil's gradient.
 """
 
@@ -34,10 +34,10 @@ import numpy as np
 
 from .killing import VectorField, is_killing
 from .liealg import bracket_fields
-from .numeric import (Grid, _rk4, _stencil, flow_batch, geodesic_endpoints,
+from .numeric import (Grid, _stencil, flow_batch, geodesic_endpoints,
                       pullback_gamma_batch)
 from .surface import AffineSurface
-from .symexpr import compile_exprs
+from .symexpr import Expr
 
 
 class ChartError(Exception):
@@ -62,10 +62,6 @@ class NotEffective(ChartError):
 
 class BadRelation(ChartError):
     pass
-
-
-class ShearSingular(ChartError):
-    """u vanishes on the requested range."""
 
 
 class ChartVerificationError(ChartError):
@@ -109,10 +105,6 @@ def _transverse_axis(direction: tuple[float, float]) -> np.ndarray:
     return np.array([0.0, 1.0])
 
 
-def _chart_grid(center: tuple[float, float], n: int, half_width: float) -> Grid:
-    return Grid(center, (half_width, half_width), n)
-
-
 def _finalize(mode, forward, grid, report, tol) -> Chart:
     checks = {k: v for k, v in report.items() if isinstance(v, float)}
     report["pass"] = all(v < tol for v in checks.values())
@@ -122,6 +114,17 @@ def _finalize(mode, forward, grid, report, tol) -> Chart:
         raise ChartVerificationError(
             f"{mode} chart failed verification: {checks}", report)
     return chart
+
+
+def _two_legs(first, col: int, second: VectorField, step: float):
+    """Chart map T(q) = Phi^second_{q[1 - col]}(first(q[col])), with the
+    first leg run once per distinct value of the chart coordinate q[col]."""
+    def forward(pts: np.ndarray) -> np.ndarray:
+        pts = np.asarray(pts, dtype=float)
+        vals, inverse = np.unique(pts[:, col], return_inverse=True)
+        return flow_batch(second, first(vals)[inverse], pts[:, 1 - col], step)
+
+    return forward
 
 
 def normalize_chart(s: AffineSurface, xi: VectorField, *,
@@ -142,15 +145,12 @@ def normalize_chart(s: AffineSurface, xi: VectorField, *,
         raise ZeroAtBasepoint("the field vanishes at the chart center")
     v0 = _transverse_axis(xi_at_c)
 
-    def forward(pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        u, inverse = np.unique(pts[:, 0], return_inverse=True)
-        base = np.repeat([c], len(u), axis=0)
-        vel = np.repeat([v0], len(u), axis=0)
-        sigma = geodesic_endpoints(s, base, vel, u, step)[inverse]
-        return flow_batch(xi, sigma, pts[:, 1], step)
+    def geodesic_leg(u: np.ndarray) -> np.ndarray:
+        return geodesic_endpoints(s, np.repeat([c], len(u), axis=0),
+                                  np.repeat([v0], len(u), axis=0), u, step)
 
-    grid = _chart_grid((0.0, 0.0), n, half_width)
+    forward = _two_legs(geodesic_leg, 0, xi, step)
+    grid = Grid((0.0, 0.0), (half_width, half_width), n)
     pulled = pullback_gamma_batch(s, forward, grid.points())
     report = {
         "gamma_111_max": float(np.max(np.abs(pulled[:, 0, 0, 0]))),
@@ -170,6 +170,23 @@ def _total_spread(pulled: np.ndarray) -> float:
     return float(np.max(pulled.max(axis=0) - pulled.min(axis=0)))
 
 
+def _effective_pair(s: AffineSurface, X: VectorField, Y: VectorField,
+                    center, bracket: VectorField, bad_relation: ChartError):
+    """Chart center P, once X and Y are Killing, [X, Y] equals ``bracket``
+    exactly (else ``bad_relation``) and X(P), Y(P) span the tangent plane."""
+    for f in (X, Y):
+        if not is_killing(s, f):
+            raise NotKilling("both fields must satisfy the Killing equations")
+    br = bracket_fields(X, Y)
+    if not ((br.a1 - bracket.a1).is_zero and (br.a2 - bracket.a2).is_zero):
+        raise bad_relation
+    c = center or (float(s.basepoint[0]), float(s.basepoint[1]))
+    xv, yv = X.eval_real(c), Y.eval_real(c)
+    if abs(xv[0] * yv[1] - xv[1] * yv[0]) < 1e-9:
+        raise NotEffective("X(P) and Y(P) do not span the tangent plane")
+    return c
+
+
 def commuting_chart(s: AffineSurface, X: VectorField, Y: VectorField, *,
                     center: tuple[float, float] | None = None,
                     n: int = 11, half_width: float = 0.2,
@@ -179,24 +196,14 @@ def commuting_chart(s: AffineSurface, X: VectorField, Y: VectorField, *,
     For a commuting effective Killing pair the pulled-back symbols are
     constant; the report carries their total spread over the grid.
     """
-    for f in (X, Y):
-        if not is_killing(s, f):
-            raise NotKilling("both fields must satisfy the Killing equations")
-    br = bracket_fields(X, Y)
-    if not (br.a1.is_zero and br.a2.is_zero):
-        raise NotCommuting("[X, Y] != 0")
-    c = center or (float(s.basepoint[0]), float(s.basepoint[1]))
-    xv, yv = X.eval_real(c), Y.eval_real(c)
-    if abs(xv[0] * yv[1] - xv[1] * yv[0]) < 1e-9:
-        raise NotEffective("X(P) and Y(P) do not span the tangent plane")
+    zero = VectorField(Expr.zero(), Expr.zero())
+    c = _effective_pair(s, X, Y, center, zero, NotCommuting("[X, Y] != 0"))
 
-    def forward(pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        w2, inverse = np.unique(pts[:, 1], return_inverse=True)
-        mid = flow_batch(Y, np.repeat([c], len(w2), axis=0), w2, step)[inverse]
-        return flow_batch(X, mid, pts[:, 0], step)
+    def y_leg(w2: np.ndarray) -> np.ndarray:
+        return flow_batch(Y, np.repeat([c], len(w2), axis=0), w2, step)
 
-    grid = _chart_grid((0.0, 0.0), n, half_width)
+    forward = _two_legs(y_leg, 1, X, step)
+    grid = Grid((0.0, 0.0), (half_width, half_width), n)
     pulled = pullback_gamma_batch(s, forward, grid.points())
     report = {"gamma_spread": _total_spread(pulled)}
     return _finalize("commuting", forward, grid, report, tol)
@@ -206,81 +213,26 @@ def type_b_chart(s: AffineSurface, X: VectorField, Y: VectorField, *,
                  center: tuple[float, float] | None = None,
                  n: int = 11, half_width: float = 0.2,
                  tol: float = 1e-4, step: float = 1e-3) -> Chart:
-    """Radial chart for an effective Killing pair with [X, Y] = Y.
+    """Chart T(x1, x2) = Phi^Y_x2(Phi^X_{-ln x1}(P)) for [X, Y] = Y, on x1 > 0.
 
-    Compose a flow-box for Y, the shear that removes the x1-dependent
-    vertical part of X, and the radial coordinate solving u d1 = -x1 d1;
-    afterwards x1 times every pulled-back symbol is constant.  The report
-    carries the spread of those products and their mean values.
+    The pair must be Killing and effective at P.  T sends (1, 0) to P,
+    d2 T = Y, and [X, Y] = Y gives Phi^X_t o T(x1, x2) = T(e^-t x1, e^-t x2),
+    so T pulls X back to -x1 d1 - x2 d2 and Y to d2.  It is the only such
+    chart: two of them differ by a map that fixes (1, 0) and commutes with
+    the model flows (x1, x2 + s) and (l x1, l x2), l > 0; these act simply
+    transitively on x1 > 0, so that map is the identity.  In this chart x1
+    times every pulled-back symbol is constant (Gamma = C / x1); the report
+    carries the spread of those products and their mean values C.
     """
-    for f in (X, Y):
-        if not is_killing(s, f):
-            raise NotKilling("both fields must satisfy the Killing equations")
-    br = bracket_fields(X, Y)
-    if not ((br.a1 - Y.a1).is_zero and (br.a2 - Y.a2).is_zero):
-        raise BadRelation("[X, Y] != Y")
-    c = center or (float(s.basepoint[0]), float(s.basepoint[1]))
-    c = np.asarray(c, dtype=float)
-    xv, yv = X.eval_real(c), Y.eval_real(c)
-    if abs(xv[0] * yv[1] - xv[1] * yv[0]) < 1e-9:
-        raise NotEffective("X(P) and Y(P) do not span the tangent plane")
-    axis = _transverse_axis(yv)
+    c = _effective_pair(s, X, Y, center, Y, BadRelation("[X, Y] != Y"))
 
-    # In flow-box coordinates (w1, w2): F(w1, w2) = Phi^Y_w2(P + w1 axis),
-    # and on the w2 = 0 slice dF = [axis | Y], so the components of X are
-    # closed-form: (u, v0)(w1) = dF^{-1} X at P + w1 axis.
-    components = compile_exprs([X.a1, X.a2, Y.a1, Y.a2])
+    def x_leg(x1: np.ndarray) -> np.ndarray:
+        if np.min(x1) <= 0:
+            raise ChartError("the chart coordinate x1 must stay positive")
+        return flow_batch(X, np.repeat([c], len(x1), axis=0), -np.log(x1), step)
 
-    def x_components(w1: np.ndarray):
-        x1, x2, y1, y2 = components(c[0] + w1 * axis[0], c[1] + w1 * axis[1]).real
-        det = axis[0] * y2 - axis[1] * y1
-        if np.min(np.abs(det)) < 1e-12:
-            raise NotEffective("transversal degenerates along the slice")
-        u = (x1 * y2 - x2 * y1) / det
-        v0 = (axis[0] * x2 - axis[1] * x1) / det
-        return u, v0
-
-    u_anchor, _ = x_components(np.zeros(1))
-    if abs(float(u_anchor[0])) < 1e-9:
-        raise ShearSingular("u vanishes at the chart center")
-
-    def shear_eps(w1_targets: np.ndarray) -> np.ndarray:
-        # eps' = -(eps + v0)/u with eps(0) = 0: among the valid shears
-        # (they differ by a homogeneous solution) this one fixes the slice
-        # w2 = 0, so the chart origin lands exactly on the center point.
-        spans = np.asarray(w1_targets, dtype=float)
-
-        def rhs(tau, e):
-            uu, vv = x_components(tau * spans)
-            if np.min(np.abs(uu)) < 1e-12:
-                raise ShearSingular("u vanishes along the shear range")
-            return -(e + vv) / uu * spans
-
-        return _rk4(rhs, np.zeros(len(spans)), spans, step)
-
-    def radial_inverse(xhat: np.ndarray) -> np.ndarray:
-        # d w1 / d xhat = -u(w1)/xhat, w1(1) = 0, marched in unit time.
-        spans = np.asarray(xhat, dtype=float) - 1.0
-        if np.min(np.asarray(xhat, dtype=float)) <= 0:
-            raise ChartError("radial coordinate must stay positive")
-
-        def rhs(tau, y):
-            uu, _ = x_components(y)
-            if np.min(np.abs(uu)) < 1e-12:
-                raise ShearSingular("u vanishes along the radial range")
-            return -(uu / (1.0 + tau * spans)) * spans
-
-        return _rk4(rhs, np.zeros(len(spans)), spans, step)
-
-    def forward(pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        xhat, inverse = np.unique(pts[:, 0], return_inverse=True)
-        w1 = radial_inverse(xhat)
-        w2 = pts[:, 1] - shear_eps(w1)[inverse]
-        base = c[None, :] + w1[inverse, None] * axis[None, :]
-        return flow_batch(Y, base, w2, step)
-
-    grid = _chart_grid((1.0, 0.0), n, half_width)
+    forward = _two_legs(x_leg, 0, Y, step)
+    grid = Grid((1.0, 0.0), (half_width, half_width), n)
     pts = grid.points()
     pulled = pullback_gamma_batch(s, forward, pts)
     scaled = pulled * pts[:, 0][:, None, None, None]

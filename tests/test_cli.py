@@ -92,6 +92,24 @@ def test_killing_check_passes_and_fails(files, capsys):
     assert code == 1 and payload["killing"] is False
 
 
+def test_killing_check_probes_inside_the_domain(tmp_path, capsys):
+    # Near the right end of a domain the probe steps at most half the way
+    # to it in x1, so it never evaluates a symbol on or past the edge.
+    field = tmp_path / "d1.json"
+    field.write_text(json.dumps({"a1": "1"}))
+    surface = tmp_path / "pole.json"
+    surface.write_text(json.dumps({"gamma": {"111": "x1^-1"}, "domain": "x1 < 0",
+                                   "basepoint": ["-1/20", "0"]}))
+    code, payload, err = run(capsys, "killing", str(surface), "--check", str(field))
+    assert code == 1 and payload["killing"] is False, err
+    # The only residual is X(G_11^1) = 2 x1, here probed at x1 = 0.01.
+    surface.write_text(json.dumps({"gamma": {"111": "x1^2"}, "domain": "x1 < 1/50",
+                                   "basepoint": ["0", "0"]}))
+    code, payload, _ = run(capsys, "killing", str(surface), "--check", str(field))
+    assert code == 1
+    assert payload["max_residual_at_probe"] == pytest.approx(0.02)
+
+
 def test_classify_outputs(files, capsys):
     code, payload, _ = run(capsys, "classify", files["sphere"])
     assert code == 0
@@ -135,6 +153,14 @@ def test_chart_type_b_roundtrip(files, capsys):
     assert code == 0
     assert payload["pass"] is True
     assert abs(payload["constants"]["111"] + 1.0) < 1e-3
+
+
+def test_chart_type_b_past_x1_zero_exits_two(files, capsys):
+    code, payload, err = run(capsys, "chart", files["type_b"], "--mode", "type-b",
+                             "--field", files["radial"], "--field", files["d2"],
+                             "--half-width", "1")
+    assert code == 2 and payload is None
+    assert "x1 must stay positive" in err
 
 
 def test_chart_precondition_failure_exits_two(files, capsys):

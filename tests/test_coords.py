@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from affkit.coords import (
-    Chart, ChartVerificationError, NotCommuting, NotEffective, NotKilling,
-    ZeroAtBasepoint, commuting_chart, normalize_chart, pullback_gamma,
-    pullback_gamma_batch, type_b_chart,
+    Chart, ChartError, ChartVerificationError, NotCommuting, NotEffective,
+    NotKilling, ZeroAtBasepoint, commuting_chart, normalize_chart,
+    pullback_gamma, pullback_gamma_batch, type_b_chart,
 )
 from affkit.killing import VectorField
 from affkit.liealg import classify
@@ -182,6 +182,35 @@ def test_type_b_chart_on_constant_gamma_surface():
     Y = VectorField(parse("0"), parse("exp(1*x2)"))
     chart = type_b_chart(s, X, Y, half_width=0.1, tol=1e-3)
     assert chart.report["scaled_gamma_spread"] < 1e-3
+
+
+def test_type_b_chart_map_is_the_model_chart():
+    # On an A/x1 surface with X = -x1 d1 - x2 d2 and Y = d2 the chart is
+    # Phi^Y_x2(Phi^X_{-ln x1}(c)) = (c1 x1, c2 x1 + x2) in closed form.
+    s = type_b({"111": 1, "122": -2, "221": 2})
+    chart = type_b_chart(s, RADIAL, D2, center=(1.1, 0.2))
+    pts = chart.grid.points()
+    want = np.stack([1.1 * pts[:, 0], 0.2 * pts[:, 0] + pts[:, 1]], axis=1)
+    assert np.max(np.abs(chart.forward(pts) - want)) < 1e-12
+
+
+def test_type_b_chart_map_on_constant_gamma_surface():
+    # X = d1 + d2 moves (0, 0) to (-ln x1, -ln x1), and the flow of
+    # Y = exp(x2) d2 solves exp(-x2) = exp(-x2(0)) - t, so the chart is
+    # (-ln x1, -ln(x1 - x2)).
+    s = type_a({"222": -1})
+    X = VectorField(parse("1"), parse("1"))
+    Y = VectorField(parse("0"), parse("exp(1*x2)"))
+    chart = type_b_chart(s, X, Y, half_width=0.1, tol=1e-3)
+    pts = chart.grid.points()
+    want = np.stack([-np.log(pts[:, 0]), -np.log(pts[:, 0] - pts[:, 1])], axis=1)
+    assert np.max(np.abs(chart.forward(pts) - want)) < 1e-12
+
+
+def test_type_b_chart_needs_positive_x1():
+    # half_width = 1 puts the grid's left edge on x1 = 0, where -ln x1 ends.
+    with pytest.raises(ChartError, match="x1 must stay positive"):
+        type_b_chart(type_b({"111": -1}), RADIAL, D2, half_width=1.0)
 
 
 def test_type_b_chart_rejects_wrong_relation(flat_surface):

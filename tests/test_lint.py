@@ -26,6 +26,25 @@ def unused_imports(source: str) -> list[str]:
                   if name not in used)
 
 
+def unused_private_defs(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_name`` functions and classes that no module references."""
+    defined, referenced = [], set()
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(name, node.name, node.lineno) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    return [f"{name}: {fn} (line {line})" for name, fn, line in defined
+            if fn not in referenced]
+
+
 def test_unused_imports_are_detected():
     assert unused_imports("import math\nimport numpy as np\nnp.zeros(1)\n") == ["math (line 1)"]
     assert unused_imports("from os import path, sep\n__all__ = ['sep']\n") == ["path (line 1)"]
@@ -36,3 +55,17 @@ def test_library_has_no_unused_imports():
              for p in sorted(SRC.glob("*.py"))}
     assert "numeric.py" in found
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_unused_private_defs_are_detected():
+    sources = {"a.py": "def _used(): pass\ndef _dead(): pass\nclass _Gone: pass\n",
+               "b.py": "from a import _used\n"}
+    assert unused_private_defs(sources) == ["a.py: _dead (line 2)",
+                                            "a.py: _Gone (line 3)"]
+    assert unused_private_defs({"c.py": "def _f(): pass\nx = [_f]\n"}) == []
+
+
+def test_library_has_no_unused_private_defs():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert "coords.py" in sources
+    assert unused_private_defs(sources) == []
