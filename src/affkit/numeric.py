@@ -80,25 +80,36 @@ class FlowReport:
 # field evaluation helpers
 # ---------------------------------------------------------------------------
 
-def _field_array_fn(field: VectorField) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """(x1, x2) -> (2, N) evaluator of a real VectorField.
+def _real_array_fn(exprs, message: str) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """``compile_exprs`` evaluator of expressions that must be real.
 
-    A component that differs from its own conjugate takes non-real values
-    at real points; dropping their imaginary part would check another field.
+    The evaluator's dtype is the exact compile-time verdict: it is complex
+    iff some expression differs from its own conjugate, so it takes
+    non-real values at real points, and dropping their imaginary part
+    would check another field or connection.
     """
-    for e in (field.a1, field.a2):
-        if not (e - e.conjugate()).is_zero:
-            raise NumericError(f"field component {e} is not real")
-    components = compile_exprs([field.a1, field.a2])
-    return lambda x1, x2: components(x1, x2).real
+    evaluate = compile_exprs(exprs)
+    if evaluate.dtype != float:
+        raise NumericError(message)
+    return evaluate
+
+
+def _field_array_fn(field: VectorField) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """(x1, x2) -> (2, N) evaluator of a real VectorField."""
+    return _real_array_fn([field.a1, field.a2], f"field ({field.a1}, {field.a2}) is not real")
+
+
+def _symbols_fn(s: AffineSurface) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """(x1, x2) -> (8, ...) evaluator of the real symbols in GAMMA_KEYS order."""
+    return _real_array_fn([s.gamma[key] for key in GAMMA_KEYS], "connection symbols are not real")
 
 
 def _gamma_array_fn(s: AffineSurface):
     """(..., 2) -> (..., 2, 2, 2) evaluator of the symbols, indexed [i, j, k]."""
-    symbols = compile_exprs([s.gamma[key] for key in GAMMA_KEYS])
+    symbols = _symbols_fn(s)
 
     def gamma(pts: np.ndarray) -> np.ndarray:
-        out = np.moveaxis(symbols(pts[..., 0], pts[..., 1]).real, 0, -1)
+        out = np.moveaxis(symbols(pts[..., 0], pts[..., 1]), 0, -1)
         return out.reshape(pts.shape[:-1] + (2, 2, 2))
 
     return gamma
@@ -173,12 +184,12 @@ def _geodesic_rhs(s: AffineSurface):
     (v x v) (4, N) with the symbols reshaped (4, 2, N).  Only the symmetric
     part of the connection acts; torsion drops out of the quadratic form.
     """
-    symbols = compile_exprs([s.gamma[key] for key in GAMMA_KEYS])
+    symbols = _symbols_fn(s)
 
     def rhs(_, y):
         vel = y[2:]
         vv = (vel[:, None, :] * vel[None, :, :]).reshape(4, -1)
-        g = symbols(y[0], y[1]).real.reshape(4, 2, -1)
+        g = symbols(y[0], y[1]).reshape(4, 2, -1)
         return np.concatenate([vel, -np.einsum("mn,mkn->kn", vv, g)])
 
     return rhs

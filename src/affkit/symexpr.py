@@ -274,65 +274,107 @@ def compile_exprs(exprs) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Vectorized evaluator ``f(x1, x2) -> (len(exprs),) + shape`` for a list
     of expressions, ``shape`` being the broadcast shape of x1 and x2.
 
-    A term is coeff * A(x1) * B(x2), A = x1^p1 sin^s cos^c, B = x2^p2
-    exp(freq*x2).  Coefficients are converted once; sin, cos and each
-    distinct A and B are computed once per call for all expressions, and
-    one matrix product with the coefficients sums the terms.  The result is
-    real when all coefficients and frequencies are.  Poles as in
+    Real basis: at compile time each factor exp((a+ib)*x2) is expanded as
+    e^(a*x2) * (cos(|b|*x2) + i*sign(b)*sin(|b|*x2)), and the coefficients
+    are folded exactly into a real-part and an imaginary-part matrix over
+    shared real columns.  The output is float64 exactly when every
+    imaginary coefficient cancels, which happens iff every expression
+    equals its own conjugate (conjugate pairs such as the sphere's
+    exp(+-i*x2) give real cos and sin); otherwise it is complex.
+    ``f.dtype`` carries this verdict.
+
+    Straight-line plan: the base factors (powers of x1, sin(x1), powers of
+    cos(x1), powers of x2, exp(a*x2), cos and sin of beta*x2) are fixed at
+    compile time, each column is a tuple of factor indices, and one matrix
+    product sums the columns; constant terms fold into one vector, and an
+    all-constant list returns it before any factor is computed.  Poles as in
     ``eval_numeric``: EvaluationPoleError at x1 = 0 with a negative power
     of x1, or at |cos(x1)| < 1e-12 with a negative power of cos(x1).
     """
-    terms = [(row, t) for row, e in enumerate(exprs) for t in e.terms]
-    real = all(t.coeff.is_real and t.freq.is_real for _, t in terms)
-    number = (lambda sc: float(sc.re)) if real else complex
-    keys = [((t.p1, t.s, t.c), (t.p2, number(t.freq))) for _, t in terms]
-    pairs = list(dict.fromkeys(keys))
-    coeffs = np.zeros((len(exprs), len(pairs)), dtype=float if real else complex)
-    for (row, t), key in zip(terms, keys):
-        coeffs[row, pairs.index(key)] += number(t.coeff)
-    keys_a = list(dict.fromkeys(a for a, _ in pairs))
-    keys_b = list(dict.fromkeys(b for _, b in pairs))
-    pair_idx = [(keys_a.index(a), keys_b.index(b)) for a, b in pairs]
-    x1_pole = any(p1 < 0 for p1, _, _ in keys_a)
-    cos_pole = any(c < 0 for _, _, c in keys_a)
-    need_sin = any(s for _, s, _ in keys_a)
-    need_cos = any(c for _, _, c in keys_a)
+    n_rows = len(exprs)
+    acc: dict[tuple, Scalar] = {}   # (column, row) -> exact coefficient
+    x1_pole = cos_pole = False
+    for row, e in enumerate(exprs):
+        for t in e.terms:
+            x1_pole = x1_pole or t.p1 < 0
+            cos_pole = cos_pole or t.c < 0
+            # a column is the tuple of its base factors, (kind, power or rate)
+            base = tuple(f for f in (("x1", t.p1), ("sin1", t.s), ("cos1", t.c),
+                                     ("x2", t.p2), ("exp", t.freq.re)) if f[1])
+            b = t.freq.im
+            parts = [(base, t.coeff)] if not b else [
+                ((*base, ("cos", abs(b))), t.coeff),
+                ((*base, ("sin", abs(b))), t.coeff * (I if b > 0 else -I))]
+            for column, coeff in parts:
+                acc[column, row] = acc.get((column, row), ZERO) + coeff
+
+    acc = {key: coeff for key, coeff in acc.items() if not coeff.is_zero}
+    real = all(coeff.is_real for coeff in acc.values())
+    dtype = np.dtype(float if real else complex)
+    columns_used = list(dict.fromkeys(column for column, _ in acc if column))
+    specs = list(dict.fromkeys(f for column in columns_used for f in column))
+    plan = [tuple(specs.index(f) for f in column) for column in columns_used]
+    const = np.zeros(n_rows, dtype=dtype)
+    coeffs = np.zeros((2 * n_rows, len(plan)))   # real parts over imaginary parts
+    for (column, row), coeff in acc.items():
+        if column:
+            j = columns_used.index(column)
+            coeffs[row, j], coeffs[n_rows + row, j] = float(coeff.re), float(coeff.im)
+        else:
+            const[row] = float(coeff.re) if real else complex(coeff)
+    if real:
+        coeffs = coeffs[:n_rows]
+    has_const = bool(const.any())
+    factors = [(kind, float(p) if kind in ("exp", "cos", "sin") else p) for kind, p in specs]
+    need_sin = ("sin1", 1) in specs
+    need_cos = any(kind == "cos1" for kind, _ in specs)
 
     def evaluate(x1, x2) -> np.ndarray:
         x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
         if x1.shape != x2.shape:
             x1, x2 = np.broadcast_arrays(x1, x2)
-        shape = (len(exprs),) + x1.shape
+        shape = (n_rows,) + x1.shape
+        if not plan:
+            out = np.empty((n_rows, x1.size), dtype=dtype)
+            out[...] = const[:, None]
+            return out.reshape(shape)
         x1, x2 = x1.reshape(-1), x2.reshape(-1)
-        if not pairs:
-            return np.zeros(shape, dtype=coeffs.dtype)
-        if x1_pole and np.any(x1 == 0.0):
+        if x1_pole and (x1 == 0.0).any():
             raise EvaluationPoleError("negative power of x1 at x1 = 0")
         sin1 = np.sin(x1) if need_sin else None
         cos1 = np.cos(x1) if need_cos else None
-        if cos_pole and np.min(np.abs(cos1)) < 1e-12:
+        if cos_pole and np.abs(cos1).min() < 1e-12:
             raise EvaluationPoleError("negative power of cos(x1) at a zero of cos")
-        table_a = [_product(x1 ** p1 if p1 else None, sin1 if s else None,
-                            cos1 ** c if c else None) for p1, s, c in keys_a]
-        table_b = [_product(x2 ** p2 if p2 else None, np.exp(freq * x2) if freq else None)
-                   for p2, freq in keys_b]
-        columns = np.empty((len(pairs), x1.size), dtype=coeffs.dtype)
-        for column, (a, b) in zip(columns, pair_idx):
-            product = _product(table_a[a], table_b[b])
-            column[...] = 1.0 if product is None else product
+        values = [_factor(kind, p, x1, x2, sin1, cos1) for kind, p in factors]
+        columns = np.empty((len(plan), x1.size))
+        for column, idx in zip(columns, plan):
+            column[...] = values[idx[0]]
+            for k in idx[1:]:
+                column *= values[k]
         # np.dot, not @: with a single column matmul skips BLAS and is 4x slower
-        return np.dot(coeffs, columns).reshape(shape)
+        out = np.dot(coeffs, columns)
+        if not real:
+            out = out[:n_rows] + 1j * out[n_rows:]
+        if has_const:
+            out += const[:, None]
+        return out.reshape(shape)
 
+    evaluate.dtype = dtype
     return evaluate
 
 
-def _product(*factors):
-    """Product of the factors that are not None; None if none are left."""
-    out = None
-    for f in factors:
-        if f is not None:
-            out = f if out is None else out * f
-    return out
+def _factor(kind: str, p, x1, x2, sin1, cos1):
+    """Values of one base factor of ``compile_exprs`` at the points."""
+    if kind == "sin1":
+        return sin1
+    if kind == "exp":
+        return np.exp(p * x2)
+    if kind == "cos":
+        return np.cos(p * x2)
+    if kind == "sin":
+        return np.sin(p * x2)
+    v = {"x1": x1, "cos1": cos1, "x2": x2}[kind]
+    return v if p == 1 else v ** p
 
 
 def _coef_text(sc: Scalar) -> str:

@@ -170,6 +170,16 @@ def test_chart_precondition_failure_exits_two(files, capsys):
     assert "input error" in err
 
 
+def test_chart_on_non_real_symbols_exits_two(files, tmp_path, capsys):
+    path = tmp_path / "gaussian.json"
+    path.write_text(json.dumps({"gamma": {"111": "i", "221": "1"}, "basepoint": ["0", "0"]}),
+                    encoding="utf-8")
+    code, payload, err = run(capsys, "chart", str(path), "--mode", "normalize",
+                             "--field", files["d1"])
+    assert code == 2 and payload is None
+    assert "connection symbols are not real" in err
+
+
 def test_chart_invalid_config_exits_two(files, capsys):
     code, _, err = run(capsys, "chart", files["sphere"], "--mode", "normalize",
                        "--field", files["d2"], "--grid", "2")

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from affkit.coords import normalize_chart
 from affkit.killing import Jet1, JetField, VectorField, jet_of, killing_jet_space, residuals
 from affkit.numeric import (
     FD_STENCIL, DomainExit, Grid, NumericError, _rk4, _stencil, default_grid, fd_residuals,
     flow, flow_batch, flow_preserves_connection, geodesic, geodesic_endpoints,
 )
 from affkit.scalars import Scalar
-from affkit.surface import type_a, type_b
+from affkit.surface import surface_from_json, type_a, type_b
 from affkit.symexpr import parse
 
 from conftest import D1, D2
@@ -81,6 +82,18 @@ def test_numeric_checks_reject_a_non_real_field():
         fd_residuals(s, field)
     with pytest.raises(NumericError):
         flow_preserves_connection(s, field, 0.1)
+
+
+def test_numeric_checks_reject_non_real_symbols():
+    # With G_11^1 = i dropped to its real part, the flow check read 0.18127 and
+    # normalize_chart passed, exactly as on the surface without G_11^1.
+    s = surface_from_json({"gamma": {"111": "i", "221": "1"}, "basepoint": ["0", "0"]})
+    for check in (lambda: flow_preserves_connection(s, VectorField(parse("x1"), parse("0")), 0.2),
+                  lambda: geodesic(s, (0.0, 0.0), (1.0, 0.0), 0.1),
+                  lambda: fd_residuals(s, D1),
+                  lambda: normalize_chart(s, D1)):
+        with pytest.raises(NumericError, match="connection symbols are not real"):
+            check()
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from affkit.paperchecks import sphere_killing_triple
 from affkit.scalars import Scalar, ONE, ZERO
 from affkit.surface import GAMMA_KEYS, sphere, type_b
 from affkit.symexpr import (
@@ -241,7 +242,29 @@ def _trig_exp_exprs(rng):
     return [parse(t) for t in texts]
 
 
-@pytest.mark.parametrize("fixture", [_sphere_symbols, _a_over_x1_symbols, _trig_exp_exprs])
+def _sphere_triple(rng):
+    return [e for field in sphere_killing_triple() for e in (field.a1, field.a2)]
+
+
+# (texts, dtype of the compiled output): conjugate pairs evaluate as real
+# cos and sin, anything that differs from its conjugate stays complex.
+EVALUATOR_CASES = [
+    (["exp(1+2*i*x2)+exp(1-2*i*x2)"], float),
+    (["exp(1*i*x2)"], complex),
+    (["i*x1"], complex),
+    (["7/3", "-2", "0"], float),
+    (["0"], float),
+]
+
+
+def _case_exprs(texts):
+    return lambda rng: [parse(t) for t in texts]
+
+
+@pytest.mark.parametrize("fixture", [
+    _sphere_symbols, _a_over_x1_symbols, _trig_exp_exprs, _sphere_triple,
+    *(pytest.param(_case_exprs(texts), id="+".join(texts)) for texts, _ in EVALUATOR_CASES),
+])
 def test_compiled_evaluator_matches_eval_numeric(fixture, rng):
     exprs = fixture(rng)
     x1 = [rng.uniform(0.05, 1.5) for _ in range(20)]
@@ -261,6 +284,26 @@ def test_compiled_evaluator_broadcasts_and_stays_real():
     assert vals[0, 1, 2] == 3.0 and vals[1, 0, 0] == math.cos(0.5)
     assert not vals[2].any()
     assert compile_exprs([parse("exp(1*i*x2)")])(0.0, 1.0).dtype == complex
+    x1, x2 = np.array([[0.5], [1.0]]), np.array([-1.0, 0.0, 2.5])
+    cases = [(_sphere_triple(None), float)] + [
+        ([parse(t) for t in texts], dtype) for texts, dtype in EVALUATOR_CASES]
+    for exprs, dtype in cases:
+        ev = compile_exprs(exprs)
+        vals = ev(x1, x2)
+        assert vals.shape == (len(exprs), 2, 3) and vals.dtype == ev.dtype == dtype
+        for row, e in enumerate(exprs):
+            for (i, j), a in np.ndenumerate(np.broadcast_to(x1, (2, 3))):
+                want = e.eval_numeric((a, x2[j]))
+                assert abs(vals[row, i, j] - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@given(exprs(), st.booleans())
+@settings(max_examples=60)
+def test_compiled_output_is_real_exactly_for_self_conjugate_exprs(e, symmetrize):
+    if symmetrize:
+        e = e + e.conjugate()
+    vals = compile_exprs([e])(np.array([0.3, 1.1]), np.array([0.1, -0.7]))
+    assert (vals.dtype == float) == (e - e.conjugate()).is_zero
 
 
 @pytest.mark.parametrize("text, point", [
