@@ -77,6 +77,20 @@ def _second_derivatives(system: JetSystem, v: list[Scalar]) -> dict[tuple[int, i
             for key, row in system.second.items()}
 
 
+def _bracket_vector(x: list[Scalar], y: list[Scalar], ddx, ddy) -> list[Scalar]:
+    """Jet vector of [X, Y] from the jet vectors of X, Y and their second
+    derivatives (``_second_derivatives``)."""
+    b = lambda v, k, i: v[2 * k + i - 1]     # d_i a^k in the jet layout
+    out = [ZERO] * JET_DIM
+    for k, l in product((1, 2), repeat=2):
+        out[k - 1] = out[k - 1] + x[l - 1] * b(y, k, l) - y[l - 1] * b(x, k, l)
+        for m in (1, 2):
+            out[2 * k + m - 1] = (out[2 * k + m - 1]
+                                  + b(x, l, m) * b(y, k, l) + x[l - 1] * ddy[(m, l, k)]
+                                  - b(y, l, m) * b(x, k, l) - y[l - 1] * ddx[(m, l, k)])
+    return out
+
+
 def bracket_jets(s: AffineSurface, vx: Jet1, vy: Jet1,
                  system: JetSystem | None = None) -> Jet1:
     """Jet of [X, Y] from the jets of two Killing fields.
@@ -86,16 +100,8 @@ def bracket_jets(s: AffineSurface, vx: Jet1, vy: Jet1,
     """
     system = system or jet_system(s)
     x, y = vx.as_vector(), vy.as_vector()
-    ddx, ddy = _second_derivatives(system, x), _second_derivatives(system, y)
-    b = lambda v, k, i: v[2 * k + i - 1]     # d_i a^k in the jet layout
-    out = [ZERO] * JET_DIM
-    for k, l in product((1, 2), repeat=2):
-        out[k - 1] = out[k - 1] + x[l - 1] * b(y, k, l) - y[l - 1] * b(x, k, l)
-        for m in (1, 2):
-            out[2 * k + m - 1] = (out[2 * k + m - 1]
-                                  + b(x, l, m) * b(y, k, l) + x[l - 1] * ddy[(m, l, k)]
-                                  - b(y, l, m) * b(x, k, l) - y[l - 1] * ddx[(m, l, k)])
-    return Jet1.from_vector(out)
+    return Jet1.from_vector(_bracket_vector(
+        x, y, _second_derivatives(system, x), _second_derivatives(system, y)))
 
 
 # ---------------------------------------------------------------------------
@@ -104,11 +110,51 @@ def bracket_jets(s: AffineSurface, vx: Jet1, vy: Jet1,
 
 @dataclass
 class LieAlgebraPresentation:
+    """Structure constants over a jet basis.
+
+    ``den`` is the least common denominator of the structure constants, and
+    ``ad_re``/``ad_im`` hold den * ad(e_i) over the Gaussian integers as
+    sparse (row, column, value) entries, so den * ad(x) for an integer x
+    is plain int arithmetic (``int_ad``); ``ad_im`` is None for a real
+    algebra.  The tables are derived once, at construction, from ``c``.
+    """
+
     dim: int
     c: list[list[list[Scalar]]]          # [e_i, e_j] = sum_k c[i][j][k] e_k
     jets: list[Jet1]
     eval_matrix: list[list[Scalar]]      # 2 x dim basis-field values at P
     system: JetSystem | None = None      # the surface's, when built from one
+    den: int = field(init=False, repr=False)
+    ad_re: list[list[tuple[int, int, int]]] = field(init=False, repr=False)
+    ad_im: list[list[tuple[int, int, int]]] | None = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n = self.dim
+        d, re, im = linalg.clear_denominators(
+            [[self.c[i][j][k] for i in range(n) for j in range(n)] for k in range(n)])
+
+        def table(part):
+            # part[k][i*n + j] = den * c[i][j][k], the (k, j) entry of den * ad(e_i)
+            return [[(k, j, part[k][i * n + j]) for k in range(n) for j in range(n)
+                     if part[k][i * n + j]] for i in range(n)]
+
+        self.den = d
+        self.ad_re = table(re)
+        self.ad_im = table(im) if im is not None else None
+
+    def int_ad(self, x: tuple[int, ...]) -> tuple[linalg.IntMat, linalg.IntMat | None]:
+        """den * ad(x) for an integer vector x, as (real, imaginary) int matrices."""
+        n = self.dim
+
+        def combine(tables):
+            out = [[0] * n for _ in range(n)]
+            for xi, entries in zip(x, tables):
+                if xi:
+                    for k, j, v in entries:
+                        out[k][j] += xi * v
+            return out
+
+        return combine(self.ad_re), (None if self.ad_im is None else combine(self.ad_im))
 
     def ad(self, xi: list[Scalar]) -> list[list[Scalar]]:
         """Matrix of ad(xi) in the basis: column j holds [xi, e_j]."""
@@ -152,22 +198,31 @@ class LieAlgebraPresentation:
 
 def structure_constants(s: AffineSurface,
                         space: KillingJetSpace | None = None) -> LieAlgebraPresentation:
-    """Exact structure constants of the Killing algebra in the jet basis."""
+    """Exact structure constants of the Killing algebra in the jet basis.
+
+    All n(n-1)/2 bracket jets are expressed in the basis by one reduction
+    of the 6 x (n + n(n-1)/2) matrix [basis | brackets]; the basis is
+    independent, so each solution is unique.
+    """
     ks = space or killing_jet_space(s)
     n = ks.dim
     basis_vecs = [j.as_vector() for j in ks.basis]
-    cols = [[basis_vecs[k][r] for k in range(n)] for r in range(JET_DIM)]
+    dds = [_second_derivatives(ks.system, v) for v in basis_vecs]
+    pairs = list(combinations(range(n), 2))
+    brackets = [_bracket_vector(basis_vecs[i], basis_vecs[j], dds[i], dds[j])
+                for i, j in pairs]
+    red, pivots = linalg.rref([[v[r] for v in basis_vecs] + [b[r] for b in brackets]
+                               for r in range(JET_DIM)])
+    # The first bracket outside the span is the first column pivoted past n.
+    escaped = next((p for p in pivots if p >= n), None)
+    if escaped is not None:
+        i, j = pairs[escaped - n]
+        raise SolveFailure(f"bracket of basis jets {i},{j} left the jet space")
     c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            bj = bracket_jets(s, ks.basis[i], ks.basis[j], ks.system).as_vector()
-            coeffs = linalg.solve(cols, bj)
-            if coeffs is None:
-                raise SolveFailure(
-                    f"bracket of basis jets {i},{j} left the jet space")
-            for k in range(n):
-                c[i][j][k] = coeffs[k]
-                c[j][i][k] = -coeffs[k]
+    for col, (i, j) in enumerate(pairs, start=n):
+        for r, k in enumerate(pivots):
+            c[i][j][k] = red[r][col]
+            c[j][i][k] = -red[r][col]
     eval_matrix = [[basis_vecs[k][0] for k in range(n)],
                    [basis_vecs[k][1] for k in range(n)]]
     return LieAlgebraPresentation(n, c, ks.basis, eval_matrix, ks.system)
@@ -198,11 +253,12 @@ class Eigenspace:
     certificate: float = 0.0
 
 
-def _rationalize_root(z: complex, coeffs) -> Scalar | None:
+def _rationalize_root(z: complex, poly: linalg.IntPoly, den: int) -> Scalar | None:
+    """An exact root near z of P_A, given ``poly`` = P_B for A = B/den."""
+    fr, fi = Fraction(z.real), Fraction(z.imag)
     for limit in (1, 12, 720, 10**6):
-        cand = Scalar(Fraction(z.real).limit_denominator(limit),
-                      Fraction(z.imag).limit_denominator(limit))
-        if abs(complex(cand) - z) < 1e-6 and linalg.poly_eval(coeffs, cand).is_zero:
+        cand = Scalar(fr.limit_denominator(limit), fi.limit_denominator(limit))
+        if abs(complex(cand) - z) < 1e-6 and linalg.is_root(poly, den, cand):
             return cand
     return None
 
@@ -210,15 +266,15 @@ def _rationalize_root(z: complex, coeffs) -> Scalar | None:
 def eigenvalues(L: LieAlgebraPresentation, xi: list[Scalar]):
     """(exact roots with multiplicity, leftover numeric roots)."""
     ad = L.ad(xi)
-    coeffs = linalg.charpoly(ad)
-    numeric = np.roots([complex(c) for c in reversed(coeffs)])
+    den, re, im = linalg.clear_denominators(ad)
+    poly = linalg.int_charpoly(re, im)
+    numeric = np.roots(linalg.float_coeffs(poly, den))
     exact: list[Scalar] = []
-    remaining = coeffs
     for z in numeric:
-        root = _rationalize_root(complex(z), remaining)
+        root = _rationalize_root(complex(z), poly, den)
         if root is not None:
             exact.append(root)
-            remaining = linalg.poly_deflate(remaining, root)
+            poly = linalg.deflate(poly, den, root)
     leftover = [complex(z) for z in numeric
                 if not any(abs(complex(r) - z) < 1e-7 for r in exact)]
     return exact, leftover, ad
@@ -353,8 +409,9 @@ def _unit(n: int, i: int) -> list[Scalar]:
 
 
 def _search_candidates(n: int):
-    """Deterministic candidate stream: basis elements, two-slot integer
-    combinations, then full small-integer combinations up to WITNESS_BUDGET."""
+    """Deterministic candidate stream of primitive integer vectors: basis
+    elements, two-slot integer combinations, then full small-integer
+    combinations up to WITNESS_BUDGET."""
     yielded = 0
     seen = set()
 
@@ -371,7 +428,7 @@ def _search_candidates(n: int):
             return None
         seen.add(ints)
         yielded += 1
-        return [Scalar.of(v) for v in ints]
+        return ints
 
     for i in range(n):
         vec = [0] * n
@@ -410,7 +467,8 @@ def _verified_bracket(s, L, u, v) -> list[Scalar]:
 
 def _find_type_a(s, L) -> Witness | None:
     n = L.dim
-    for x in _search_candidates(n):
+    for ints in _search_candidates(n):
+        x = [Scalar.of(v) for v in ints]
         kernel = linalg.nullspace(L.ad(x), n_cols=n)
         pool = [x] + kernel
         for u, v in combinations(pool, 2):
@@ -425,21 +483,28 @@ def _find_type_a(s, L) -> Witness | None:
 
 
 def _find_type_b(s, L, diagnostics) -> Witness | None:
-    n = L.dim
-    for x in _search_candidates(n):
-        ad = L.ad(x)
-        coeffs = linalg.charpoly(ad)
-        roots = np.roots([complex(c) for c in reversed(coeffs)])
+    """Spectra in Python integers: den * ad(x) from the presentation's
+    tables, its monic Z[i] characteristic polynomial, and the exact root
+    test; the Scalar ad(x) is built only when a rational eigenvalue needs
+    its eigenvectors."""
+    n, den = L.dim, L.den
+    for ints in _search_candidates(n):
+        poly = linalg.int_charpoly(*L.int_ad(ints))
+        roots = np.roots(linalg.float_coeffs(poly, den))
+        x = ad = None
         for z in roots:
             if abs(z) < 1e-9:
                 continue
             if abs(z.imag) > 1e-9:
                 continue
-            lam = _rationalize_root(complex(z.real, 0.0), coeffs)
-            if lam is None or not lam.is_real or lam.is_zero:
+            lam = _rationalize_root(complex(z.real, 0.0), poly, den)
+            if lam is None or lam.is_zero:
                 diagnostics.append(
                     f"skipped non-rational candidate eigenvalue {z.real:.6g}")
                 continue
+            if ad is None:
+                x = [Scalar.of(v) for v in ints]
+                ad = L.ad(x)
             shifted = [[ad[i][j] - (lam if i == j else ZERO) for j in range(n)]
                        for i in range(n)]
             for y in linalg.nullspace(shifted, n_cols=n):

@@ -1,9 +1,12 @@
 """Exact linear algebra over Gaussian rationals.
 
-Small dense matrices as lists of lists of Scalar.  Everything here is
-fraction-free in spirit but implemented directly over the field: row
-echelon with exact division, nullspace bases in reduced form, exact rank,
-linear solves, and the characteristic polynomial by Faddeev-LeVerrier.
+Small dense matrices as lists of lists of Scalar.  Row echelon form,
+nullspace bases in reduced form, exact rank and linear solves work
+directly over the field with exact division.  Spectra are fraction-free:
+a matrix A = B/d with B over the Gaussian integers Z[i] has its
+characteristic polynomial computed from B's by Faddeev-LeVerrier in Python
+integers (every division there is exact), and a rational root of A's
+polynomial is tested as a root of B's, which is monic over Z[i].
 Products and row operations skip zero entries, since the matrices met
 here (ad matrices, constraint rows) are mostly zero.
 """
@@ -11,11 +14,15 @@ here (ad matrices, constraint rows) are mostly zero.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .scalars import ONE, ZERO, Scalar
 
 Vec = list[Scalar]
 Mat = list[list[Scalar]]
+IntMat = list[list[int]]
+# A polynomial over Z[i] as (real parts, imaginary parts) of [c_0, ..., c_n].
+IntPoly = tuple[list[int], list[int]]
 
 
 def zeros(n: int, m: int) -> Mat:
@@ -127,46 +134,135 @@ def in_span(basis: list[Vec], v: Vec) -> bool:
     return solve(cols, v) is not None
 
 
-def charpoly(a: Mat) -> list[Scalar]:
-    """Coefficients [c_0, ..., c_n] of det(t*I - A), monic (c_n = 1).
+def clear_denominators(a: Mat) -> tuple[int, IntMat, IntMat | None]:
+    """(d, re, im) with a = (re + i*im) / d and d the least common denominator.
 
-    Faddeev-LeVerrier recursion M_1 = A, M_k = A (M_{k-1} + c_{n-k+1} I);
-    exact over the Gaussian rationals.
+    ``im`` is None when every entry of ``a`` is real.
     """
-    n = len(a)
-    coeffs = [ZERO] * (n + 1)
-    coeffs[n] = ONE
-    m = [row[:] for row in a]
+    d = lcm(1, *(x.re.denominator for row in a for x in row),
+            *(x.im.denominator for row in a for x in row))
+    re = [[x.re.numerator * (d // x.re.denominator) for x in row] for row in a]
+    if all(x.is_real for row in a for x in row):
+        return d, re, None
+    return d, re, [[x.im.numerator * (d // x.im.denominator) for x in row] for row in a]
+
+
+def _int_mul(a: IntMat, m: IntMat) -> IntMat:
+    """Integer product ``a @ m``; zero entries of ``a`` are skipped."""
+    out = []
+    for row in a:
+        acc = [0] * len(m[0])
+        for t, x in enumerate(row):
+            if x:
+                for j, y in enumerate(m[t]):
+                    acc[j] += x * y
+        out.append(acc)
+    return out
+
+
+def int_charpoly(re: IntMat, im: IntMat | None = None) -> IntPoly:
+    """Coefficients of det(t*I - B) for B = re + i*im over Z[i], monic.
+
+    Faddeev-LeVerrier: M_1 = B, c_{n-k} = -tr(M_k)/k, M_{k+1} =
+    B (M_k + c_{n-k} I).  For B over Z[i] every c_{n-k} lies in Z[i], so the
+    divisions by k are exact.  With ``im`` None the recursion stays real.
+    """
+    n = len(re)
+    cr, ci = [0] * (n + 1), [0] * (n + 1)
+    cr[n] = 1
+    mr = [row[:] for row in re]
+    mi = [row[:] for row in im] if im is not None else None
     for k in range(1, n + 1):
-        ck = -(trace(m) / Fraction(k))
-        coeffs[n - k] = ck
+        cr[n - k] = -sum(mr[i][i] for i in range(n)) // k
+        if mi is not None:
+            ci[n - k] = -sum(mi[i][i] for i in range(n)) // k
         if k == n:
             break
         for i in range(n):
-            m[i][i] = m[i][i] + ck
-        m = mat_mul(a, m)
-    return coeffs
+            mr[i][i] += cr[n - k]
+            if mi is not None:
+                mi[i][i] += ci[n - k]
+        if mi is None:
+            mr = _int_mul(re, mr)
+        else:
+            rr, ii = _int_mul(re, mr), _int_mul(im, mi)
+            ri, ir = _int_mul(re, mi), _int_mul(im, mr)
+            mr = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(rr, ii)]
+            mi = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(ri, ir)]
+    return cr, ci
 
 
-def poly_eval(coeffs: list[Scalar], x: Scalar) -> Scalar:
-    acc = ZERO
-    for ck in reversed(coeffs):
-        acc = acc * x + ck
-    return acc
+def charpoly(a: Mat) -> list[Scalar]:
+    """Coefficients [c_0, ..., c_n] of det(t*I - A), monic (c_n = 1).
+
+    Exact over the Gaussian rationals: with A = B/d and B over Z[i],
+    c_k(A) = c_k(B) / d^(n-k), and c_k(B) comes from ``int_charpoly``.
+    """
+    n = len(a)
+    d, re, im = clear_denominators(a)
+    cr, ci = int_charpoly(re, im)
+    return [Scalar(Fraction(cr[k], d ** (n - k)), Fraction(ci[k], d ** (n - k)))
+            for k in range(n + 1)]
 
 
-def poly_deflate(coeffs: list[Scalar], root: Scalar) -> list[Scalar]:
-    """Divide by (t - root); the root must be exact."""
-    out: list[Scalar] = []
-    acc = ZERO
-    for ck in reversed(coeffs):
-        acc = acc * root + ck
-        out.append(acc)
-    rem = out.pop()
-    if not rem.is_zero:
+def _int_horner(poly: IntPoly, sr: int, si: int) -> tuple[int, int, list[int], list[int]]:
+    """Synthetic division of ``poly`` by (t - s), s = sr + i*si in Z[i].
+
+    Returns the value at s and the quotient's coefficients, lowest first.
+    """
+    qr, qi = [], []
+    ar = ai = 0
+    for cr, ci in zip(reversed(poly[0]), reversed(poly[1])):
+        ar, ai = ar * sr - ai * si + cr, ar * si + ai * sr + ci
+        qr.append(ar)
+        qi.append(ai)
+    qr.pop()
+    qi.pop()
+    return ar, ai, qr[::-1], qi[::-1]
+
+
+def _scaled_root(d: int, r: Scalar) -> tuple[int, int] | None:
+    """d*r as a Gaussian integer, or None when it is not one."""
+    sr, si = r.re * d, r.im * d
+    if sr.denominator != 1 or si.denominator != 1:
+        return None
+    return sr.numerator, si.numerator
+
+
+def is_root(poly: IntPoly, d: int, r: Scalar) -> bool:
+    """Whether r is an exact root of P_A, given ``poly`` = P_B for A = B/d.
+
+    r is a root of P_A exactly when d*r is a root of P_B, which is monic
+    over Z[i]; a root of such a polynomial in Q(i) lies in Z[i], so any r
+    with d*r outside Z[i] is rejected without evaluation.
+    """
+    s = _scaled_root(d, r)
+    if s is None:
+        return False
+    vr, vi, _, _ = _int_horner(poly, *s)
+    return not vr and not vi
+
+
+def deflate(poly: IntPoly, d: int, r: Scalar) -> IntPoly:
+    """P_B / (t - d*r) over Z[i]; r must be an exact root (see ``is_root``)."""
+    s = _scaled_root(d, r)
+    if s is None:
         raise ValueError("not an exact root")
-    out.reverse()
-    return out
+    vr, vi, qr, qi = _int_horner(poly, *s)
+    if vr or vi:
+        raise ValueError("not an exact root")
+    return qr, qi
+
+
+def float_coeffs(poly: IntPoly, d: int) -> list[complex]:
+    """P_A's coefficients as complex floats, highest degree first (np.roots).
+
+    Int true division rounds correctly, so each value equals
+    ``complex(Scalar)`` of the exact coefficient c_k(B) / d^(n-k).
+    """
+    n = len(poly[0]) - 1
+    return [complex(poly[0][k] / d ** (n - k), poly[1][k] / d ** (n - k))
+            for k in range(n, -1, -1)]
 
 
 def mat_pow(a: Mat, n: int) -> Mat:

@@ -1,6 +1,6 @@
 """Independent oracles used only by the test suite.
 
-Two cross-check paths that deliberately avoid the package's own kernel:
+Three cross-check paths that deliberately avoid the package's own kernel:
 
 * a sympy pipeline recomputing torsion/curvature/Ricci/covariant-derivative
   from the same index formulas, used to confirm symbolic tensor output at
@@ -8,15 +8,21 @@ Two cross-check paths that deliberately avoid the package's own kernel:
 
 * a truncated power-series solver for the affine Killing equations that
   estimates the Killing-algebra dimension by float SVD, used to cross-check
-  the exact jet solver.
+  the exact jet solver;
+
+* the field (Scalar) Faddeev-LeVerrier recursion and Horner evaluation,
+  the reference for the package's fraction-free integer spectra.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import sympy as sp
+
+from affkit.scalars import ONE, ZERO
 
 X1, X2 = sp.symbols("x1 x2")
 
@@ -75,6 +81,36 @@ def sym_killing_residuals(g: dict, a1: sp.Expr, a2: sp.Expr) -> dict:
                      + g[f"{l}{j}{k}"] * sp.diff(a[l], x[i]))
         out[(i, j, k)] = sp.simplify(expr)
     return out
+
+
+# ---------------------------------------------------------------------------
+# characteristic polynomials over the field
+# ---------------------------------------------------------------------------
+
+def charpoly_reference(a: list) -> list:
+    """[c_0, ..., c_n] of det(t*I - A) by Faddeev-LeVerrier over the field:
+    M_1 = A, c_{n-k} = -tr(M_k)/k, M_{k+1} = A (M_k + c_{n-k} I)."""
+    n = len(a)
+    coeffs = [ZERO] * n + [ONE]
+    m = [row[:] for row in a]
+    for k in range(1, n + 1):
+        ck = -(sum((m[i][i] for i in range(n)), ZERO) / Fraction(k))
+        coeffs[n - k] = ck
+        if k == n:
+            break
+        for i in range(n):
+            m[i][i] = m[i][i] + ck
+        m = [[sum((a[i][t] * m[t][j] for t in range(n)), ZERO) for j in range(n)]
+             for i in range(n)]
+    return coeffs
+
+
+def poly_eval_reference(coeffs: list, x):
+    """Horner evaluation of [c_0, ..., c_n] at the Scalar x."""
+    acc = ZERO
+    for ck in reversed(coeffs):
+        acc = acc * x + ck
+    return acc
 
 
 # ---------------------------------------------------------------------------

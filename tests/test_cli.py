@@ -6,18 +6,26 @@ from pathlib import Path
 import pytest
 
 from affkit.cli import main
-from affkit.surface import sphere, surface_to_json, type_a, type_b
+from affkit.surface import sphere, surface_from_json, surface_to_json, type_a, type_b
 
 from conftest import LATE_CONSTRAINTS
 
 # Stdout of `classify` and `killing --basis` recorded before the exact core
 # skipped zeros and real-only work; exact answers must not change by a byte.
+# The type_a_*_m2 surfaces exhaust the Type B witness budget and list 446
+# skipped eigenvalues each, so their bytes also pin the np.roots-driven
+# diagnostics; the last one has a Gaussian (non-real) symbol.
 GOLDEN = Path(__file__).parent / "data" / "cli"
 GOLDEN_SURFACES = {
     "sphere": sphere,
     "flat": lambda: type_a({}),
     "type_a_112_221": lambda: type_a({"112": 1, "221": 1}),
     "type_b_221": lambda: type_b({"221": 1}),
+    "type_a_111_221_m2": lambda: type_a({"111": 1, "221": -2}),
+    "type_a_112_222_m2": lambda: type_a({"112": 1, "222": -2}),
+    "type_a_111_221_2": lambda: type_a({"111": 1, "221": 2}),
+    "type_a_112_222_2": lambda: type_a({"112": 1, "222": 2}),
+    "type_a_112i_222_m2": lambda: surface_from_json({"gamma": {"112": "i", "222": "-2"}}),
 }
 
 

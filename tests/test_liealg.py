@@ -1,6 +1,7 @@
 """Brackets, structure constants, spectra, grading, classification."""
 
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given
@@ -12,9 +13,9 @@ from affkit.liealg import (
     bracket_fields, bracket_jets, classify, effective, generalized_eigenspaces,
     grading_check, jacobi_residual, structure_constants,
 )
-from affkit.linalg import solve
+from affkit.linalg import rank, solve
 from affkit.scalars import ONE, ZERO, Scalar
-from affkit.surface import make_surface, sphere, type_a, type_b
+from affkit.surface import GAMMA_KEYS, make_surface, sphere, type_a, type_b
 from affkit.symexpr import Expr, parse
 
 from conftest import D1, D2, random_type_a
@@ -179,6 +180,75 @@ def test_sphere_algebra_is_three_dimensional(sphere_surface):
     assert structure_constants(sphere_surface).dim == 3
 
 
+def test_structure_constants_name_the_pair_that_escapes(flat_surface):
+    # Drop x2 d2 from the flat basis (hand table above): the first pair
+    # whose bracket needs it is [x2 d1, x1 d2] = x2 d2 - x1 d1.
+    from dataclasses import replace
+    from affkit.liealg import SolveFailure
+    ks = killing_jet_space(flat_surface)
+    cut = replace(ks, basis=ks.basis[:5], dim=5)
+    with pytest.raises(SolveFailure, match="basis jets 3,4 "):
+        structure_constants(flat_surface, cut)
+
+
+# ---------------------------------------------------------------------------
+# metamorphic invariance of the algebra
+# ---------------------------------------------------------------------------
+
+def algebra_invariants(s):
+    """(Killing dimension, Jacobi holds, derived dimension, Killing-form rank)."""
+    L = structure_constants(s)
+    derived = rank([L.c[i][j] for i, j in combinations(range(L.dim), 2)])
+    return (L.dim, all(x.is_zero for x in jacobi_residual(L)), derived,
+            rank(L.killing_form()))
+
+
+def constant_surface(symbols):
+    """Type A surface with constant (possibly Gaussian) symbols."""
+    return make_surface({key: Expr.const(val) for key, val in symbols.items()}, (0, 0))
+
+
+def linear_pushforward(symbols, a):
+    """Symbols in the coordinates y = a x: G'_ij^k = a^k_c G_ab^c b^a_i b^b_j,
+    b = a^-1 (a linear change has no second-derivative term)."""
+    det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    b = [[a[1][1] / det, -a[0][1] / det], [-a[1][0] / det, a[0][0] / det]]
+    g = {key: symbols.get(key, ZERO) for key in GAMMA_KEYS}
+    out = {}
+    for i, j, k in product((1, 2), repeat=3):
+        acc = ZERO
+        for p, q, c in product((1, 2), repeat=3):
+            acc = acc + g[f"{p}{q}{c}"] * (a[k - 1][c - 1] * b[p - 1][i - 1] * b[q - 1][j - 1])
+        out[f"{i}{j}{k}"] = acc
+    return out
+
+
+SPARSE_SYMBOLS = st.dictionaries(st.sampled_from(GAMMA_KEYS),
+                                 st.integers(-2, 2).map(Scalar.of), max_size=3)
+GAUSSIAN_SYMBOLS = st.dictionaries(
+    st.sampled_from(GAMMA_KEYS),
+    st.builds(Scalar.of, st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=3)
+GL2 = st.lists(st.lists(st.integers(-2, 2).map(Fraction), min_size=2, max_size=2),
+               min_size=2, max_size=2).filter(lambda a: a[0][0] * a[1][1] != a[0][1] * a[1][0])
+
+
+@given(SPARSE_SYMBOLS, GL2)
+def test_algebra_invariants_survive_linear_coordinate_change(symbols, a):
+    # The search for witnesses depends on the basis, so only basis-free
+    # invariants are compared, never the branch kinds.
+    before = algebra_invariants(constant_surface(symbols))
+    assert before[1]
+    assert algebra_invariants(constant_surface(linear_pushforward(symbols, a))) == before
+
+
+@given(GAUSSIAN_SYMBOLS)
+def test_algebra_invariants_survive_complex_conjugation(symbols):
+    before = algebra_invariants(constant_surface(symbols))
+    assert before[1]
+    conj = {key: val.conjugate() for key, val in symbols.items()}
+    assert algebra_invariants(constant_surface(conj)) == before
+
+
 # ---------------------------------------------------------------------------
 # generalized eigenspaces and grading
 # ---------------------------------------------------------------------------
@@ -206,6 +276,40 @@ def test_affine_pair_spectrum():
     byval = {str(sp.alpha): sp for sp in spaces}
     assert set(byval) == {"0", "1"}
     assert byval["1"].basis == [[ZERO, ONE]]
+
+
+def test_fractional_constants_keep_an_exact_spectrum():
+    # [X, Y] = Y/2 and [X, Y] = (1/3 + i/2) Y: den > 1, so the integer
+    # spectrum must be scaled back before the roots are rationalized.
+    for lam, den in ((Scalar.of(Fraction(1, 2)), 2),
+                     (Scalar.of(Fraction(1, 3), Fraction(1, 2)), 6)):
+        L = presentation_from_table(2, {(0, 1): {1: lam}})
+        assert L.den == den
+        spaces = generalized_eigenspaces(L, [ONE, ZERO])
+        assert all(sp.exact for sp in spaces)
+        assert {str(sp.alpha) for sp in spaces} == {"0", str(lam)}
+
+
+GAUSSIAN_CONSTANTS = st.builds(
+    lambda a, b, q: Scalar.of(Fraction(a, q), Fraction(b, q)),
+    st.integers(-3, 3), st.one_of(st.just(0), st.integers(-3, 3)), st.integers(1, 6))
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda ij: ij[0] < ij[1]), st.dictionaries(st.integers(0, n - 1), GAUSSIAN_CONSTANTS)),
+    st.lists(st.integers(-2, 2), min_size=n, max_size=n))))
+def test_integer_ad_tables_scale_ad(case):
+    # den * ad(x) from the integer tables equals den times the Scalar ad(x).
+    n, table, x = case
+    L = presentation_from_table(n, table)
+    re, im = L.int_ad(tuple(x))
+    want = L.ad([Scalar.of(v) for v in x])
+    assert (im is None) == all(c.is_real for plane in L.c for row in plane for c in row)
+    im = im or [[0] * n for _ in range(n)]
+    assert all(Scalar.of(re[k][j], im[k][j]) == want[k][j] * L.den
+               for k in range(n) for j in range(n))
 
 
 def test_irrational_spectrum_gets_numeric_certificates():

@@ -7,10 +7,12 @@ import hypothesis.strategies as st
 import sympy as sp
 
 from affkit.linalg import (
-    charpoly, identity, in_span, mat_mul, mat_pow, mat_vec, nullspace,
-    poly_deflate, poly_eval, rank, rref, solve,
+    charpoly, clear_denominators, deflate, float_coeffs, identity, in_span, int_charpoly, is_root,
+    mat_mul, mat_pow, mat_vec, nullspace, rank, rref, solve,
 )
 from affkit.scalars import ONE, ZERO, Scalar
+
+from helpers_oracle import charpoly_reference, poly_eval_reference
 
 # Sparse Gaussian-rational entries: about half zero, the rest real,
 # imaginary or general, as in ad matrices and constraint rows.
@@ -75,9 +77,7 @@ def test_charpoly_of_rotation_generator():
     # [[0, -1], [1, 0]] has characteristic polynomial t^2 + 1.
     coeffs = charpoly(M([[0, -1], [1, 0]]))
     assert coeffs == [ONE, ZERO, ONE]
-    assert poly_eval(coeffs, Scalar.of(0, 1)).is_zero
-    deflated = poly_deflate(coeffs, Scalar.of(0, 1))
-    assert poly_eval(deflated, Scalar.of(0, -1)).is_zero
+    assert int_charpoly([[0, -1], [1, 0]]) == ([1, 0, 1], [0, 0, 0])
 
 
 @given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3),
@@ -138,3 +138,91 @@ def test_mat_pow_matches_repeated_products(a, k):
     for _ in range(k):
         want = mat_mul(want, a)
     assert mat_pow(a, k) == want
+
+
+# Gaussian rationals with mixed denominators up to 10^6, real or complex.
+BIG_DENOMINATORS = st.integers(1, 10**6)
+REAL_ENTRIES = st.one_of(
+    st.just(ZERO),
+    st.builds(lambda a, q: Scalar.of(Fraction(a, q)), st.integers(-9, 9), BIG_DENOMINATORS))
+COMPLEX_ENTRIES = st.one_of(
+    REAL_ENTRIES,
+    st.builds(lambda a, q, b, r: Scalar.of(Fraction(a, q), Fraction(b, r)),
+              st.integers(-9, 9), BIG_DENOMINATORS, st.integers(-9, 9), BIG_DENOMINATORS))
+
+
+def square_matrices(entries, max_n=6):
+    return st.integers(0, max_n).flatmap(lambda n: st.lists(
+        st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@given(st.one_of(square_matrices(REAL_ENTRIES), square_matrices(COMPLEX_ENTRIES)))
+def test_charpoly_matches_field_reference(a):
+    assert charpoly(a) == charpoly_reference(a)
+
+
+@given(st.one_of(square_matrices(REAL_ENTRIES), square_matrices(COMPLEX_ENTRIES)))
+def test_float_coeffs_round_the_exact_coefficients(a):
+    # The np.roots input must equal complex() of each exact coefficient,
+    # bit for bit, highest degree first.
+    d, re, im = clear_denominators(a)
+    assert (float_coeffs(int_charpoly(re, im), d)
+            == [complex(c) for c in reversed(charpoly_reference(a))])
+
+
+@given(square_matrices(COMPLEX_ENTRIES, max_n=4))
+def test_clear_denominators_is_exact(a):
+    d, re, im = clear_denominators(a)
+    assert (im is None) == all(x.is_real for row in a for x in row)
+    im = im or [[0] * len(row) for row in re]
+    assert all(Scalar.of(Fraction(r, d), Fraction(i, d)) == x
+               for row_a, row_r, row_i in zip(a, re, im)
+               for x, r, i in zip(row_a, row_r, row_i))
+
+
+def _block_diag(*blocks):
+    n = sum(len(b) for b in blocks)
+    out = [[ZERO] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at:at + len(row)] = row
+        at += len(b)
+    return out
+
+
+GAUSSIAN_ROOTS = st.builds(
+    lambda p, pi, q: Scalar.of(Fraction(p, q), Fraction(pi, q)),
+    st.integers(-30, 30), st.one_of(st.just(0), st.integers(-30, 30)), st.integers(1, 10**6))
+PRIME = 2**61 - 1   # coprime to every scaled root met below
+
+
+@given(GAUSSIAN_ROOTS, st.integers(1, 10**6), st.integers(-3, 3), st.integers(1, 50),
+       st.booleans())
+def test_root_test_agrees_with_field_evaluation(r0, q2, p3, q3, rotate):
+    # (t - r0)(t^2 - 2)(t^2 + 2), or (t - r0)(t^2 - 2i)(t^2 + 2i), with an
+    # extra block 1/q2 that puts factors into den which r0 does not have.
+    two = Scalar.of(0, 2) if rotate else Scalar.of(2)
+    a = _block_diag([[r0]], [[ZERO, two], [ONE, ZERO]], [[ZERO, -two], [ONE, ZERO]],
+                    [[Scalar.of(Fraction(1, q2))]])
+    ref = charpoly_reference(a)
+    d, re, im = clear_denominators(a)
+    poly = int_charpoly(re, im)
+    scaled = r0 * d
+    candidates = [
+        r0, r0.conjugate(), -r0, r0 + Scalar.of(Fraction(p3, q3)),
+        Scalar.of(Fraction(p3, q3)), Scalar.of(Fraction(1, q2)), Scalar.of(Fraction(2, q2)),
+        # d * candidate = (d * r0) / PRIME: its numerators equal those of d * r0
+        Scalar.of(Fraction(scaled.re, d * PRIME), Fraction(scaled.im, d * PRIME)),
+        Scalar.of(Fraction(665857, 470832)), Scalar.of(0, Fraction(665857, 470832)),
+        Scalar.of(1, 1), Scalar.of(-1, -1),
+    ]
+    for cand in candidates:
+        assert is_root(poly, d, cand) == poly_eval_reference(ref, cand).is_zero, cand
+    assert is_root(poly, d, r0)
+    # Deflating the exact root leaves the characteristic polynomial of the rest.
+    qr, qi = deflate(poly, d, r0)
+    rest = charpoly_reference([row[1:] for row in a[1:]])
+    n = len(qr) - 1
+    assert [Scalar.of(Fraction(qr[k], d ** (n - k)), Fraction(qi[k], d ** (n - k)))
+            for k in range(n + 1)] == rest
