@@ -13,17 +13,24 @@ for subalgebra witnesses of the three target presentations:
 Witnesses are certificates: every reported relation is re-verified exactly
 through the jet bracket before it is returned.
 
-Jet brackets take their second derivatives from the surface's
-``killing.JetSystem``, built by ``killing_jet_space`` and kept on the
-presentation by ``structure_constants``: one classification builds it once.
+The layer runs over the Gaussian integers Z[i].  One integer bracket
+kernel serves ``structure_constants``, ``bracket_jets`` and the witness
+check.  A presentation is frozen: the tables it needs (the basis jets with
+their second derivatives from the surface's ``killing.JetSystem``, each
+over one common denominator, and den * ad(e_i)) are derived once, when it
+is built, so one classification builds the jet system once and no table
+can go stale.  Effectivity is a 2 x 2 determinant in Z[i], and the witness
+search takes ad(x) of its integer candidates from the integer tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, product
 from math import gcd
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,24 +78,125 @@ def bracket_fields(X: VectorField, Y: VectorField) -> VectorField:
     return VectorField(comps[0], comps[1])
 
 
-def _second_derivatives(system: JetSystem, v: list[Scalar]) -> dict[tuple[int, int, int], Scalar]:
-    """dd_ij a^k at the basepoint of the jet vector v, keyed (i, j, k) (exact)."""
-    return {key: sum((r * x for r, x in zip(row, v) if not r.is_zero and not x.is_zero), ZERO)
-            for key, row in system.second.items()}
+# A vector over the Gaussian integers Z[i] as (real parts, imaginary parts);
+# the imaginary parts are None for a real vector.  Matrices likewise, by rows.
+GaussVec = tuple[list[int], list[int] | None]
+GaussMat = tuple[linalg.IntMat, linalg.IntMat | None]
+
+# An extended jet: the six jet entries of a field, over a denominator D, then
+# its eight second derivatives dd_ij a^k at the basepoint, over D * d_second,
+# in the key order of ``JetSystem.second``.
+_SECOND = {key: JET_DIM + n for n, key in enumerate(product((1, 2), repeat=3))}
 
 
-def _bracket_vector(x: list[Scalar], y: list[Scalar], ddx, ddy) -> list[Scalar]:
-    """Jet vector of [X, Y] from the jet vectors of X, Y and their second
-    derivatives (``_second_derivatives``)."""
-    b = lambda v, k, i: v[2 * k + i - 1]     # d_i a^k in the jet layout
-    out = [ZERO] * JET_DIM
+def _bracket_terms() -> list[tuple[int, int, int, bool]]:
+    """(out, a, b, first) with [X, Y][out] += x[a] y[b] - x[b] y[a]: the
+    jet of [X, Y]^k = X^l d_l Y^k - Y^l d_l X^k and of its first derivatives,
+    d_m [X, Y]^k = d_m X^l d_l Y^k + X^l d_m d_l Y^k - (X <-> Y).  ``first``
+    marks products of two jet entries (both over D), the others pair a jet
+    entry with a second derivative (over D * d_second)."""
+    b = lambda k, i: 2 * k + i - 1          # index of d_i a^k in the jet
+    terms = []
     for k, l in product((1, 2), repeat=2):
-        out[k - 1] = out[k - 1] + x[l - 1] * b(y, k, l) - y[l - 1] * b(x, k, l)
+        terms.append((k - 1, l - 1, b(k, l), True))
         for m in (1, 2):
-            out[2 * k + m - 1] = (out[2 * k + m - 1]
-                                  + b(x, l, m) * b(y, k, l) + x[l - 1] * ddy[(m, l, k)]
-                                  - b(y, l, m) * b(x, k, l) - y[l - 1] * ddx[(m, l, k)])
-    return out
+            terms.append((b(k, m), b(l, m), b(k, l), True))
+            terms.append((b(k, m), l - 1, _SECOND[(m, l, k)], False))
+    return [t for t in terms if t[1] != t[2]]
+
+
+_BRACKET_TERMS = _bracket_terms()
+
+
+def _bracket_kernel(x: list[int], y: list[int], second_den: int) -> list[int]:
+    """Jet of [X, Y] from two real extended jets over D: an integer vector
+    over D^2 * second_den."""
+    first, second = [0] * JET_DIM, [0] * JET_DIM
+    for out, a, b, is_first in _BRACKET_TERMS:
+        t = x[a] * y[b] - x[b] * y[a]
+        if t:
+            if is_first:
+                first[out] += t
+            else:
+                second[out] += t
+    return [second_den * f + s for f, s in zip(first, second)]
+
+
+def _gauss(f, a, b):
+    """The Z-bilinear map f on int lists, extended to Z[i] on (re, im) pairs."""
+    (ar, ai), (br, bi) = a, b
+    re = f(ar, br)
+    if ai is None and bi is None:
+        return re, None
+    im = [0] * len(re)
+    if bi is not None:
+        im = [s + t for s, t in zip(im, f(ar, bi))]
+    if ai is not None:
+        im = [s + t for s, t in zip(im, f(ai, br))]
+        if bi is not None:
+            re = [s - t for s, t in zip(re, f(ai, bi))]
+    return re, im
+
+
+def _mat_vec(m: linalg.IntMat, v: list[int]) -> list[int]:
+    return [sum(x * y for x, y in zip(row, v) if x) for row in m]
+
+
+def _row(m: GaussMat, r: int) -> GaussVec:
+    re, im = m
+    return re[r], None if im is None else im[r]
+
+
+def _column(m: GaussMat, k: int) -> GaussVec:
+    re, im = m
+    return [row[k] for row in re], None if im is None else [row[k] for row in im]
+
+
+def _cleared(vectors: list[list[Scalar]]) -> tuple[int, list[GaussVec]]:
+    """(d, gs) with vectors[r] = gs[r] / d over Z[i], d the least common
+    denominator."""
+    d, re, im = linalg.clear_denominators(vectors)
+    return d, [_row((re, im), r) for r in range(len(vectors))]
+
+
+_F0 = Fraction(0)
+
+
+def _to_scalars(g: GaussVec, d: int) -> list[Scalar]:
+    """The Scalars g / d."""
+    re, im = g
+    if im is None:
+        return [Scalar(Fraction(x, d), _F0) for x in re]
+    return [Scalar(Fraction(x, d), Fraction(y, d)) for x, y in zip(re, im)]
+
+
+def _scalar_rows(m: GaussMat) -> linalg.Mat:
+    """An int matrix over Z[i] as a matrix of (integer) Scalars."""
+    return [_to_scalars(_row(m, r), 1) for r in range(len(m[0]))]
+
+
+def _second_table(system: JetSystem | None) -> tuple[int, GaussMat]:
+    """(d_second, S): the 8 x 6 rows of ``system.second`` as S / d_second;
+    all zero without a system."""
+    if system is None:
+        return 1, ([[0] * JET_DIM for _ in _SECOND], None)
+    d, re, im = linalg.clear_denominators(list(system.second.values()))
+    return d, (re, im)
+
+
+def _extend(jet: GaussVec, second: GaussMat) -> GaussVec:
+    """Extended jet of a jet vector over D: append S . jet, over D * d_second."""
+    dd = _gauss(_mat_vec, second, jet)
+    if jet[1] is None and dd[1] is None:
+        return jet[0] + dd[0], None
+    zero = [0] * JET_DIM
+    return jet[0] + dd[0], (jet[1] or zero) + (dd[1] or zero)
+
+
+def _bracket_int(x: GaussVec, y: GaussVec, second_den: int) -> GaussVec:
+    """The one jet bracket: Z[i] extended jets over D in, jet over
+    D^2 * second_den out."""
+    return _gauss(lambda u, v: _bracket_kernel(u, v, second_den), x, y)
 
 
 def bracket_jets(s: AffineSurface, vx: Jet1, vy: Jet1,
@@ -97,38 +205,81 @@ def bracket_jets(s: AffineSurface, vx: Jet1, vy: Jet1,
 
     [X, Y]^k = X^l d_l Y^k - Y^l d_l X^k, differentiated once with the
     second derivatives of the surface's jet system (built here if not given).
+    The bracket runs over Z[i] on the jets and rows with their denominators
+    cleared, and is scaled back once.
     """
-    system = system or jet_system(s)
-    x, y = vx.as_vector(), vy.as_vector()
-    return Jet1.from_vector(_bracket_vector(
-        x, y, _second_derivatives(system, x), _second_derivatives(system, y)))
+    second_den, second = _second_table(system or jet_system(s))
+    d, (x, y) = _cleared([vx.as_vector(), vy.as_vector()])
+    br = _bracket_int(_extend(x, second), _extend(y, second), second_den)
+    return Jet1.from_vector(_to_scalars(br, d * d * second_den))
 
 
 # ---------------------------------------------------------------------------
 # presentations
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LieAlgebraPresentation:
-    """Structure constants over a jet basis.
+class IntJets(NamedTuple):
+    """A jet basis over Z[i], derived once per presentation.
 
-    ``den`` is the least common denominator of the structure constants, and
-    ``ad_re``/``ad_im`` hold den * ad(e_i) over the Gaussian integers as
-    sparse (row, column, value) entries, so den * ad(x) for an integer x
-    is plain int arithmetic (``int_ad``); ``ad_im`` is None for a real
-    algebra.  The tables are derived once, at construction, from ``c``.
+    Column k of ``ext`` is basis jet k times ``den`` (rows 0-5), followed by
+    its second derivatives times den * second_den (rows 6-13).  Rows 0-5
+    are the transposed basis, whose rows 0 and 1 evaluate the basis fields
+    at P; ``basis_t`` holds those six rows as integer Scalars, the matrix
+    that bracket coefficients are solved against.
+    """
+
+    den: int
+    second_den: int
+    ext: GaussMat
+    basis_t: linalg.Mat
+
+
+def _int_jets(jets, system: JetSystem | None) -> IntJets:
+    d, jet_ints = _cleared([j.as_vector() for j in jets])
+    second_den, second = _second_table(system)
+    cols = [_extend(jet, second) for jet in jet_ints]
+    rows = range(JET_DIM + len(_SECOND))
+    ext_re = [[col[0][r] for col in cols] for r in rows]
+    ext_im = None
+    if any(col[1] is not None for col in cols):
+        ext_im = [[0 if col[1] is None else col[1][r] for col in cols] for r in rows]
+    basis_t = _scalar_rows((ext_re[:JET_DIM], None if ext_im is None else ext_im[:JET_DIM]))
+    return IntJets(d, second_den, (ext_re, ext_im), basis_t)
+
+
+@dataclass(frozen=True)
+class LieAlgebraPresentation:
+    """Structure constants over a jet basis, frozen.
+
+    ``c`` and ``jets`` are stored as tuples, and every table below is
+    derived from them once, at construction, so none can go stale:
+
+    * ``den`` is the least common denominator of the structure constants,
+      and ``ad_re``/``ad_im`` hold den * ad(e_i) over the Gaussian integers
+      as sparse (row, column, value) entries, so den * ad(x) for an integer
+      x is plain int arithmetic (``int_ad``); ``ad_im`` is None for a real
+      algebra;
+    * ``int_jets`` holds the basis jets and their second derivatives over
+      Z[i] (``IntJets``), for jet brackets, evaluation at P and effectivity.
+
+    ``structure_constants`` hands over the ``IntJets`` it derived for its
+    own brackets as ``prederived``; other callers leave it out.
     """
 
     dim: int
-    c: list[list[list[Scalar]]]          # [e_i, e_j] = sum_k c[i][j][k] e_k
-    jets: list[Jet1]
-    eval_matrix: list[list[Scalar]]      # 2 x dim basis-field values at P
+    c: tuple[tuple[tuple[Scalar, ...], ...], ...]   # [e_i, e_j] = sum_k c[i][j][k] e_k
+    jets: tuple[Jet1, ...]
     system: JetSystem | None = None      # the surface's, when built from one
+    prederived: InitVar[IntJets | None] = None
     den: int = field(init=False, repr=False)
     ad_re: list[list[tuple[int, int, int]]] = field(init=False, repr=False)
     ad_im: list[list[tuple[int, int, int]]] | None = field(init=False, repr=False)
+    int_jets: IntJets = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, prederived):
+        put = partial(object.__setattr__, self)
+        put("c", tuple(tuple(tuple(row) for row in plane) for plane in self.c))
+        put("jets", tuple(self.jets))
         n = self.dim
         d, re, im = linalg.clear_denominators(
             [[self.c[i][j][k] for i in range(n) for j in range(n)] for k in range(n)])
@@ -138,9 +289,11 @@ class LieAlgebraPresentation:
             return [[(k, j, part[k][i * n + j]) for k in range(n) for j in range(n)
                      if part[k][i * n + j]] for i in range(n)]
 
-        self.den = d
-        self.ad_re = table(re)
-        self.ad_im = table(im) if im is not None else None
+        put("den", d)
+        put("ad_re", table(re))
+        put("ad_im", table(im) if im is not None else None)
+        put("int_jets", prederived if prederived is not None
+            else _int_jets(self.jets, self.system))
 
     def int_ad(self, x: tuple[int, ...]) -> tuple[linalg.IntMat, linalg.IntMat | None]:
         """den * ad(x) for an integer vector x, as (real, imaginary) int matrices."""
@@ -190,42 +343,51 @@ class LieAlgebraPresentation:
         return [[linalg.trace(linalg.mat_mul(ads[i], ads[j]))
                  for j in range(self.dim)] for i in range(self.dim)]
 
+    def _values_at_p(self, coeffs: list[Scalar]) -> tuple[int, GaussVec]:
+        """(d, g): the field with these coefficients has value g / d at P."""
+        d, (g,) = _cleared([coeffs])
+        ext = self.int_jets.ext
+        rows = (ext[0][:2], None if ext[1] is None else ext[1][:2])
+        return d * self.int_jets.den, _gauss(_mat_vec, rows, g)
+
     def evaluate(self, coeffs: list[Scalar]) -> tuple[Scalar, Scalar]:
-        v1 = sum((self.eval_matrix[0][i] * coeffs[i] for i in range(self.dim)), ZERO)
-        v2 = sum((self.eval_matrix[1][i] * coeffs[i] for i in range(self.dim)), ZERO)
-        return v1, v2
+        d, g = self._values_at_p(coeffs)
+        return tuple(_to_scalars(g, d))
 
 
 def structure_constants(s: AffineSurface,
                         space: KillingJetSpace | None = None) -> LieAlgebraPresentation:
     """Exact structure constants of the Killing algebra in the jet basis.
 
-    All n(n-1)/2 bracket jets are expressed in the basis by one reduction
-    of the 6 x (n + n(n-1)/2) matrix [basis | brackets]; the basis is
-    independent, so each solution is unique.
+    All n(n-1)/2 bracket jets come from the integer bracket kernel, and are
+    expressed in the basis by one reduction of the 6 x (n + n(n-1)/2)
+    matrix [basis | brackets] over integer entries; the basis is
+    independent, so each solution is unique.  The brackets lie over
+    den^2 * second_den and the basis over den, so one rescale by
+    1 / (den * second_den) gives the constants.
     """
     ks = space or killing_jet_space(s)
     n = ks.dim
-    basis_vecs = [j.as_vector() for j in ks.basis]
-    dds = [_second_derivatives(ks.system, v) for v in basis_vecs]
+    ints = _int_jets(ks.basis, ks.system)
+    cols = [_column(ints.ext, k) for k in range(n)]
     pairs = list(combinations(range(n), 2))
-    brackets = [_bracket_vector(basis_vecs[i], basis_vecs[j], dds[i], dds[j])
+    brackets = [_to_scalars(_bracket_int(cols[i], cols[j], ints.second_den), 1)
                 for i, j in pairs]
-    red, pivots = linalg.rref([[v[r] for v in basis_vecs] + [b[r] for b in brackets]
+    red, pivots = linalg.rref([ints.basis_t[r] + [b[r] for b in brackets]
                                for r in range(JET_DIM)])
     # The first bracket outside the span is the first column pivoted past n.
     escaped = next((p for p in pivots if p >= n), None)
     if escaped is not None:
         i, j = pairs[escaped - n]
         raise SolveFailure(f"bracket of basis jets {i},{j} left the jet space")
+    scale = ints.den * ints.second_den
     c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
     for col, (i, j) in enumerate(pairs, start=n):
         for r, k in enumerate(pivots):
-            c[i][j][k] = red[r][col]
-            c[j][i][k] = -red[r][col]
-    eval_matrix = [[basis_vecs[k][0] for k in range(n)],
-                   [basis_vecs[k][1] for k in range(n)]]
-    return LieAlgebraPresentation(n, c, ks.basis, eval_matrix, ks.system)
+            if not red[r][col].is_zero:
+                c[i][j][k] = red[r][col] / scale
+                c[j][i][k] = -c[i][j][k]
+    return LieAlgebraPresentation(n, c, ks.basis, ks.system, ints)
 
 
 def jacobi_residual(L: LieAlgebraPresentation) -> list[Scalar]:
@@ -376,11 +538,16 @@ def grading_check(L: LieAlgebraPresentation, xi: list[Scalar],
 # ---------------------------------------------------------------------------
 
 def effective(L: LieAlgebraPresentation, elements: list[list[Scalar]]) -> bool:
-    """True iff some pair of evaluations at P spans the tangent plane."""
-    evals = [L.evaluate(e) for e in elements]
-    for (u1, u2), (v1, v2) in combinations(evals, 2):
-        det = u1 * v2 - u2 * v1
-        if not det.is_zero:
+    """True iff some pair of evaluations at P spans the tangent plane.
+
+    Each element's denominators are cleared (which scales its value at P by
+    a positive integer), so the 2 x 2 determinants are tested in Z[i].
+    """
+    values = [L._values_at_p(e)[1] for e in elements]
+    det = lambda u, v: [u[0] * v[1] - u[1] * v[0]]
+    for u, v in combinations(values, 2):
+        re, im = _gauss(det, u, v)
+        if re[0] or (im is not None and im[0]):
             return True
     return False
 
@@ -454,44 +621,54 @@ def _search_candidates(n: int):
             return
 
 
-def _verified_bracket(s, L, u, v) -> list[Scalar]:
-    """Bracket computed straight from the jets, as basis coefficients."""
-    rows = [list(row) for row in zip(*(jet.as_vector() for jet in L.jets))]
-    ju, jv = ([sum((x * c for x, c in zip(row, w)), ZERO) for row in rows] for w in (u, v))
-    bj = bracket_jets(s, Jet1.from_vector(ju), Jet1.from_vector(jv), L.system).as_vector()
-    coeffs = linalg.solve(rows, bj)
+def _verified_bracket(L, u, v) -> list[Scalar]:
+    """Bracket computed straight from the jets, as basis coefficients.
+
+    u and v share a denominator d; their extended jets lie over den * d, so
+    the bracket lies over (den * d)^2 * second_den, and solving against the
+    transposed basis (over den) leaves one rescale by 1 / (den d^2 second_den).
+    """
+    ints = L.int_jets
+    d, (gu, gv) = _cleared([u, v])
+    x, y = (_gauss(_mat_vec, ints.ext, g) for g in (gu, gv))
+    bracket = _to_scalars(_bracket_int(x, y, ints.second_den), 1)
+    coeffs = linalg.solve(ints.basis_t, bracket)
     if coeffs is None:
         raise SolveFailure("witness bracket left the jet space")
-    return coeffs
+    scale = ints.den * d * d * ints.second_den
+    return [x / scale for x in coeffs]
 
 
-def _find_type_a(s, L) -> Witness | None:
+def _find_type_a(L) -> Witness | None:
+    """Commuting effective pairs among an integer candidate x and the kernel
+    of ad(x), taken from den * ad(x), which has the same kernel."""
     n = L.dim
     for ints in _search_candidates(n):
         x = [Scalar.of(v) for v in ints]
-        kernel = linalg.nullspace(L.ad(x), n_cols=n)
+        kernel = linalg.nullspace(_scalar_rows(L.int_ad(ints)), n_cols=n)
         pool = [x] + kernel
         for u, v in combinations(pool, 2):
-            br = L.bracket_coeffs(u, v)
-            if not all(e.is_zero for e in br):
+            # [x, v] = ad(x) v vanishes on the kernel; only kernel pairs can fail.
+            if u is not x and not all(e.is_zero for e in L.bracket_coeffs(u, v)):
                 continue
             if not effective(L, [u, v]):
                 continue
-            if all(e.is_zero for e in _verified_bracket(s, L, u, v)):
+            if all(e.is_zero for e in _verified_bracket(L, u, v)):
                 return Witness("TypeA", [u, v], "[X,Y]=0", True)
     return None
 
 
-def _find_type_b(s, L, diagnostics) -> Witness | None:
+def _find_type_b(L, diagnostics) -> Witness | None:
     """Spectra in Python integers: den * ad(x) from the presentation's
     tables, its monic Z[i] characteristic polynomial, and the exact root
-    test; the Scalar ad(x) is built only when a rational eigenvalue needs
-    its eigenvectors."""
+    test.  A rational eigenvalue lam has den * lam in Z, so its eigenvectors
+    are the kernel of the integer matrix den * ad(x) - den * lam."""
     n, den = L.dim, L.den
     for ints in _search_candidates(n):
-        poly = linalg.int_charpoly(*L.int_ad(ints))
+        ad_re, ad_im = L.int_ad(ints)
+        poly = linalg.int_charpoly(ad_re, ad_im)
         roots = np.roots(linalg.float_coeffs(poly, den))
-        x = ad = None
+        x = None
         for z in roots:
             if abs(z) < 1e-9:
                 continue
@@ -502,22 +679,21 @@ def _find_type_b(s, L, diagnostics) -> Witness | None:
                 diagnostics.append(
                     f"skipped non-rational candidate eigenvalue {z.real:.6g}")
                 continue
-            if ad is None:
-                x = [Scalar.of(v) for v in ints]
-                ad = L.ad(x)
-            shifted = [[ad[i][j] - (lam if i == j else ZERO) for j in range(n)]
-                       for i in range(n)]
-            for y in linalg.nullspace(shifted, n_cols=n):
+            x = x or [Scalar.of(v) for v in ints]
+            shift = int(lam.re * den)
+            shifted = [[v - shift if i == j else v for j, v in enumerate(row)]
+                       for i, row in enumerate(ad_re)]
+            for y in linalg.nullspace(_scalar_rows((shifted, ad_im)), n_cols=n):
                 x_scaled = [xi / lam for xi in x]
                 if not effective(L, [x_scaled, y]):
                     continue
-                got = _verified_bracket(s, L, x_scaled, y)
+                got = _verified_bracket(L, x_scaled, y)
                 if all((got[k] - y[k]).is_zero for k in range(n)):
                     return Witness("TypeB", [x_scaled, y], "[X,Y]=Y", True)
     return None
 
 
-def _find_so3(s, L) -> Witness | None:
+def _find_so3(L) -> Witness | None:
     if L.dim != 3:
         return None
     kf = L.killing_form()
@@ -590,13 +766,13 @@ def classify(s: AffineSurface, space: KillingJetSpace | None = None) -> Classifi
 
     diagnostics: list[str] = []
     branches: list[Witness] = []
-    wa = _find_type_a(s, L)
+    wa = _find_type_a(L)
     if wa:
         branches.append(wa)
-    wb = _find_type_b(s, L, diagnostics)
+    wb = _find_type_b(L, diagnostics)
     if wb:
         branches.append(wb)
-    wc = _find_so3(s, L)
+    wc = _find_so3(L)
     if wc:
         branches.append(wc)
     if not branches:

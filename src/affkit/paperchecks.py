@@ -11,7 +11,7 @@ corrupted structure constants) and must turn the run red.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 from . import linalg
@@ -127,8 +127,10 @@ def verify_paper(negative_control: str | None = None, seed: int = 0,
     for surf in fixtures:
         pres = structure_constants(surf, sph_space if surf is sph else None)
         if negative_control == "corrupt-structure" and surf is sph:
-            pres.c[2][0][2] = pres.c[2][0][2] + ONE
-            pres.c[0][2][2] = pres.c[0][2][2] - ONE
+            c = [[list(row) for row in plane] for plane in pres.c]
+            c[2][0][2] = c[2][0][2] + ONE
+            c[0][2][2] = c[0][2][2] - ONE
+            pres = replace(pres, c=c)
         if not all(x.is_zero for x in jacobi_residual(pres)):
             algebra_ok = False
         for idx in range(pres.dim):

@@ -11,7 +11,10 @@ Three cross-check paths that deliberately avoid the package's own kernel:
   the exact jet solver;
 
 * the field (Scalar) Faddeev-LeVerrier recursion and Horner evaluation,
-  the reference for the package's fraction-free integer spectra.
+  the reference for the package's fraction-free integer spectra;
+
+* the field (Scalar) jet bracket, the reference for the package's
+  integer bracket kernel.
 """
 
 from __future__ import annotations
@@ -111,6 +114,27 @@ def poly_eval_reference(coeffs: list, x):
     for ck in reversed(coeffs):
         acc = acc * x + ck
     return acc
+
+
+# ---------------------------------------------------------------------------
+# jet brackets over the field
+# ---------------------------------------------------------------------------
+
+def bracket_reference(system, x: list, y: list) -> list:
+    """Jet vector of [X, Y] from the jet vectors x, y of two Killing fields,
+    in Scalars: [X, Y]^k = X^l d_l Y^k - Y^l d_l X^k and its first
+    derivatives, with dd_ij a^k = ``system.second[(i, j, k)]`` . v."""
+    ddx, ddy = ({key: sum((r * a for r, a in zip(row, v)), ZERO)
+                 for key, row in system.second.items()} for v in (x, y))
+    b = lambda v, k, i: v[2 * k + i - 1]     # d_i a^k in the jet layout
+    out = [ZERO] * 6
+    for k, l in product((1, 2), repeat=2):
+        out[k - 1] = out[k - 1] + x[l - 1] * b(y, k, l) - y[l - 1] * b(x, k, l)
+        for m in (1, 2):
+            out[2 * k + m - 1] = (out[2 * k + m - 1]
+                                  + b(x, l, m) * b(y, k, l) + x[l - 1] * ddy[(m, l, k)]
+                                  - b(y, l, m) * b(x, k, l) - y[l - 1] * ddx[(m, l, k)])
+    return out
 
 
 # ---------------------------------------------------------------------------

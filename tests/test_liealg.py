@@ -1,24 +1,27 @@
 """Brackets, structure constants, spectra, grading, classification."""
 
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from affkit.killing import Jet1, VectorField, jet_of, killing_jet_space
+from affkit.killing import Jet1, VectorField, jet_of, jet_system, killing_jet_space
 from affkit.liealg import (
     LieAlgebraPresentation, NotHomogeneousCandidate,
     bracket_fields, bracket_jets, classify, effective, generalized_eigenspaces,
     grading_check, jacobi_residual, structure_constants,
 )
 from affkit.linalg import rank, solve
-from affkit.scalars import ONE, ZERO, Scalar
+from affkit.scalars import I, ONE, ZERO, Scalar
 from affkit.surface import GAMMA_KEYS, make_surface, sphere, type_a, type_b
 from affkit.symexpr import Expr, parse
 
 from conftest import D1, D2, random_type_a
+from helpers_oracle import bracket_reference
 
 
 def presentation_from_table(dim, table):
@@ -30,8 +33,7 @@ def presentation_from_table(dim, table):
             c[i][j][k] = sc
             c[j][i][k] = -sc
     jets = [Jet1(*([ZERO] * 6)) for _ in range(dim)]
-    evals = [[ZERO] * dim, [ZERO] * dim]
-    return LieAlgebraPresentation(dim, c, jets, evals)
+    return LieAlgebraPresentation(dim, c, jets)
 
 
 SO3 = presentation_from_table(3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (2, 0): {1: 1}})
@@ -126,6 +128,34 @@ def test_jet_bracket_commutes_with_jet_of(sphere_surface, sphere_fields):
         assert lhs.as_vector() == rhs.as_vector()
 
 
+BRACKET_SURFACES = {
+    "sphere": sphere,
+    # fractional constants: the second-derivative rows have denominator 6
+    "type-b": lambda: type_b({"221": "1/2", "122": "-2/3"}),
+    "non-real": lambda: constant_surface({"112": I, "222": Scalar.of(-2)}),
+}
+
+
+@cache
+def surface_and_system(name):
+    s = BRACKET_SURFACES[name]()
+    return s, jet_system(s)
+
+
+GAUSSIAN_RATIONAL = st.builds(lambda a, b, q: Scalar.of(Fraction(a, q), Fraction(b, q)),
+                              st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 7))
+GAUSSIAN_JET = st.lists(GAUSSIAN_RATIONAL, min_size=6, max_size=6).filter(
+    lambda v: any(not x.is_real for x in v))
+
+
+@pytest.mark.parametrize("name", sorted(BRACKET_SURFACES))
+@given(GAUSSIAN_JET, GAUSSIAN_JET)
+def test_integer_bracket_matches_the_field_reference(name, x, y):
+    s, system = surface_and_system(name)
+    got = bracket_jets(s, Jet1.from_vector(x), Jet1.from_vector(y), system)
+    assert got.as_vector() == bracket_reference(system, x, y)
+
+
 # ---------------------------------------------------------------------------
 # structure constants
 # ---------------------------------------------------------------------------
@@ -183,7 +213,6 @@ def test_sphere_algebra_is_three_dimensional(sphere_surface):
 def test_structure_constants_name_the_pair_that_escapes(flat_surface):
     # Drop x2 d2 from the flat basis (hand table above): the first pair
     # whose bracket needs it is [x2 d1, x1 d2] = x2 d2 - x1 d1.
-    from dataclasses import replace
     from affkit.liealg import SolveFailure
     ks = killing_jet_space(flat_surface)
     cut = replace(ks, basis=ks.basis[:5], dim=5)
@@ -344,15 +373,34 @@ def test_grading_sphere_and_flat(sphere_surface, flat_surface):
     assert grading_check(Lf, xi).ok
 
 
+def corrupted(L, entries):
+    """A copy of L with c[i][j][k] = value for each ((i, j, k), value)."""
+    c = [[list(row) for row in plane] for plane in L.c]
+    for (i, j, k), value in entries:
+        c[i][j][k] = value
+    return replace(L, c=c)
+
+
 def test_grading_detects_corrupted_constants():
-    broken = presentation_from_table(
-        3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (2, 0): {1: 1}})
     # Corrupt one entry: [Z, X] picks up a spurious Z component.
-    broken.c[2][0][2] = ONE
-    broken.c[0][2][2] = -ONE
+    broken = corrupted(SO3, [((2, 0, 2), ONE), ((0, 2, 2), -ONE)])
     report = grading_check(broken, [ZERO, ZERO, ONE])
     assert not report.ok
     assert report.violations
+    assert grading_check(SO3, [ZERO, ZERO, ONE]).ok
+
+
+def test_presentation_is_frozen_and_rederives_its_tables():
+    with pytest.raises(FrozenInstanceError):
+        SO3.c = SO3.c
+    with pytest.raises(TypeError):
+        SO3.c[2][0][2] = ONE
+    # A corrupted copy derives its integer ad tables from its own constants.
+    broken = corrupted(SO3, [((2, 0, 2), Scalar.of(Fraction(1, 3))),
+                             ((0, 2, 2), Scalar.of(Fraction(-1, 3)))])
+    assert SO3.den == 1 and broken.den == 3
+    re, _ = broken.int_ad((0, 0, 1))
+    assert re[2][0] == 1 and SO3.int_ad((0, 0, 1))[0][2][0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +421,61 @@ def test_effective_sphere_pair(sphere_surface, sphere_fields):
     cx = coeffs_of(L, sphere_surface, x_f)
     cz = coeffs_of(L, sphere_surface, z_f)
     assert effective(L, [cx, cz])
+
+
+def flat_vec(a, b):
+    """Flat basis d1, d2, x1 d1, ...: the coefficients (a, b, 0, ...), whose
+    field has the value (a, b) at P."""
+    return [x if isinstance(x, Scalar) else Scalar.of(x) for x in (a, b)] + [ZERO] * 4
+
+
+def test_effective_rational_and_gaussian_coefficients(flat_surface):
+    L = structure_constants(flat_surface)
+    third = Fraction(1, 3)
+    assert effective(L, [flat_vec(third, 0), flat_vec(0, Fraction(2, 7))])
+    assert effective(L, [flat_vec(I, 0), flat_vec(0, third)])  # det = i/3
+    assert effective(L, [flat_vec(I, 0), flat_vec(0, Scalar.of(third, 1))])
+    assert not effective(L, [flat_vec(I, ONE), flat_vec(ONE, -I)])  # (i, 1) = i (1, -i)
+    assert effective(L, [flat_vec(I, ONE), flat_vec(ONE, I)])
+
+
+def test_effective_determinant_cancels_after_clearing(flat_surface):
+    # (1/3, 2/7) and (2/9, 4/21) are parallel: over 21 and 63 they are
+    # (7, 6) and (14, 12), and 7*12 - 6*14 = 0 exactly.  A perturbation of
+    # 1e-12, invisible to a float determinant, must be seen.
+    L = structure_constants(flat_surface)
+    u = flat_vec(Fraction(1, 3), Fraction(2, 7))
+    assert not effective(L, [u, flat_vec(Fraction(2, 9), Fraction(4, 21))])
+    assert effective(L, [u, flat_vec(Fraction(2, 9), Fraction(4, 21) + Fraction(1, 10**12))])
+
+
+def test_effective_needs_a_pair(flat_surface):
+    L = structure_constants(flat_surface)
+    assert not effective(L, [])
+    assert not effective(L, [flat_vec(1, 1)])
+
+
+@cache
+def presentation(name):
+    return structure_constants(surface_and_system(name)[0])
+
+
+@pytest.mark.parametrize("name", ["type-b", "non-real"])
+@given(st.data())
+def test_effective_agrees_with_the_scalar_determinant(name, data):
+    # v is independent of u, or a Gaussian-rational multiple of it.
+    L = presentation(name)
+    coeffs = st.lists(GAUSSIAN_RATIONAL, min_size=L.dim, max_size=L.dim)
+    u = data.draw(coeffs)
+    if data.draw(st.booleans()):
+        v = data.draw(coeffs)
+    else:
+        k = data.draw(GAUSSIAN_RATIONAL)
+        v = [k * x for x in u]
+    value = lambda c: [sum((ck * jet.as_vector()[r] for ck, jet in zip(c, L.jets)), ZERO)
+                       for r in (0, 1)]
+    (u1, u2), (v1, v2) = value(u), value(v)
+    assert effective(L, [u, v]) == (not (u1 * v2 - u2 * v1).is_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +538,17 @@ def test_classify_witness_relations_reverify(sphere_surface):
     x, y = wb.elements
     got = L.bracket_coeffs(x, y)
     assert all((got[k] - y[k]).is_zero for k in range(L.dim))
+
+
+def test_type_b_witness_with_fractional_coefficients():
+    # The first candidate with an eigenvalue gives x / 2, so the jet check
+    # of [X, Y] = Y clears a denominator before it brackets.
+    s = type_b({"122": -1, "112": 1})
+    wb = next(w for w in classify(s).branches if w.kind == "TypeB")
+    x, y = wb.elements
+    half = Scalar.of(Fraction(1, 2))
+    assert x == [ZERO, half, ZERO, ZERO] and y == [half, ZERO, ONE, ZERO]
+    assert structure_constants(s).bracket_coeffs(x, y) == y
 
 
 def test_sphere_admits_no_two_dimensional_subalgebra(sphere_surface):

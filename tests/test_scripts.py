@@ -1,5 +1,7 @@
-"""Smoke test: the experiment scripts run to completion on small inputs."""
+"""Smoke tests: the experiment scripts and a short traced benchmark run
+complete on small inputs."""
 
+import json
 import os
 import subprocess
 import sys
@@ -10,15 +12,32 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
 @pytest.mark.parametrize("argv", [
     ["scripts/branch_search.py", "--count", "6"],
     ["scripts/dimension_sweep.py", "--count", "10"],
 ])
 def test_script_runs(argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "surfaces, seed 0" in proc.stdout
+
+
+def test_traced_benchmark_run_passes():
+    # The tracer wraps affkit's public API and reads its results (for
+    # instance the structure constants as planes of rows of Scalars), so an
+    # API change that breaks it fails here first.
+    argv = ["perfbench/run.py", "--workload", "classify", "--seed", "1",
+            "--seconds", "1", "--trace", "1"]
+    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr + proc.stdout[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["attempted"] > 0
