@@ -21,8 +21,8 @@ from .killing import (KillingError, killing_jet_space, load_field,
 from .liealg import (ClassificationInconclusive, LieAlgError,
                      NotHomogeneousCandidate, classify)
 from .numeric import NumericError
-from .surface import (SurfaceError, is_flat, load_surface, nabla_ricci, ricci,
-                      curvature, torsion)
+from .surface import (SurfaceError, curvature, load_surface, nabla_ricci, ricci,
+                      torsion)
 from .symexpr import ExprError
 
 EXIT_OK = 0
@@ -31,6 +31,7 @@ EXIT_INPUT = 2
 
 
 _output_path: str | None = None
+_parser: argparse.ArgumentParser | None = None   # built by the first main call
 
 
 def _emit(payload: dict) -> None:
@@ -57,18 +58,21 @@ def _tensor_json(t) -> dict:
 def cmd_tensors(args) -> int:
     s = load_surface(args.surface)
     out: dict = {}
+    # One R per call: rho is contracted from it and nabla rho built on rho.
+    need_rho = args.ricci or args.nabla_ricci
+    r = curvature(s) if need_rho or args.curvature or args.flat else None
+    rho = ricci(s, r) if need_rho else None
     if args.ricci:
-        rho = ricci(s)
         out["rho"] = [[str(rho[(1, 1)]), str(rho[(1, 2)])],
                       [str(rho[(2, 1)]), str(rho[(2, 2)])]]
     if args.torsion:
         out["torsion"] = _tensor_json(torsion(s))
     if args.curvature:
-        out["curvature"] = _tensor_json(curvature(s))
+        out["curvature"] = _tensor_json(r)
     if args.nabla_ricci:
-        out["nabla_rho"] = _tensor_json(nabla_ricci(s))
+        out["nabla_rho"] = _tensor_json(nabla_ricci(s, rho))
     if args.flat:
-        out["flat"] = is_flat(s)
+        out["flat"] = r.is_zero
     if not out:
         _diag("no tensor requested; use --ricci/--torsion/--curvature/"
               "--nabla-ricci/--flat")
@@ -204,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curvature", action="store_true")
     p.add_argument("--nabla-ricci", dest="nabla_ricci", action="store_true")
     p.add_argument("--flat", action="store_true")
-    p.set_defaults(func=cmd_tensors)
 
     p = sub.add_parser("killing", help="Killing dimension, basis, or field check")
     p.add_argument("surface")
@@ -212,11 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", action="store_true", help="include the jet basis")
     p.add_argument("--check", metavar="FIELD_FILE",
                    help="test whether a field file is Killing")
-    p.set_defaults(func=cmd_killing)
 
     p = sub.add_parser("classify", help="subalgebra witnesses of a surface")
     p.add_argument("surface")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("chart", help="build and verify a distinguished chart")
     p.add_argument("surface")
@@ -227,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--half-width", dest="half_width", type=float, default=0.2)
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--step", type=float, default=1e-3)
-    p.set_defaults(func=cmd_chart)
 
     p = sub.add_parser("verify-paper",
                        help="run the built-in exact cross-check suite")
@@ -235,17 +235,20 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None)
     p.add_argument("--sweep", type=int, default=40,
                    help="random surfaces in the dimension sweep")
-    p.set_defaults(func=cmd_verify_paper)
     return parser
 
 
 def main(argv=None) -> int:
-    global _output_path
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _output_path, _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     _output_path = args.output
+    # Look the handler up now, not when the parser was built, so a handler
+    # replaced on this module since (a wrapper, a test double) is the one run.
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except FileNotFoundError as exc:
         _diag(f"input error: {exc}")
         return EXIT_INPUT

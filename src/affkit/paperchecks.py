@@ -81,7 +81,7 @@ def verify_paper(negative_control: str | None = None, seed: int = 0,
     items: list[CheckItem] = []
     sph = sphere()
 
-    # --- sphere curvature data -------------------------------------------
+    # --- sphere curvature data (one R: nabla rho is built on this rho) ----
     rho = ricci(sph)
     flip = Expr.const(-1) if negative_control == "ricci-sign" else Expr.const(1)
     diag_ok = ((rho[(1, 1)] * flip - Expr.const(1)).is_zero
@@ -91,7 +91,7 @@ def verify_paper(negative_control: str | None = None, seed: int = 0,
         "sphere-ricci", diag_ok,
         "rho == diag(1, cos(x1)^2) exactly"))
     items.append(CheckItem(
-        "sphere-nabla-ricci", nabla_ricci(sph).is_zero,
+        "sphere-nabla-ricci", nabla_ricci(sph, rho).is_zero,
         "all 8 covariant-derivative components vanish"))
     items.append(CheckItem(
         "sphere-torsion", torsion(sph).is_zero, "connection is torsion free"))

@@ -170,15 +170,18 @@ def curvature(s: AffineSurface) -> TensorField:
     return TensorField(comps, (1, 3))
 
 
-def ricci(s: AffineSurface) -> TensorField:
-    r = curvature(s)
+def ricci(s: AffineSurface, r: TensorField | None = None) -> TensorField:
+    """rho of ``s``, contracted from ``r``, which must be ``curvature(s)``
+    when given (a caller that already holds R passes it to skip a rebuild)."""
+    r = curvature(s) if r is None else r
     comps = {(j, k): r[(1, j, k, 1)] + r[(2, j, k, 2)]
              for j, k in product((1, 2), repeat=2)}
     return TensorField(comps, (0, 2))
 
 
-def nabla_ricci(s: AffineSurface) -> TensorField:
-    rho = ricci(s)
+def nabla_ricci(s: AffineSurface, rho: TensorField | None = None) -> TensorField:
+    """nabla rho of ``s``, from ``rho``, which must be ``ricci(s)`` when given."""
+    rho = ricci(s) if rho is None else rho
     comps: dict[tuple[int, ...], Expr] = {}
     for i, j, k in product((1, 2), repeat=3):
         e = rho[(j, k)].diff(f"x{i}")

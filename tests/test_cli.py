@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import affkit.cli
+import affkit.surface
 from affkit.cli import main
 from affkit.surface import sphere, surface_from_json, surface_to_json, type_a, type_b
 
@@ -27,6 +29,16 @@ GOLDEN_SURFACES = {
     "type_a_112_222_2": lambda: type_a({"112": 1, "222": 2}),
     "type_a_112i_222_m2": lambda: surface_from_json({"gamma": {"112": "i", "222": "-2"}}),
 }
+# `tensors` with every flag, recorded before R was built once per call; the
+# trig/exp surface adds tan poles, Gaussian and real exponentials.
+TENSOR_SURFACES = {
+    **GOLDEN_SURFACES,
+    "trig_exp": lambda: surface_from_json({
+        "gamma": {"112": "2*tan(x1)", "121": "-1/2*exp(1*i*x2)",
+                  "221": "sin(x1)*cos(x1)", "222": "x1*exp(-1*x2)"},
+        "domain": "|x1| < pi/2"}),
+}
+TENSOR_FLAGS = ("--ricci", "--torsion", "--curvature", "--nabla-ricci", "--flat")
 
 
 @pytest.fixture
@@ -249,6 +261,87 @@ def test_output_matches_recorded_bytes(name, command, tmp_path, capsys):
     assert main(argv) == 0
     want = (GOLDEN / f"{name}.{command}.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("name", sorted(TENSOR_SURFACES))
+def test_tensors_match_recorded_bytes(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(surface_to_json(TENSOR_SURFACES[name]())))
+    assert main(["tensors", str(path), *TENSOR_FLAGS]) == 0
+    want = (GOLDEN / f"{name}.tensors.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("name", ["sphere", "trig_exp", "type_b_221"])
+def test_tensors_flags_combine_as_a_union(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(surface_to_json(TENSOR_SURFACES[name]())))
+    union = {}
+    for flag in TENSOR_FLAGS:
+        code, payload, _ = run(capsys, "tensors", str(path), flag)
+        assert code == 0 and len(payload) == 1
+        union.update(payload)
+    code, payload, _ = run(capsys, "tensors", str(path), *TENSOR_FLAGS)
+    assert code == 0 and payload == union
+
+
+def test_tensors_builds_the_curvature_once(files, monkeypatch, capsys):
+    calls = []
+    real = affkit.surface.curvature
+    counted = lambda s: calls.append(s) or real(s)
+    # ricci and nabla_ricci reach R through the surface module's name.
+    monkeypatch.setattr(affkit.surface, "curvature", counted)
+    monkeypatch.setattr(affkit.cli, "curvature", counted)
+    code, payload, _ = run(capsys, "tensors", files["sphere"], *TENSOR_FLAGS)
+    assert code == 0 and len(payload) == 5
+    assert len(calls) == 1
+
+
+def test_verify_paper_builds_the_sphere_curvature_once(monkeypatch, capsys):
+    calls = []
+    real = affkit.surface.curvature
+    monkeypatch.setattr(affkit.surface, "curvature",
+                        lambda s: calls.append(s) or real(s))
+    code, payload, _ = run(capsys, "verify-paper", "--sweep", "1")
+    assert code == 0 and payload["pass"] is True
+    assert len(calls) == 1
+
+
+# The parser is built by the first main call and reused by every later one.
+
+def test_reused_parser_forgets_the_output_path(files, capsys, tmp_path):
+    target = tmp_path / "result.json"
+    assert main(["--output", str(target), "killing", files["flat"], "--dim"]) == 0
+    code, payload, _ = run(capsys, "killing", files["sphere"], "--dim")
+    assert code == 0 and payload == {"dim": 3}
+    assert json.loads(target.read_text()) == {"dim": 6}
+
+
+def test_reused_parser_recovers_from_a_usage_error(files, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tensors", files["sphere"], "--no-such-flag"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, payload, _ = run(capsys, "tensors", files["sphere"], "--ricci")
+    assert code == 0 and payload["rho"] == [["1", "0"], ["0", "cos(x1)^2"]]
+
+
+def test_reused_parser_runs_the_current_handler(files, monkeypatch, capsys):
+    # A wrapper installed on the module after the first call (as a tracer
+    # does) must be the handler that runs, not the function seen at build.
+    assert run(capsys, "tensors", files["flat"], "--flat")[0] == 0
+    seen = []
+    monkeypatch.setattr(affkit.cli, "cmd_tensors", lambda args: seen.append(args) or 0)
+    code, payload, _ = run(capsys, "tensors", files["flat"], "--flat")
+    assert code == 0 and payload is None
+    assert len(seen) == 1 and seen[0].flat
+
+
+def test_reused_parser_gives_each_call_fresh_fields(files, capsys):
+    for _ in range(2):
+        code, payload, _ = run(capsys, "chart", files["flat"], "--mode", "commuting",
+                               "--field", files["d1"], "--field", files["d2"])
+        assert code == 0 and payload["pass"] is True
 
 
 @pytest.mark.parametrize("domain, basepoint", [

@@ -272,6 +272,15 @@ def test_nabla_ricci_matches_oracle_at_points():
             assert abs(want - got) < 1e-6
 
 
+@pytest.mark.parametrize("make", [sphere, lambda: type_b({"111": -1, "122": 2, "221": 1})])
+def test_ricci_chain_from_a_given_curvature(make):
+    # A caller holding R passes it on; the results are those built from s.
+    s = make()
+    rho = ricci(s, curvature(s))
+    assert rho == ricci(s)
+    assert nabla_ricci(s, rho) == nabla_ricci(s)
+
+
 def test_is_flat_examples():
     assert is_flat(type_a({}))
     assert not is_flat(sphere())
