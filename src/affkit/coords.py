@@ -34,7 +34,7 @@ import numpy as np
 
 from .killing import VectorField, is_killing
 from .liealg import bracket_fields
-from .numeric import (Grid, _stencil, flow_batch, geodesic_endpoints,
+from .numeric import (Grid, _field_array_fn, _stencil, flow_batch, geodesic_endpoints,
                       pullback_gamma_batch)
 from .surface import AffineSurface
 from .symexpr import Expr
@@ -105,6 +105,14 @@ def _transverse_axis(direction: tuple[float, float]) -> np.ndarray:
     return np.array([0.0, 1.0])
 
 
+def _value_at(field: VectorField, c) -> tuple[float, float]:
+    """The field's value at c.  Its evaluator's dtype decides exactly that
+    the field is real, as for its flows; a field that is not raises
+    NumericError."""
+    v = _field_array_fn(field)(*c)
+    return float(v[0]), float(v[1])
+
+
 def _finalize(mode, forward, grid, report, tol) -> Chart:
     checks = {k: v for k, v in report.items() if isinstance(v, float)}
     report["pass"] = all(v < tol for v in checks.values())
@@ -140,7 +148,7 @@ def normalize_chart(s: AffineSurface, xi: VectorField, *,
     if not is_killing(s, xi):
         raise NotKilling("the supplied field does not satisfy the Killing equations")
     c = center or (float(s.basepoint[0]), float(s.basepoint[1]))
-    xi_at_c = xi.eval_real(c)
+    xi_at_c = _value_at(xi, c)
     if math.hypot(*xi_at_c) < 1e-9:
         raise ZeroAtBasepoint("the field vanishes at the chart center")
     v0 = _transverse_axis(xi_at_c)
@@ -181,7 +189,7 @@ def _effective_pair(s: AffineSurface, X: VectorField, Y: VectorField,
     if not ((br.a1 - bracket.a1).is_zero and (br.a2 - bracket.a2).is_zero):
         raise bad_relation
     c = center or (float(s.basepoint[0]), float(s.basepoint[1]))
-    xv, yv = X.eval_real(c), Y.eval_real(c)
+    xv, yv = _value_at(X, c), _value_at(Y, c)
     if abs(xv[0] * yv[1] - xv[1] * yv[0]) < 1e-9:
         raise NotEffective("X(P) and Y(P) do not span the tangent plane")
     return c

@@ -55,13 +55,6 @@ class VectorField:
     def component(self, k: int) -> Expr:
         return self.a1 if k == 1 else self.a2
 
-    def eval_real(self, p) -> tuple[float, float]:
-        v1 = self.a1.eval_numeric(p)
-        v2 = self.a2.eval_numeric(p)
-        if max(abs(v1.imag), abs(v2.imag)) > 1e-9 * (1 + abs(v1) + abs(v2)):
-            raise KillingError("field has a non-real value at this point")
-        return (v1.real, v2.real)
-
 
 @dataclass(frozen=True)
 class Jet1:

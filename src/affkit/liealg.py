@@ -19,15 +19,18 @@ check.  A presentation is frozen: the tables it needs (the basis jets with
 their second derivatives from the surface's ``killing.JetSystem``, each
 over one common denominator, and den * ad(e_i)) are derived once, when it
 is built, so one classification builds the jet system once and no table
-can go stale.  Effectivity is a 2 x 2 determinant in Z[i], and the witness
-search takes ad(x) of its integer candidates from the integer tables.
+can go stale.  Effectivity is a 2 x 2 determinant in Z[i].  Every ad
+comes from the presentation's Z[i] tables (``int_ad``): the spectra, the
+exact generalized eigenspaces and the witness searches all work on
+den * ad(x) in Python integers, and the Killing form is read off the
+structure constants directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations, product
 from math import gcd
 from typing import NamedTuple
@@ -35,6 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
+from .linalg import GaussMat
 from .killing import (JET_DIM, Jet1, JetSystem, KillingJetSpace, VectorField,
                       jet_system, killing_jet_space)
 from .scalars import ONE, ZERO, Scalar
@@ -79,9 +83,8 @@ def bracket_fields(X: VectorField, Y: VectorField) -> VectorField:
 
 
 # A vector over the Gaussian integers Z[i] as (real parts, imaginary parts);
-# the imaginary parts are None for a real vector.  Matrices likewise, by rows.
+# the imaginary parts are None for a real vector, as in ``linalg.GaussMat``.
 GaussVec = tuple[list[int], list[int] | None]
-GaussMat = tuple[linalg.IntMat, linalg.IntMat | None]
 
 # An extended jet: the six jet entries of a field, over a denominator D, then
 # its eight second derivatives dd_ij a^k at the basepoint, over D * d_second,
@@ -295,32 +298,21 @@ class LieAlgebraPresentation:
         put("int_jets", prederived if prederived is not None
             else _int_jets(self.jets, self.system))
 
-    def int_ad(self, x: tuple[int, ...]) -> tuple[linalg.IntMat, linalg.IntMat | None]:
-        """den * ad(x) for an integer vector x, as (real, imaginary) int matrices."""
+    def int_ad(self, x: GaussVec) -> GaussMat:
+        """den * ad(x) for x over Z[i]: column j holds den * [x, e_j]."""
         n = self.dim
 
-        def combine(tables):
-            out = [[0] * n for _ in range(n)]
-            for xi, entries in zip(x, tables):
+        def combine(xs, tables):
+            flat = [0] * (n * n)
+            for xi, entries in zip(xs, tables):
                 if xi:
                     for k, j, v in entries:
-                        out[k][j] += xi * v
-            return out
+                        flat[k * n + j] += xi * v
+            return flat
 
-        return combine(self.ad_re), (None if self.ad_im is None else combine(self.ad_im))
-
-    def ad(self, xi: list[Scalar]) -> list[list[Scalar]]:
-        """Matrix of ad(xi) in the basis: column j holds [xi, e_j]."""
-        n = self.dim
-        out = [[ZERO] * n for _ in range(n)]
-        for i in range(n):
-            if xi[i].is_zero:
-                continue
-            for j in range(n):
-                for k, cijk in enumerate(self.c[i][j]):
-                    if not cijk.is_zero:
-                        out[k][j] = out[k][j] + xi[i] * cijk
-        return out
+        re, im = _gauss(combine, x, (self.ad_re, self.ad_im))
+        rows = lambda flat: [flat[k * n:(k + 1) * n] for k in range(n)]
+        return rows(re), None if im is None else rows(im)
 
     def bracket_coeffs(self, u: list[Scalar], v: list[Scalar]) -> list[Scalar]:
         n = self.dim
@@ -338,10 +330,10 @@ class LieAlgebraPresentation:
         return out
 
     def killing_form(self) -> list[list[Scalar]]:
-        ads = [self.ad([ONE if i == j else ZERO for j in range(self.dim)])
-               for i in range(self.dim)]
-        return [[linalg.trace(linalg.mat_mul(ads[i], ads[j]))
-                 for j in range(self.dim)] for i in range(self.dim)]
+        """B_ij = tr(ad(e_i) ad(e_j)) = sum over k, l of c[i][l][k] c[j][k][l]."""
+        n, c = self.dim, self.c
+        return [[sum((c[i][l][k] * c[j][k][l] for k in range(n) for l in range(n)), ZERO)
+                 for j in range(n)] for i in range(n)]
 
     def _values_at_p(self, coeffs: list[Scalar]) -> tuple[int, GaussVec]:
         """(d, g): the field with these coefficients has value g / d at P."""
@@ -425,11 +417,19 @@ def _rationalize_root(z: complex, poly: linalg.IntPoly, den: int) -> Scalar | No
     return None
 
 
+def _shifted_kernel(m: GaussMat, s: tuple[int, int], power: int) -> list[linalg.Vec]:
+    """Kernel of (m - s*I)^power for m and s over Z[i]."""
+    shifted = linalg.gauss_shift(m, *s)
+    return linalg.nullspace(_scalar_rows(reduce(linalg.gauss_mul, [shifted] * power)),
+                            n_cols=len(m[0]))
+
+
 def eigenvalues(L: LieAlgebraPresentation, xi: list[Scalar]):
-    """(exact roots with multiplicity, leftover numeric roots)."""
-    ad = L.ad(xi)
-    den, re, im = linalg.clear_denominators(ad)
-    poly = linalg.int_charpoly(re, im)
+    """(exact roots with multiplicity, leftover numeric roots, (D, M)) for
+    ad(xi) = M / D with M over Z[i]."""
+    d, (x,) = _cleared([xi])
+    den, ad = d * L.den, L.int_ad(x)
+    poly = linalg.int_charpoly(*ad)
     numeric = np.roots(linalg.float_coeffs(poly, den))
     exact: list[Scalar] = []
     for z in numeric:
@@ -439,17 +439,18 @@ def eigenvalues(L: LieAlgebraPresentation, xi: list[Scalar]):
             poly = linalg.deflate(poly, den, root)
     leftover = [complex(z) for z in numeric
                 if not any(abs(complex(r) - z) < 1e-7 for r in exact)]
-    return exact, leftover, ad
+    return exact, leftover, (den, ad)
 
 
 def generalized_eigenspaces(L: LieAlgebraPresentation, xi: list[Scalar]) -> list[Eigenspace]:
     """Complexified decomposition into generalized ad(xi) eigenspaces.
 
     Exact Gaussian-rational eigenvalues give exact kernels of
-    (ad - alpha)^dim; any remaining spectrum is handled numerically with a
-    residual certificate below 1e-9.
+    (ad - alpha)^dim, taken over Z[i] as those of (M - D alpha)^dim for
+    ad = M / D (D alpha is a Gaussian integer for a root); any remaining
+    spectrum is handled numerically with a residual certificate below 1e-9.
     """
-    exact_roots, leftover, ad = eigenvalues(L, xi)
+    exact_roots, leftover, (den, ad) = eigenvalues(L, xi)
     n = L.dim
     spaces: list[Eigenspace] = []
     seen: list[Scalar] = []
@@ -457,17 +458,17 @@ def generalized_eigenspaces(L: LieAlgebraPresentation, xi: list[Scalar]) -> list
         if any((root - r).is_zero for r in seen):
             continue
         seen.append(root)
-        shifted = [[ad[i][j] - (root if i == j else ZERO) for j in range(n)]
-                   for i in range(n)]
-        power = linalg.mat_pow(shifted, n)
-        basis = linalg.nullspace(power, n_cols=n)
+        s = root * den
+        basis = _shifted_kernel(ad, (s.re.numerator, s.im.numerator), n)
         spaces.append(Eigenspace(root, True, basis))
     done = [complex(r) for r in seen]
     for z in leftover:
         if any(abs(z - d) < 1e-8 for d in done):
             continue
         done.append(z)
-        adf = np.array([[complex(x) for x in row] for row in ad])
+        re, im = ad[0], ad[1] or [[0] * n for _ in range(n)]
+        adf = np.array([[complex(x / den, y / den) for x, y in zip(rr, ri)]
+                        for rr, ri in zip(re, im)])
         shifted = adf - z * np.eye(n)
         power = np.linalg.matrix_power(shifted, n)
         _, sv, vt = np.linalg.svd(power)
@@ -645,7 +646,7 @@ def _find_type_a(L) -> Witness | None:
     n = L.dim
     for ints in _search_candidates(n):
         x = [Scalar.of(v) for v in ints]
-        kernel = linalg.nullspace(_scalar_rows(L.int_ad(ints)), n_cols=n)
+        kernel = linalg.nullspace(_scalar_rows(L.int_ad((ints, None))), n_cols=n)
         pool = [x] + kernel
         for u, v in combinations(pool, 2):
             # [x, v] = ad(x) v vanishes on the kernel; only kernel pairs can fail.
@@ -665,8 +666,8 @@ def _find_type_b(L, diagnostics) -> Witness | None:
     are the kernel of the integer matrix den * ad(x) - den * lam."""
     n, den = L.dim, L.den
     for ints in _search_candidates(n):
-        ad_re, ad_im = L.int_ad(ints)
-        poly = linalg.int_charpoly(ad_re, ad_im)
+        ad = L.int_ad((ints, None))
+        poly = linalg.int_charpoly(*ad)
         roots = np.roots(linalg.float_coeffs(poly, den))
         x = None
         for z in roots:
@@ -680,10 +681,7 @@ def _find_type_b(L, diagnostics) -> Witness | None:
                     f"skipped non-rational candidate eigenvalue {z.real:.6g}")
                 continue
             x = x or [Scalar.of(v) for v in ints]
-            shift = int(lam.re * den)
-            shifted = [[v - shift if i == j else v for j, v in enumerate(row)]
-                       for i, row in enumerate(ad_re)]
-            for y in linalg.nullspace(_scalar_rows((shifted, ad_im)), n_cols=n):
+            for y in _shifted_kernel(ad, (int(lam.re * den), 0), 1):
                 x_scaled = [xi / lam for xi in x]
                 if not effective(L, [x_scaled, y]):
                     continue

@@ -1,19 +1,20 @@
-"""Exact linear algebra over Gaussian rationals.
+"""Exact linear algebra over the Gaussian rationals and integers.
 
-Small dense matrices as lists of lists of Scalar.  Row echelon form,
-nullspace bases in reduced form, exact rank and linear solves work
-directly over the field with exact division.  Spectra are fraction-free:
-a matrix A = B/d with B over the Gaussian integers Z[i] has its
+Two matrix formats.  Row reduction (echelon form, nullspace bases in
+reduced form, exact rank and linear solves) works on lists of lists of
+Scalar, directly over the field with exact division.  Spectra are
+fraction-free and work on ``GaussMat``, a matrix B over the Gaussian
+integers Z[i] as (real, imaginary) int matrices: a matrix A = B/d has its
 characteristic polynomial computed from B's by Faddeev-LeVerrier in Python
-integers (every division there is exact), and a rational root of A's
-polynomial is tested as a root of B's, which is monic over Z[i].
-Products and row operations skip zero entries, since the matrices met
-here (ad matrices, constraint rows) are mostly zero.
+integers (every division there is exact, and ``gauss_mul`` is the one
+product), and a rational root of A's polynomial is tested as a root of
+B's, which is monic over Z[i].  Products and row operations skip zero
+entries, since the matrices met here (ad matrices, constraint rows) are
+mostly zero.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 from .scalars import ONE, ZERO, Scalar
@@ -21,37 +22,11 @@ from .scalars import ONE, ZERO, Scalar
 Vec = list[Scalar]
 Mat = list[list[Scalar]]
 IntMat = list[list[int]]
+# A matrix over Z[i] as (real parts, imaginary parts), by rows; the
+# imaginary parts are None for a real matrix.
+GaussMat = tuple[IntMat, IntMat | None]
 # A polynomial over Z[i] as (real parts, imaginary parts) of [c_0, ..., c_n].
 IntPoly = tuple[list[int], list[int]]
-
-
-def zeros(n: int, m: int) -> Mat:
-    return [[ZERO] * m for _ in range(n)]
-
-
-def identity(n: int) -> Mat:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    """Exact product; zero entries of either factor are skipped."""
-    nonzero_b = [[(j, y) for j, y in enumerate(row) if not y.is_zero] for row in b]
-    out = zeros(len(a), len(b[0]))
-    for row, acc in zip(a, out):
-        for x, terms in zip(row, nonzero_b):
-            if x.is_zero:
-                continue
-            for j, y in terms:
-                acc[j] = acc[j] + x * y
-    return out
-
-
-def mat_vec(a: Mat, v: Vec) -> Vec:
-    return [sum((a[i][j] * v[j] for j in range(len(v))), ZERO) for i in range(len(a))]
-
-
-def trace(a: Mat) -> Scalar:
-    return sum((a[i][i] for i in range(len(a))), ZERO)
 
 
 def rref(rows: Mat) -> tuple[Mat, list[int]]:
@@ -160,12 +135,36 @@ def _int_mul(a: IntMat, m: IntMat) -> IntMat:
     return out
 
 
+def gauss_mul(a: GaussMat, b: GaussMat) -> GaussMat:
+    """The product ``a @ b`` over Z[i]; real when both factors are."""
+    (ar, ai), (br, bi) = a, b
+    re = _int_mul(ar, br)
+    if ai is None:
+        return re, None if bi is None else _int_mul(ar, bi)
+    if bi is None:
+        return re, _int_mul(ai, br)
+    ii, ri, ir = _int_mul(ai, bi), _int_mul(ar, bi), _int_mul(ai, br)
+    return ([[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(re, ii)],
+            [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(ri, ir)])
+
+
+def gauss_shift(m: GaussMat, sr: int, si: int) -> GaussMat:
+    """``m - s*I`` over Z[i] for s = sr + i*si; real when m and s are."""
+    re, im = m
+    if im is None and si:
+        im = [[0] * len(row) for row in re]
+    shift = lambda part, v: [[x - v if i == j else x for j, x in enumerate(row)]
+                             for i, row in enumerate(part)]
+    return shift(re, sr), None if im is None else shift(im, si)
+
+
 def int_charpoly(re: IntMat, im: IntMat | None = None) -> IntPoly:
     """Coefficients of det(t*I - B) for B = re + i*im over Z[i], monic.
 
     Faddeev-LeVerrier: M_1 = B, c_{n-k} = -tr(M_k)/k, M_{k+1} =
     B (M_k + c_{n-k} I).  For B over Z[i] every c_{n-k} lies in Z[i], so the
     divisions by k are exact.  With ``im`` None the recursion stays real.
+    A matrix A = B/d over the Gaussian rationals has c_k(A) = c_k(B) / d^(n-k).
     """
     n = len(re)
     cr, ci = [0] * (n + 1), [0] * (n + 1)
@@ -182,27 +181,8 @@ def int_charpoly(re: IntMat, im: IntMat | None = None) -> IntPoly:
             mr[i][i] += cr[n - k]
             if mi is not None:
                 mi[i][i] += ci[n - k]
-        if mi is None:
-            mr = _int_mul(re, mr)
-        else:
-            rr, ii = _int_mul(re, mr), _int_mul(im, mi)
-            ri, ir = _int_mul(re, mi), _int_mul(im, mr)
-            mr = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(rr, ii)]
-            mi = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(ri, ir)]
+        mr, mi = gauss_mul((re, im), (mr, mi))
     return cr, ci
-
-
-def charpoly(a: Mat) -> list[Scalar]:
-    """Coefficients [c_0, ..., c_n] of det(t*I - A), monic (c_n = 1).
-
-    Exact over the Gaussian rationals: with A = B/d and B over Z[i],
-    c_k(A) = c_k(B) / d^(n-k), and c_k(B) comes from ``int_charpoly``.
-    """
-    n = len(a)
-    d, re, im = clear_denominators(a)
-    cr, ci = int_charpoly(re, im)
-    return [Scalar(Fraction(cr[k], d ** (n - k)), Fraction(ci[k], d ** (n - k)))
-            for k in range(n + 1)]
 
 
 def _int_horner(poly: IntPoly, sr: int, si: int) -> tuple[int, int, list[int], list[int]]:
@@ -264,9 +244,3 @@ def float_coeffs(poly: IntPoly, d: int) -> list[complex]:
     return [complex(poly[0][k] / d ** (n - k), poly[1][k] / d ** (n - k))
             for k in range(n, -1, -1)]
 
-
-def mat_pow(a: Mat, n: int) -> Mat:
-    out = [row[:] for row in a] if n else identity(len(a))
-    for _ in range(n - 1):
-        out = mat_mul(out, a)
-    return out

@@ -126,7 +126,7 @@ def _check_domain(s: AffineSurface, pts: np.ndarray) -> None:
 # integrators
 # ---------------------------------------------------------------------------
 
-def _rk4(rhs, y: np.ndarray, spans, step: float, path: bool = False) -> np.ndarray:
+def _rk4(rhs, y: np.ndarray, spans, step: float) -> np.ndarray:
     """Classical RK4 over unit pseudo-time, one step count for the batch.
 
     ``rhs(tau, y)`` integrates a batch whose rows cover lengths ``spans``
@@ -136,14 +136,12 @@ def _rk4(rhs, y: np.ndarray, spans, step: float, path: bool = False) -> np.ndarr
     when every span is zero, ``y`` comes back unchanged and ``rhs`` is never
     called.  The state update is compensated (Kahan) so that roundoff does
     not accumulate over steps; stencil differences of flowed points then
-    sit at the single-rounding floor.  With ``path`` the states after every
-    step are returned too, stacked (n_steps + 1, ...) from the initial one.
+    sit at the single-rounding floor.
     """
     n_steps = math.ceil(float(np.max(np.abs(spans))) / step)
     h = 1.0 / max(n_steps, 1)
     t = 0.0
     comp = np.zeros_like(y)
-    states = [y]
     for _ in range(n_steps):
         k1 = rhs(t, y)
         k2 = rhs(t + h / 2, y + (h / 2) * k1)
@@ -154,9 +152,7 @@ def _rk4(rhs, y: np.ndarray, spans, step: float, path: bool = False) -> np.ndarr
         comp = (y_next - y) - dy
         y = y_next
         t += h
-        if path:
-            states.append(y)
-    return np.stack(states) if path else y
+    return y
 
 
 def flow_batch(field, points: np.ndarray, t, step: float = 1e-3) -> np.ndarray:
@@ -207,14 +203,6 @@ def geodesic_endpoints(s: AffineSurface, p0: np.ndarray, v0: np.ndarray,
     out = _rk4(_geodesic_rhs(s), state, times, step)[:2].T
     _check_domain(s, out)
     return out
-
-
-def geodesic(s: AffineSurface, p, v, s_max: float, step: float = 1e-3):
-    """Sampled geodesic path: returns (parameters, points (N,2))."""
-    state = np.array([[p[0]], [p[1]], [v[0] * s_max], [v[1] * s_max]], dtype=float)
-    pts = _rk4(_geodesic_rhs(s), state, s_max, step, path=True)[:, :2, 0]
-    _check_domain(s, pts)
-    return np.linspace(0.0, s_max, len(pts)), pts
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Independent oracles used only by the test suite.
 
-Three cross-check paths that deliberately avoid the package's own kernel:
+Cross-check paths that deliberately avoid the package's own kernel:
 
 * a sympy pipeline recomputing torsion/curvature/Ricci/covariant-derivative
   from the same index formulas, used to confirm symbolic tensor output at
@@ -12,6 +12,9 @@ Three cross-check paths that deliberately avoid the package's own kernel:
 
 * the field (Scalar) Faddeev-LeVerrier recursion and Horner evaluation,
   the reference for the package's fraction-free integer spectra;
+
+* the field (Scalar) ad matrix and matrix product, the reference for the
+  package's integer ad tables, eigenspaces and Killing form;
 
 * the field (Scalar) jet bracket, the reference for the package's
   integer bracket kernel.
@@ -103,9 +106,14 @@ def charpoly_reference(a: list) -> list:
             break
         for i in range(n):
             m[i][i] = m[i][i] + ck
-        m = [[sum((a[i][t] * m[t][j] for t in range(n)), ZERO) for j in range(n)]
-             for i in range(n)]
+        m = mat_mul_reference(a, m)
     return coeffs
+
+
+def mat_mul_reference(a: list, b: list) -> list:
+    """The product a @ b of Scalar matrices, entry by entry."""
+    return [[sum((a[i][t] * b[t][j] for t in range(len(b))), ZERO)
+             for j in range(len(b[0]))] for i in range(len(a))]
 
 
 def poly_eval_reference(coeffs: list, x):
@@ -114,6 +122,25 @@ def poly_eval_reference(coeffs: list, x):
     for ck in reversed(coeffs):
         acc = acc * x + ck
     return acc
+
+
+# ---------------------------------------------------------------------------
+# ad matrices over the field
+# ---------------------------------------------------------------------------
+
+def ad_reference(c, xi: list) -> list:
+    """Matrix of ad(xi) for the structure constants c ([e_i, e_j] =
+    sum_k c[i][j][k] e_k), in Scalars: column j holds [xi, e_j]."""
+    n = len(xi)
+    out = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        if xi[i].is_zero:
+            continue
+        for j in range(n):
+            for k, cijk in enumerate(c[i][j]):
+                if not cijk.is_zero:
+                    out[k][j] = out[k][j] + xi[i] * cijk
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,15 @@ def test_chart_on_non_real_symbols_exits_two(files, tmp_path, capsys):
     assert "connection symbols are not real" in err
 
 
+def test_chart_on_a_non_real_field_exits_two(files, tmp_path, capsys):
+    path = tmp_path / "gaussian_field.json"
+    path.write_text(json.dumps({"a1": "i", "a2": "1"}), encoding="utf-8")
+    code, payload, err = run(capsys, "chart", files["flat"], "--mode", "normalize",
+                             "--field", str(path))
+    assert code == 2 and payload is None
+    assert "field (i, 1) is not real" in err
+
+
 def test_chart_invalid_config_exits_two(files, capsys):
     code, _, err = run(capsys, "chart", files["sphere"], "--mode", "normalize",
                        "--field", files["d2"], "--grid", "2")
@@ -260,6 +269,23 @@ def test_output_matches_recorded_bytes(name, command, tmp_path, capsys):
             else ["killing", str(path), "--basis"])
     assert main(argv) == 0
     want = (GOLDEN / f"{name}.{command}.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == want
+
+
+# Stdout of `verify-paper`, recorded before ad, spectra and the Killing form
+# moved onto the integer tables; the grading items run through them.
+VERIFY_PAPER_RUNS = {
+    "verify_paper": [],
+    **{f"verify_paper.{control}": ["--sweep", "2", "--negative-control", control]
+       for control in ("ricci-sign", "drop-kernel-row", "corrupt-structure")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_PAPER_RUNS))
+def test_verify_paper_matches_recorded_bytes(name, monkeypatch, capsys):
+    monkeypatch.delenv("AFFKIT_SEED", raising=False)
+    main(["verify-paper", *VERIFY_PAPER_RUNS[name]])
+    want = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == want
 
 

@@ -101,6 +101,16 @@ def test_normalize_rejects_vanishing_field(flat_surface):
         normalize_chart(flat_surface, xi)
 
 
+def test_charts_reject_a_field_that_is_not_real_at_the_centre():
+    # Realness is decided exactly, by the field's compiled evaluator, as for
+    # its flows; a float tolerance on its value at the centre no longer does.
+    gaussian = VectorField(parse("i"), parse("1"))
+    with pytest.raises(NumericError, match="is not real"):
+        normalize_chart(type_a({}), gaussian)
+    with pytest.raises(NumericError, match="is not real"):
+        commuting_chart(type_a({}), gaussian, D2)
+
+
 def test_failed_verification_raises_with_report(sphere_surface):
     with pytest.raises(ChartVerificationError) as err:
         normalize_chart(sphere_surface, D2, tol=1e-13)

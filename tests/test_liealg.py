@@ -6,7 +6,7 @@ from functools import cache
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from affkit.killing import Jet1, VectorField, jet_of, jet_system, killing_jet_space
@@ -15,13 +15,13 @@ from affkit.liealg import (
     bracket_fields, bracket_jets, classify, effective, generalized_eigenspaces,
     grading_check, jacobi_residual, structure_constants,
 )
-from affkit.linalg import rank, solve
+from affkit.linalg import nullspace, rank, solve
 from affkit.scalars import I, ONE, ZERO, Scalar
 from affkit.surface import GAMMA_KEYS, make_surface, sphere, type_a, type_b
 from affkit.symexpr import Expr, parse
 
 from conftest import D1, D2, random_type_a
-from helpers_oracle import bracket_reference
+from helpers_oracle import ad_reference, bracket_reference, mat_mul_reference
 
 
 def presentation_from_table(dim, table):
@@ -324,21 +324,60 @@ GAUSSIAN_CONSTANTS = st.builds(
     st.integers(-3, 3), st.one_of(st.just(0), st.integers(-3, 3)), st.integers(1, 6))
 
 
-@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
-    st.just(n),
-    st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
-        lambda ij: ij[0] < ij[1]), st.dictionaries(st.integers(0, n - 1), GAUSSIAN_CONSTANTS)),
-    st.lists(st.integers(-2, 2), min_size=n, max_size=n))))
+def tables_with(vectors):
+    """(n, bracket table with GAUSSIAN_CONSTANTS, vectors(n)) for n in 1-4."""
+    return st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda ij: ij[0] < ij[1]), st.dictionaries(st.integers(0, n - 1), GAUSSIAN_CONSTANTS)),
+        vectors(n)))
+
+
+def int_lists(n):
+    return st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+
+
+@given(tables_with(lambda n: st.tuples(int_lists(n), st.one_of(st.none(), int_lists(n)))))
 def test_integer_ad_tables_scale_ad(case):
-    # den * ad(x) from the integer tables equals den times the Scalar ad(x).
-    n, table, x = case
+    # den * ad(x) from the integer tables equals den times the Scalar ad(x),
+    # for x over Z[i].
+    n, table, (x_re, x_im) = case
     L = presentation_from_table(n, table)
-    re, im = L.int_ad(tuple(x))
-    want = L.ad([Scalar.of(v) for v in x])
-    assert (im is None) == all(c.is_real for plane in L.c for row in plane for c in row)
+    re, im = L.int_ad((x_re, x_im))
+    want = ad_reference(L.c, [Scalar.of(a, 0 if x_im is None else x_im[k])
+                              for k, a in enumerate(x_re)])
+    assert (im is None) == (x_im is None and all(
+        c.is_real for plane in L.c for row in plane for c in row))
     im = im or [[0] * n for _ in range(n)]
     assert all(Scalar.of(re[k][j], im[k][j]) == want[k][j] * L.den
                for k in range(n) for j in range(n))
+
+
+@given(tables_with(lambda n: st.lists(st.one_of(st.just(ZERO), GAUSSIAN_CONSTANTS),
+                                      min_size=n, max_size=n)))
+# Jordan blocks, where the kernel of ad - alpha alone is too small: a
+# nilpotent ad (Heisenberg), and alpha = 1/2 + i/3 on a 2-block.
+@example((3, {(0, 1): {2: ONE}}, [ONE, ZERO, ZERO]))
+@example((3, {(0, 1): {1: ONE, 2: ONE}, (0, 2): {2: ONE}},
+          [Scalar.of(Fraction(1, 2), Fraction(1, 3)), ZERO, ZERO]))
+def test_spectra_and_killing_form_match_the_field_reference(case):
+    # Each exact generalized eigenspace of ad(xi), xi Gaussian-rational, is
+    # the nullspace of (ad - alpha)^n built from the Scalar ad; the Killing
+    # form is tr(ad(e_i) ad(e_j)) in Scalars.
+    n, table, xi = case
+    L = presentation_from_table(n, table)
+    ad = ad_reference(L.c, xi)
+    for space in generalized_eigenspaces(L, xi):
+        if space.exact:
+            shifted = [[x - space.alpha if i == j else x for j, x in enumerate(row)]
+                       for i, row in enumerate(ad)]
+            power = shifted
+            for _ in range(n - 1):
+                power = mat_mul_reference(power, shifted)
+            assert space.basis == nullspace(power, n_cols=n)
+    ads = [ad_reference(L.c, [ONE if j == i else ZERO for j in range(n)]) for i in range(n)]
+    trace = lambda m: sum((m[k][k] for k in range(n)), ZERO)
+    assert L.killing_form() == [[trace(mat_mul_reference(a, b)) for b in ads] for a in ads]
 
 
 def test_irrational_spectrum_gets_numeric_certificates():
@@ -399,8 +438,8 @@ def test_presentation_is_frozen_and_rederives_its_tables():
     broken = corrupted(SO3, [((2, 0, 2), Scalar.of(Fraction(1, 3))),
                              ((0, 2, 2), Scalar.of(Fraction(-1, 3)))])
     assert SO3.den == 1 and broken.den == 3
-    re, _ = broken.int_ad((0, 0, 1))
-    assert re[2][0] == 1 and SO3.int_ad((0, 0, 1))[0][2][0] == 0
+    re, _ = broken.int_ad(([0, 0, 1], None))
+    assert re[2][0] == 1 and SO3.int_ad(([0, 0, 1], None))[0][2][0] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,12 @@ import hypothesis.strategies as st
 import sympy as sp
 
 from affkit.linalg import (
-    charpoly, clear_denominators, deflate, float_coeffs, identity, in_span, int_charpoly, is_root,
-    mat_mul, mat_pow, mat_vec, nullspace, rank, rref, solve,
+    clear_denominators, deflate, float_coeffs, gauss_mul, in_span, int_charpoly, is_root,
+    nullspace, rank, rref, solve,
 )
 from affkit.scalars import ONE, ZERO, Scalar
 
-from helpers_oracle import charpoly_reference, poly_eval_reference
+from helpers_oracle import charpoly_reference, mat_mul_reference, poly_eval_reference
 
 # Sparse Gaussian-rational entries: about half zero, the rest real,
 # imaginary or general, as in ad matrices and constraint rows.
@@ -42,6 +42,16 @@ def M(rows):
     return [[S(x) for x in row] for row in rows]
 
 
+def charpoly(a):
+    """[c_0, ..., c_n] of det(t*I - A) from ``int_charpoly`` of B = d*A:
+    c_k(A) = c_k(B) / d^(n-k)."""
+    n = len(a)
+    d, re, im = clear_denominators(a)
+    cr, ci = int_charpoly(re, im)
+    return [Scalar.of(Fraction(cr[k], d ** (n - k)), Fraction(ci[k], d ** (n - k)))
+            for k in range(n + 1)]
+
+
 def test_rref_and_rank():
     m, pivots = rref(M([[1, 2], [2, 4]]))
     assert pivots == [0]
@@ -57,7 +67,7 @@ def test_nullspace_known_kernel():
 
 def test_nullspace_of_empty_rowset_is_identity():
     ns = nullspace([], n_cols=3)
-    assert ns == identity(3)
+    assert ns == [[ONE if i == j else ZERO for j in range(3)] for i in range(3)]
 
 
 def test_solve_consistent_and_inconsistent():
@@ -85,7 +95,7 @@ def test_charpoly_of_rotation_generator():
 def test_nullspace_vectors_annihilate(rows):
     m = M(rows)
     for v in nullspace(m):
-        assert all(x.is_zero for x in mat_vec(m, v))
+        assert all(sum((x * y for x, y in zip(row, v)), ZERO).is_zero for row in m)
     assert rank(m) + len(nullspace(m)) == 3
 
 
@@ -95,30 +105,40 @@ def test_cayley_hamilton(rows):
     a = M(rows)
     coeffs = charpoly(a)
     acc = [[ZERO] * 3 for _ in range(3)]
-    power = identity(3)
+    power = [[ONE if i == j else ZERO for j in range(3)] for i in range(3)]
     for ck in coeffs:
         for i in range(3):
             for j in range(3):
                 acc[i][j] = acc[i][j] + ck * power[i][j]
-        power = mat_mul(power, a)
+        power = mat_mul_reference(power, a)
     assert all(x.is_zero for row in acc for x in row)
 
 
+def gauss_matrices(rows, cols):
+    """Sparse (re, im or None) int matrices over Z[i]."""
+    part = st.lists(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3]), min_size=cols,
+                             max_size=cols), min_size=rows, max_size=rows)
+    return st.tuples(part, st.one_of(st.none(), part))
+
+
 @st.composite
-def product_pairs(draw):
+def gauss_pairs(draw):
     n, k, m = (draw(st.integers(1, 5)) for _ in range(3))
-    return draw(sparse_matrices(n, k)), draw(sparse_matrices(k, m))
+    return draw(gauss_matrices(n, k)), draw(gauss_matrices(k, m))
 
 
-@given(product_pairs())
-def test_sparse_mat_mul_matches_naive_triple_loop(pair):
+@given(gauss_pairs())
+def test_gauss_mul_matches_naive_complex_product(pair):
+    # Small integers: every complex float product and sum below is exact.
     a, b = pair
-    naive = [[ZERO] * len(b[0]) for _ in a]
-    for i in range(len(a)):
-        for j in range(len(b[0])):
-            for t in range(len(b)):
-                naive[i][j] = naive[i][j] + a[i][t] * b[t][j]
-    assert mat_mul(a, b) == naive
+    as_complex = lambda g: [[complex(x, 0 if g[1] is None else g[1][i][j])
+                             for j, x in enumerate(row)] for i, row in enumerate(g[0])]
+    ca, cb = as_complex(a), as_complex(b)
+    naive = [[sum(ca[i][t] * cb[t][j] for t in range(len(cb)))
+              for j in range(len(cb[0]))] for i in range(len(ca))]
+    re, im = gauss_mul(a, b)
+    assert (im is None) == (a[1] is None and b[1] is None)
+    assert as_complex((re, im)) == naive
 
 
 @given(st.integers(0, 6).flatmap(lambda n: sparse_matrices(n, n)))
@@ -130,14 +150,6 @@ def test_charpoly_matches_sympy(a):
     assert len(got) == n + 1
     for ours, theirs in zip(reversed(got), want.all_coeffs()):
         assert sp.expand(to_sympy(ours) - theirs) == 0
-
-
-@given(st.integers(1, 4).flatmap(lambda n: sparse_matrices(n, n)), st.integers(0, 4))
-def test_mat_pow_matches_repeated_products(a, k):
-    want = identity(len(a))
-    for _ in range(k):
-        want = mat_mul(want, a)
-    assert mat_pow(a, k) == want
 
 
 # Gaussian rationals with mixed denominators up to 10^6, real or complex.

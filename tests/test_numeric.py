@@ -9,7 +9,7 @@ from affkit.coords import normalize_chart
 from affkit.killing import Jet1, JetField, VectorField, jet_of, killing_jet_space, residuals
 from affkit.numeric import (
     FD_STENCIL, DomainExit, Grid, NumericError, _rk4, _stencil, default_grid, fd_residuals,
-    flow, flow_batch, flow_preserves_connection, geodesic, geodesic_endpoints,
+    flow, flow_batch, flow_preserves_connection, geodesic_endpoints,
 )
 from affkit.scalars import Scalar
 from affkit.surface import surface_from_json, type_a, type_b
@@ -64,14 +64,12 @@ def test_flow_batch_distinct_times():
     assert abs(out[2, 0] - 2 * math.exp(0.1)) < 1e-10
 
 
-@pytest.mark.parametrize("path", [False, True])
-def test_rk4_with_zero_spans_returns_the_state_without_calling_rhs(path):
+def test_rk4_with_zero_spans_returns_the_state_without_calling_rhs():
     def rhs(t, y):
         raise AssertionError("rhs called")
 
     y = np.array([[0.3, -1.0], [2.0, 0.5]])
-    out = _rk4(rhs, y, np.zeros(2), 1e-3, path=path)
-    assert np.array_equal(out, y[None] if path else y)
+    assert np.array_equal(_rk4(rhs, y, np.zeros(2), 1e-3), y)
 
 
 def test_numeric_checks_reject_a_non_real_field():
@@ -89,7 +87,7 @@ def test_numeric_checks_reject_non_real_symbols():
     # normalize_chart passed, exactly as on the surface without G_11^1.
     s = surface_from_json({"gamma": {"111": "i", "221": "1"}, "basepoint": ["0", "0"]})
     for check in (lambda: flow_preserves_connection(s, VectorField(parse("x1"), parse("0")), 0.2),
-                  lambda: geodesic(s, (0.0, 0.0), (1.0, 0.0), 0.1),
+                  lambda: geodesic_endpoints(s, np.zeros((1, 2)), np.array([[1.0, 0.0]]), 0.1),
                   lambda: fd_residuals(s, D1),
                   lambda: normalize_chart(s, D1)):
         with pytest.raises(NumericError, match="connection symbols are not real"):
@@ -100,24 +98,30 @@ def test_numeric_checks_reject_non_real_symbols():
 # geodesics
 # ---------------------------------------------------------------------------
 
+def endpoints(s, p, v, times, step):
+    """Endpoints of the one geodesic from p with velocity v at each time."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    return geodesic_endpoints(s, np.repeat([p], len(times), axis=0),
+                              np.repeat([v], len(times), axis=0), times, step=step)
+
+
 def test_flat_geodesics_are_straight(flat_surface):
-    _, pts = geodesic(flat_surface, (0.1, -0.2), (0.3, 0.5), 1.0, step=1e-2)
-    assert np.allclose(pts[-1], [0.1 + 0.3, -0.2 + 0.5], atol=1e-12)
-    mid = pts[len(pts) // 2]
+    end, mid = endpoints(flat_surface, (0.1, -0.2), (0.3, 0.5), [1.0, 0.5], step=1e-2)
+    assert np.allclose(end, [0.1 + 0.3, -0.2 + 0.5], atol=1e-12)
     assert np.allclose(mid, [0.1 + 0.15, -0.2 + 0.25], atol=1e-12)
 
 
 def test_sphere_meridian_is_a_geodesic(sphere_surface):
-    _, pts = geodesic(sphere_surface, (0.0, 0.0), (1.0, 0.0), 0.5, step=1e-3)
-    assert np.allclose(pts[-1], [0.5, 0.0], atol=1e-12)
+    times = np.linspace(0.0, 0.5, 11)
+    pts = endpoints(sphere_surface, (0.0, 0.0), (1.0, 0.0), times, step=1e-3)
+    assert np.allclose(pts[:, 0], times, atol=1e-12)
     assert np.max(np.abs(pts[:, 1])) < 1e-14
 
 
 def test_geodesic_measured_convergence_order(sphere_surface):
     # Generic initial data; self-convergence via Richardson triples.
     def endpoint(step):
-        _, pts = geodesic(sphere_surface, (0.1, 0.0), (0.6, 0.8), 1.0, step=step)
-        return pts[-1]
+        return endpoints(sphere_surface, (0.1, 0.0), (0.6, 0.8), 1.0, step=step)[0]
 
     e_h = np.linalg.norm(endpoint(0.04) - endpoint(0.02))
     e_h2 = np.linalg.norm(endpoint(0.02) - endpoint(0.01))
@@ -128,25 +132,25 @@ def test_geodesic_torsion_drops_out():
     # Antisymmetric parts of the symbols do not affect geodesics.
     sym = type_a({"121": 1, "211": 1})
     twisted = type_a({"121": 2, "211": 0})
-    _, p1 = geodesic(sym, (0.0, 0.0), (0.4, 0.3), 1.0, step=1e-2)
-    _, p2 = geodesic(twisted, (0.0, 0.0), (0.4, 0.3), 1.0, step=1e-2)
-    assert np.allclose(p1[-1], p2[-1], atol=1e-13)
+    p1 = endpoints(sym, (0.0, 0.0), (0.4, 0.3), 1.0, step=1e-2)
+    p2 = endpoints(twisted, (0.0, 0.0), (0.4, 0.3), 1.0, step=1e-2)
+    assert np.allclose(p1, p2, atol=1e-13)
 
 
 def test_geodesic_endpoints_match_sampled_geodesics(sphere_surface):
-    # One right-hand side and one integrator behind both entry points.
+    # A batch runs each row as it would run alone.
     p0 = np.array([[0.1, 0.0], [-0.2, 0.5], [0.3, -0.1]])
     v0 = np.array([[0.6, 0.8], [1.0, 0.0], [-0.3, 0.4]])
     ends = geodesic_endpoints(sphere_surface, p0, v0, 0.7, step=1e-2)
     for p, v, end in zip(p0, v0, ends):
-        _, pts = geodesic(sphere_surface, p, v, 0.7, step=1e-2)
-        assert np.allclose(end, pts[-1], rtol=0, atol=1e-13)
+        assert np.allclose(end, endpoints(sphere_surface, p, v, 0.7, step=1e-2)[0],
+                           rtol=0, atol=1e-13)
 
 
 def test_type_b_geodesic_domain_exit():
     s = type_b({})
     with pytest.raises(DomainExit):
-        geodesic(s, (0.5, 0.0), (-1.0, 0.0), 1.0, step=1e-2)
+        endpoints(s, (0.5, 0.0), (-1.0, 0.0), 1.0, step=1e-2)
 
 
 # ---------------------------------------------------------------------------
