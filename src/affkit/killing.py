@@ -6,16 +6,20 @@ residuals
     K_ij^k = d_i d_j a^k + sum_l ( a^l d_l G_ij^k - G_ij^l d_l a^k
                                    + G_il^k d_j a^l + G_lj^k d_i a^l )
 
-vanish.  Solving each K_ij^k for the second derivative turns the system
-into a first-order linear system d_i v = M_i(x) v on the 1-jet
-v = (a1, a2, d1 a1, d2 a1, d1 a2, d2 a2) plus algebraic constraint rows:
-the mixed-index consistency rows K_12^k - K_21^k and the integrability
-rows of the first-order system.  Differentiating constraint rows along the
-system and re-evaluating at the basepoint cuts the jet space down until
-the dimension stabilizes; all of this is exact Gaussian-rational
-arithmetic, so the dimensions (at most 6) are exact integers.
-The prolongation is built once per surface as a :class:`JetSystem` and
-returned with the jet space for brackets and classification to reuse.
+vanish.  Solving each K_ij^k for the second derivative gives one row per
+(i, j, k) with d_i d_j a^k = row . v on the 1-jet
+v = (a1, a2, d1 a1, d2 a1, d1 a2, d2 a2); ``_second_derivative_row`` is
+the only place the operator's coefficients are written.  The residuals
+are K_ij^k = d_i d_j a^k - row . v, and the rows turn the system into a
+first-order linear system d_i v = M_i(x) v plus algebraic constraint rows:
+the mixed-index consistency rows K_12^k - K_21^k (the difference of two
+rows) and the integrability rows of the first-order system.
+Differentiating constraint rows along the system and re-evaluating at the
+basepoint cuts the jet space down until the dimension stabilizes; all of
+this is exact Gaussian-rational arithmetic, so the dimensions (at most 6)
+are exact integers.  The prolongation is built once per surface as a
+:class:`JetSystem` and returned with the jet space for brackets and
+classification to reuse.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from itertools import product
 import numpy as np
 
 from . import linalg
-from .scalars import ONE, Scalar, as_fraction
+from .numeric import _rk4
+from .scalars import Scalar
 from .surface import AffineSurface
 from .symexpr import Expr, compile_exprs, parse
 
@@ -84,30 +89,7 @@ class KillingJetSpace:
 
 
 # ---------------------------------------------------------------------------
-# residuals
-# ---------------------------------------------------------------------------
-
-def residuals(s: AffineSurface, X: VectorField) -> dict[str, Expr]:
-    """All eight Killing residuals, canonical."""
-    out: dict[str, Expr] = {}
-    for i, j, k in product((1, 2), repeat=3):
-        e = X.component(k).diff(f"x{i}").diff(f"x{j}")
-        for l in (1, 2):
-            e = (e
-                 + X.component(l) * s.g(i, j, k).diff(f"x{l}")
-                 - s.g(i, j, l) * X.component(k).diff(f"x{l}")
-                 + s.g(i, l, k) * X.component(l).diff(f"x{j}")
-                 + s.g(l, j, k) * X.component(l).diff(f"x{i}"))
-        out[f"{i}{j}{k}"] = e
-    return out
-
-
-def is_killing(s: AffineSurface, X: VectorField) -> bool:
-    return all(e.is_zero for e in residuals(s, X).values())
-
-
-# ---------------------------------------------------------------------------
-# prolongation
+# the Killing operator
 # ---------------------------------------------------------------------------
 
 def _idx_a(k: int) -> int:
@@ -118,7 +100,6 @@ def _idx_b(k: int, i: int) -> int:
     return 2 + 2 * (k - 1) + (i - 1)
 
 
-ExprRow = tuple[Expr, ...]
 ExprMat = list[list[Expr]]
 
 
@@ -137,9 +118,31 @@ def _second_derivative_row(s: AffineSurface, i: int, j: int, k: int) -> list[Exp
     return row
 
 
+def residuals(s: AffineSurface, X: VectorField) -> dict[str, Expr]:
+    """All eight Killing residuals K_ij^k = d_i d_j a^k - row . j1(X), canonical."""
+    jet = (X.a1, X.a2, X.a1.diff("x1"), X.a1.diff("x2"), X.a2.diff("x1"), X.a2.diff("x2"))
+    out: dict[str, Expr] = {}
+    for i, j, k in product((1, 2), repeat=3):
+        e = X.component(k).diff(f"x{i}").diff(f"x{j}")
+        for coeff, v in zip(_second_derivative_row(s, i, j, k), jet):
+            if not coeff.is_zero:
+                e = e - coeff * v
+        out[f"{i}{j}{k}"] = e
+    return out
+
+
+def is_killing(s: AffineSurface, X: VectorField) -> bool:
+    return all(e.is_zero for e in residuals(s, X).values())
+
+
+# ---------------------------------------------------------------------------
+# prolongation
+# ---------------------------------------------------------------------------
+
 def prolongation_symbolic(s: AffineSurface) -> tuple[ExprMat, ExprMat, list[list[Expr]]]:
     """Symbolic M1, M2 (d_i v = M_i v) and the K_12 - K_21 consistency rows."""
     one = Expr.const(1)
+    dd = {(i, j, k): _second_derivative_row(s, i, j, k) for i, j, k in product((1, 2), repeat=3)}
     m1: ExprMat = [_zero_row() for _ in range(JET_DIM)]
     m2: ExprMat = [_zero_row() for _ in range(JET_DIM)]
     for k in (1, 2):
@@ -147,29 +150,13 @@ def prolongation_symbolic(s: AffineSurface) -> tuple[ExprMat, ExprMat, list[list
         m2[_idx_a(k)][_idx_b(k, 2)] = one
         # d_1 b^k_1 = dd_11 a^k; d_1 b^k_2 = d_2 b^k_1 = dd_12 a^k (from K_12);
         # d_2 b^k_2 = dd_22 a^k.
-        m1[_idx_b(k, 1)] = _second_derivative_row(s, 1, 1, k)
-        m1[_idx_b(k, 2)] = _second_derivative_row(s, 1, 2, k)
-        m2[_idx_b(k, 1)] = _second_derivative_row(s, 1, 2, k)
-        m2[_idx_b(k, 2)] = _second_derivative_row(s, 2, 2, k)
-
-    c0: list[list[Expr]] = []
-    for k in (1, 2):
-        row = _zero_row()
-        for l in (1, 2):
-            row[_idx_a(l)] = row[_idx_a(l)] + (s.g(1, 2, k) - s.g(2, 1, k)).diff(f"x{l}")
-            row[_idx_b(k, l)] = row[_idx_b(k, l)] - (s.g(1, 2, l) - s.g(2, 1, l))
-            row[_idx_b(l, 2)] = row[_idx_b(l, 2)] + s.g(1, l, k) - s.g(l, 1, k)
-            row[_idx_b(l, 1)] = row[_idx_b(l, 1)] + s.g(l, 2, k) - s.g(2, l, k)
-        c0.append(row)
+        m1[_idx_b(k, 1)] = dd[1, 1, k]
+        m1[_idx_b(k, 2)] = dd[1, 2, k]
+        m2[_idx_b(k, 1)] = dd[1, 2, k]
+        m2[_idx_b(k, 2)] = dd[2, 2, k]
+    # K_12^k - K_21^k = (row(2,1,k) - row(1,2,k)) . v
+    c0 = [[a - b for a, b in zip(dd[2, 1, k], dd[1, 2, k])] for k in (1, 2)]
     return m1, m2, c0
-
-
-def prolongation(s: AffineSurface, p) -> tuple[list[list[Scalar]], list[list[Scalar]], list[list[Scalar]]]:
-    """M1, M2 and consistency rows exactly evaluated at a rational point."""
-    point = (as_fraction(p[0]), as_fraction(p[1]))
-    m1, m2, c0 = prolongation_symbolic(s)
-    ev = lambda rows: [[e.eval_exact(point) for e in row] for row in rows]
-    return ev(m1), ev(m2), ev(c0)
 
 
 @dataclass(frozen=True)
@@ -219,43 +206,22 @@ def _derive_row(row: list[Expr], m: ExprMat, var: str) -> list[Expr]:
     return out
 
 
-class _ExactRankTracker:
-    """Incremental exact rank of an accumulating row set (at most 6)."""
-
-    def __init__(self):
-        self.reduced: list[list[Scalar]] = []
-        self.pivots: list[int] = []
-
-    def add(self, row: list[Scalar]) -> None:
-        work = row[:]
-        for basis_row, piv in zip(self.reduced, self.pivots):
-            if not work[piv].is_zero:
-                work = linalg._eliminate(work, work[piv], basis_row)
-        piv = next((c for c in range(JET_DIM) if not work[c].is_zero), None)
-        if piv is None:
-            return
-        inv = ONE / work[piv]
-        work = [x if x.is_zero else x * inv for x in work]
-        self.reduced.append(work)
-        self.pivots.append(piv)
-
-    @property
-    def rank(self) -> int:
-        return len(self.reduced)
-
-
 def killing_jet_space(s: AffineSurface) -> KillingJetSpace:
     """Exact basis of 1-jets of affine Killing fields at the basepoint.
 
     Constraint rows are carried symbolically and differentiated along the
-    jet system before each exact evaluation.  The iteration is provably
-    complete once the frontier empties (the symbolic row span is then
-    closed under both derivations); otherwise it stops after two fully
-    stagnant rounds below 6.  A plateau at 6 never stops while constraint
-    rows exist: dimension 6 forces isotropy gl(2), hence a flat
-    torsion-free surface, on which every constraint row vanishes
-    identically.  Constraints vanishing at the basepoint to order beyond
-    the round cap raise ``NoStabilization``.
+    jet system before each exact evaluation; their values at the basepoint
+    go into one ``linalg.Echelon``, whose nullspace is the answer.  The
+    iteration is provably complete once the frontier empties (the symbolic
+    row span is then closed under both derivations); otherwise it stops
+    after two fully stagnant rounds below 6.  That stopping rule is
+    unproven and stops too early on two known surfaces, pinned as strict
+    xfails by ``test_killing.py::test_stagnation_rule_stops_early`` and
+    ``test_cli.py::test_killing_dim_stops_early``.  A plateau at 6 never
+    stops while constraint rows exist: dimension 6 forces isotropy gl(2),
+    hence a flat torsion-free surface, on which every constraint row
+    vanishes identically.  Constraints vanishing at the basepoint to order
+    beyond the round cap raise ``NoStabilization``.
     """
     point = s.basepoint
     system = jet_system(s)
@@ -265,7 +231,7 @@ def killing_jet_space(s: AffineSurface) -> KillingJetSpace:
         if any(not e.is_zero for e in row):
             base_rows.append(row)
 
-    tracker = _ExactRankTracker()
+    tracker = linalg.Echelon(JET_DIM)
     seen: set = set()
     frontier: list[list[Expr]] = []
     for row in base_rows:
@@ -277,8 +243,7 @@ def killing_jet_space(s: AffineSurface) -> KillingJetSpace:
         tracker.add([e.eval_exact(point) for e in row])
 
     def finish(history):
-        basis = linalg.nullspace(tracker.reduced, n_cols=JET_DIM)
-        jets = [Jet1.from_vector(v) for v in basis]
+        jets = [Jet1.from_vector(v) for v in tracker.nullspace()]
         return KillingJetSpace(jets, len(jets), history, system)
 
     history = [JET_DIM - tracker.rank]
@@ -328,12 +293,6 @@ def jet_of(s: AffineSurface, X: VectorField) -> Jet1:
     )
 
 
-def extend_jet(s: AffineSurface, v: Jet1, q, step: float = 1e-3):
-    """The six floats (a1, a2, d1 a1, d2 a1, d1 a2, d2 a2) at q: a one-row
-    ``JetField.jets_at`` (x1 leg, then x2 leg)."""
-    return JetField(s, v, step).jet_at(q)
-
-
 class JetField:
     """A Killing field known only through its 1-jet, evaluated on demand."""
 
@@ -359,8 +318,6 @@ class JetField:
         along x2.  The domain constrains x1 only, so checking the targets
         covers every path.
         """
-        from .numeric import _rk4
-
         s = self.surface
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         lo, hi = s.domain_bounds()
@@ -385,14 +342,6 @@ class JetField:
                 raise KillingError("jet extension produced a non-real jet")
             state = state.real
         return state.T
-
-    def jet_at(self, p) -> tuple[float, ...]:
-        return tuple(float(x) for x in self.jets_at([p])[0])
-
-    def value(self, p) -> tuple[float, float]:
-        full = self.jet_at(p)
-        return (full[0], full[1])
-
 
 # ---------------------------------------------------------------------------
 # field files

@@ -45,9 +45,13 @@ from .scalars import ONE, ZERO, Scalar
 from .surface import AffineSurface
 from .symexpr import Expr
 
-# Witness candidates per branch; the stream ends by itself in dimensions 2-4
-# (8, 49, 272 candidates), so only dimension 6 (7448) is cut.
+# Witness candidates, one stream shared by the TypeA and TypeB searches; it
+# ends by itself in dimensions 2-4 (8, 49, 272 candidates), so only
+# dimension 6 (7448) is cut.
 WITNESS_BUDGET = 4000
+# Relative residual allowed for a bracket of numeric eigenspaces in
+# ``grading_check``.
+GRADING_TOL = 1e-8
 
 
 class LieAlgError(Exception):
@@ -486,8 +490,7 @@ class GradingReport:
     pairs_checked: int = 0
 
 
-def grading_check(L: LieAlgebraPresentation, xi: list[Scalar],
-                  tol: float = 1e-8) -> GradingReport:
+def grading_check(L: LieAlgebraPresentation, xi: list[Scalar]) -> GradingReport:
     """Verify [E(alpha), E(beta)] lies inside E(alpha + beta)."""
     spaces = generalized_eigenspaces(L, xi)
     report = GradingReport(ok=True)
@@ -527,7 +530,7 @@ def grading_check(L: LieAlgebraPresentation, xi: list[Scalar],
                         sol, *_ = np.linalg.lstsq(tb.T, w, rcond=None)
                         resid = float(np.linalg.norm(tb.T @ sol - w))
                     report.pairs_checked += 1
-                    if resid > tol * max(1.0, float(np.linalg.norm(w))):
+                    if resid > GRADING_TOL * max(1.0, float(np.linalg.norm(w))):
                         report.ok = False
                         report.violations.append(
                             f"[E({ea.alpha}), E({eb.alpha})] residual {resid:.2e}")
@@ -640,55 +643,66 @@ def _verified_bracket(L, u, v) -> list[Scalar]:
     return [x / scale for x in coeffs]
 
 
-def _find_type_a(L) -> Witness | None:
-    """Commuting effective pairs among an integer candidate x and the kernel
-    of ad(x), taken from den * ad(x), which has the same kernel."""
-    n = L.dim
-    for ints in _search_candidates(n):
-        x = [Scalar.of(v) for v in ints]
-        kernel = linalg.nullspace(_scalar_rows(L.int_ad((ints, None))), n_cols=n)
-        pool = [x] + kernel
-        for u, v in combinations(pool, 2):
-            # [x, v] = ad(x) v vanishes on the kernel; only kernel pairs can fail.
-            if u is not x and not all(e.is_zero for e in L.bracket_coeffs(u, v)):
-                continue
-            if not effective(L, [u, v]):
-                continue
-            if all(e.is_zero for e in _verified_bracket(L, u, v)):
-                return Witness("TypeA", [u, v], "[X,Y]=0", True)
+def _type_a_at(L, ints, ad: GaussMat) -> Witness | None:
+    """Commuting effective pairs among the integer candidate x and the
+    kernel of ad(x), taken from ad = den * ad(x), which has the same kernel."""
+    x = [Scalar.of(v) for v in ints]
+    pool = [x] + _shifted_kernel(ad, (0, 0), 1)
+    for u, v in combinations(pool, 2):
+        # [x, v] = ad(x) v vanishes on the kernel; only kernel pairs can fail.
+        if u is not x and not all(e.is_zero for e in L.bracket_coeffs(u, v)):
+            continue
+        if not effective(L, [u, v]):
+            continue
+        if all(e.is_zero for e in _verified_bracket(L, u, v)):
+            return Witness("TypeA", [u, v], "[X,Y]=0", True)
     return None
 
 
-def _find_type_b(L, diagnostics) -> Witness | None:
-    """Spectra in Python integers: den * ad(x) from the presentation's
+def _type_b_at(L, ints, ad: GaussMat, diagnostics) -> Witness | None:
+    """Spectra in Python integers: ad = den * ad(x) from the presentation's
     tables, its monic Z[i] characteristic polynomial, and the exact root
     test.  A rational eigenvalue lam has den * lam in Z, so its eigenvectors
     are the kernel of the integer matrix den * ad(x) - den * lam."""
     n, den = L.dim, L.den
-    for ints in _search_candidates(n):
-        ad = L.int_ad((ints, None))
-        poly = linalg.int_charpoly(*ad)
-        roots = np.roots(linalg.float_coeffs(poly, den))
-        x = None
-        for z in roots:
-            if abs(z) < 1e-9:
+    poly = linalg.int_charpoly(*ad)
+    roots = np.roots(linalg.float_coeffs(poly, den))
+    x = None
+    for z in roots:
+        if abs(z) < 1e-9:
+            continue
+        if abs(z.imag) > 1e-9:
+            continue
+        lam = _rationalize_root(complex(z.real, 0.0), poly, den)
+        if lam is None or lam.is_zero:
+            diagnostics.append(
+                f"skipped non-rational candidate eigenvalue {z.real:.6g}")
+            continue
+        x = x or [Scalar.of(v) for v in ints]
+        for y in _shifted_kernel(ad, (int(lam.re * den), 0), 1):
+            x_scaled = [xi / lam for xi in x]
+            if not effective(L, [x_scaled, y]):
                 continue
-            if abs(z.imag) > 1e-9:
-                continue
-            lam = _rationalize_root(complex(z.real, 0.0), poly, den)
-            if lam is None or lam.is_zero:
-                diagnostics.append(
-                    f"skipped non-rational candidate eigenvalue {z.real:.6g}")
-                continue
-            x = x or [Scalar.of(v) for v in ints]
-            for y in _shifted_kernel(ad, (int(lam.re * den), 0), 1):
-                x_scaled = [xi / lam for xi in x]
-                if not effective(L, [x_scaled, y]):
-                    continue
-                got = _verified_bracket(L, x_scaled, y)
-                if all((got[k] - y[k]).is_zero for k in range(n)):
-                    return Witness("TypeB", [x_scaled, y], "[X,Y]=Y", True)
+            got = _verified_bracket(L, x_scaled, y)
+            if all((got[k] - y[k]).is_zero for k in range(n)):
+                return Witness("TypeB", [x_scaled, y], "[X,Y]=Y", True)
     return None
+
+
+def _find_pairs(L, diagnostics) -> tuple[Witness | None, Witness | None]:
+    """The first TypeA and the first TypeB witness along one pass over the
+    integer candidates; each candidate's den * ad(x) is built once and
+    each search stops at its own first witness."""
+    wa = wb = None
+    for ints in _search_candidates(L.dim):
+        ad = L.int_ad((ints, None))
+        if wa is None:
+            wa = _type_a_at(L, ints, ad)
+        if wb is None:
+            wb = _type_b_at(L, ints, ad, diagnostics)
+        if wa and wb:
+            break
+    return wa, wb
 
 
 def _find_so3(L) -> Witness | None:
@@ -763,16 +777,8 @@ def classify(s: AffineSurface, space: KillingJetSpace | None = None) -> Classifi
             "no pair of Killing fields spans the tangent plane at P")
 
     diagnostics: list[str] = []
-    branches: list[Witness] = []
-    wa = _find_type_a(L)
-    if wa:
-        branches.append(wa)
-    wb = _find_type_b(L, diagnostics)
-    if wb:
-        branches.append(wb)
-    wc = _find_so3(L)
-    if wc:
-        branches.append(wc)
+    wa, wb = _find_pairs(L, diagnostics)
+    branches = [w for w in (wa, wb, _find_so3(L)) if w]
     if not branches:
         raise ClassificationInconclusive(
             f"no witness found within budget {WITNESS_BUDGET}; diagnostics: {diagnostics}")

@@ -1,20 +1,21 @@
 """Exact linear algebra over the Gaussian rationals and integers.
 
-Two matrix formats.  Row reduction (echelon form, nullspace bases in
-reduced form, exact rank and linear solves) works on lists of lists of
-Scalar, directly over the field with exact division.  Spectra are
-fraction-free and work on ``GaussMat``, a matrix B over the Gaussian
-integers Z[i] as (real, imaginary) int matrices: a matrix A = B/d has its
-characteristic polynomial computed from B's by Faddeev-LeVerrier in Python
-integers (every division there is exact, and ``gauss_mul`` is the one
-product), and a rational root of A's polynomial is tested as a root of
-B's, which is monic over Z[i].  Products and row operations skip zero
-entries, since the matrices met here (ad matrices, constraint rows) are
-mostly zero.
+Two matrix formats.  Row reduction works on lists of lists of Scalar,
+directly over the field with exact division: one incremental reduced row
+echelon form (``Echelon``) gives echelon forms, exact ranks, nullspace
+bases and linear solves.  Spectra are fraction-free and work on
+``GaussMat``, a matrix B over the Gaussian integers Z[i] as (real,
+imaginary) int matrices: a matrix A = B/d has its characteristic
+polynomial computed from B's by Faddeev-LeVerrier in Python integers
+(every division there is exact, and ``gauss_mul`` is the one product), and
+a rational root of A's polynomial is tested as a root of B's, which is
+monic over Z[i].  Products and row operations skip zero entries, since
+the matrices met here (ad matrices, constraint rows) are mostly zero.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from math import lcm
 
 from .scalars import ONE, ZERO, Scalar
@@ -29,29 +30,52 @@ GaussMat = tuple[IntMat, IntMat | None]
 IntPoly = tuple[list[int], list[int]]
 
 
-def rref(rows: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form and pivot column list (exact)."""
-    m = [row[:] for row in rows]
-    if not m:
-        return m, []
-    n_rows, n_cols = len(m), len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if not m[i][col].is_zero), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = ONE / m[r][col]
-        m[r] = [x if x.is_zero else x * inv for x in m[r]]
-        for i in range(n_rows):
-            if i != r and not m[i][col].is_zero:
-                m[i] = _eliminate(m[i], m[i][col], m[r])
-        pivots.append(col)
-        r += 1
-        if r == n_rows:
-            break
-    return m, pivots
+class Echelon:
+    """Reduced row echelon form of a growing row set, kept up to date row by
+    row: the one Gaussian elimination behind ``rref``, ``rank``,
+    ``nullspace`` and ``solve``.
+
+    ``rows`` are sorted by their pivot columns ``pivots``; each row is 1 at
+    its pivot and every other row is 0 there.  The form is unique, so it
+    does not depend on the order in which rows arrive.
+    """
+
+    def __init__(self, n_cols: int):
+        self.n_cols = n_cols
+        self.rows: Mat = []
+        self.pivots: list[int] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def add(self, row: Vec) -> None:
+        """Reduce ``row`` into the form; a row in the span changes nothing."""
+        for basis_row, piv in zip(self.rows, self.pivots):
+            if not row[piv].is_zero:
+                row = _eliminate(row, row[piv], basis_row)
+        piv = next((c for c, x in enumerate(row) if not x.is_zero), None)
+        if piv is None:
+            return
+        inv = ONE / row[piv]
+        row = [x if x.is_zero else x * inv for x in row]
+        self.rows = [r if r[piv].is_zero else _eliminate(r, r[piv], row) for r in self.rows]
+        at = bisect(self.pivots, piv)
+        self.rows.insert(at, row)
+        self.pivots.insert(at, piv)
+
+    def nullspace(self) -> list[Vec]:
+        """Canonical basis of the right nullspace, one vector per free column."""
+        basis = []
+        for f in range(self.n_cols):
+            if f in self.pivots:
+                continue
+            v = [ZERO] * self.n_cols
+            v[f] = ONE
+            for row, p in zip(self.rows, self.pivots):
+                v[p] = -row[f]
+            basis.append(v)
+        return basis
 
 
 def _eliminate(row: Vec, f: Scalar, pivot_row: Vec) -> Vec:
@@ -59,8 +83,25 @@ def _eliminate(row: Vec, f: Scalar, pivot_row: Vec) -> Vec:
     return [x if y.is_zero else x - f * y for x, y in zip(row, pivot_row)]
 
 
+def _reduced(rows: Mat, n_cols: int) -> Echelon:
+    form = Echelon(n_cols)
+    for row in rows:
+        form.add(row)
+    return form
+
+
+def rref(rows: Mat) -> tuple[Mat, list[int]]:
+    """Reduced row echelon form, padded with zero rows to ``len(rows)``,
+    and its pivot columns (exact)."""
+    if not rows:
+        return [], []
+    n_cols = len(rows[0])
+    form = _reduced(rows, n_cols)
+    return form.rows + [[ZERO] * n_cols for _ in range(len(rows) - form.rank)], form.pivots
+
+
 def rank(rows: Mat) -> int:
-    return len(rref(rows)[1])
+    return _reduced(rows, len(rows[0]) if rows else 0).rank
 
 
 def nullspace(rows: Mat, n_cols: int | None = None) -> list[Vec]:
@@ -68,21 +109,9 @@ def nullspace(rows: Mat, n_cols: int | None = None) -> list[Vec]:
 
     ``n_cols`` must be given when ``rows`` may be empty.
     """
-    if not rows:
-        if n_cols is None:
-            raise ValueError("empty row set needs an explicit column count")
-        return [[ONE if i == j else ZERO for j in range(n_cols)] for i in range(n_cols)]
-    red, pivots = rref(rows)
-    n_cols = len(rows[0])
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [ZERO] * n_cols
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
-        basis.append(v)
-    return basis
+    if not rows and n_cols is None:
+        raise ValueError("empty row set needs an explicit column count")
+    return _reduced(rows, len(rows[0]) if rows else n_cols).nullspace()
 
 
 def solve(a: Mat, b: Vec) -> Vec | None:
@@ -90,15 +119,13 @@ def solve(a: Mat, b: Vec) -> Vec | None:
 
     Free variables are set to zero, so the result is deterministic.
     """
-    n_rows = len(a)
     n_cols = len(a[0]) if a else 0
-    aug = [a[i][:] + [b[i]] for i in range(n_rows)]
-    red, pivots = rref(aug)
-    if n_cols in pivots:
+    form = _reduced([row + [y] for row, y in zip(a, b)], n_cols + 1)
+    if n_cols in form.pivots:
         return None
     x = [ZERO] * n_cols
-    for r, p in enumerate(pivots):
-        x[p] = red[r][n_cols]
+    for row, p in zip(form.rows, form.pivots):
+        x[p] = row[n_cols]
     return x
 
 

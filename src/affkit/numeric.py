@@ -23,7 +23,6 @@ from typing import Callable
 
 import numpy as np
 
-from .killing import VectorField
 from .surface import GAMMA_KEYS, AffineSurface
 from .symexpr import compile_exprs
 
@@ -94,8 +93,8 @@ def _real_array_fn(exprs, message: str) -> Callable[[np.ndarray, np.ndarray], np
     return evaluate
 
 
-def _field_array_fn(field: VectorField) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """(x1, x2) -> (2, N) evaluator of a real VectorField."""
+def _field_array_fn(field) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """(x1, x2) -> (2, N) evaluator of a real ``killing.VectorField``."""
     return _real_array_fn([field.a1, field.a2], f"field ({field.a1}, {field.a2}) is not real")
 
 

@@ -28,6 +28,11 @@ RADIAL = VectorField(parse("-x1"), parse("-x2"))
 LATE_CONSTRAINTS = [({"211": "x2^4"}, 3), ({"121": "x1^5"}, 2),
                     ({"112": "1", "121": "x1^5"}, 1), ({"221": "1", "211": "x2^6"}, 3)]
 
+# Surfaces on which two stagnant rounds are not the answer: the solver
+# stops at dimension 4 (history [4, 4, 4]), while the degree-8 series
+# oracle gives these dimensions.
+EARLY_STOPS = [({"122": "1", "211": "x2^5"}, 1), ({"221": "x1", "211": "x2^6"}, 3)]
+
 
 @pytest.fixture
 def rng():

@@ -10,6 +10,9 @@ Cross-check paths that deliberately avoid the package's own kernel:
   estimates the Killing-algebra dimension by float SVD, used to cross-check
   the exact jet solver;
 
+* column-major Gauss-Jordan elimination, the reference for the package's
+  incremental reduced row echelon form;
+
 * the field (Scalar) Faddeev-LeVerrier recursion and Horner evaluation,
   the reference for the package's fraction-free integer spectra;
 
@@ -22,6 +25,7 @@ Cross-check paths that deliberately avoid the package's own kernel:
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -34,7 +38,12 @@ X1, X2 = sp.symbols("x1 x2")
 
 
 def to_sympy(text: str) -> sp.Expr:
-    """Translate kernel expression text to a sympy expression."""
+    """Translate kernel expression text to a sympy expression.
+
+    The printer writes exp((a+b*i)*x2) as ``exp(a+b*i*x2)``, so the
+    coefficient of each exp argument is parenthesised first.
+    """
+    text = re.sub(r"exp\(([^()]*)\*x2\)", r"exp((\1)*x2)", text)
     return sp.sympify(text.replace("^", "**"),
                       locals={"x1": X1, "x2": X2, "i": sp.I, "sec": sp.sec})
 
@@ -74,7 +83,8 @@ def sym_nabla_ricci(g: dict) -> dict:
 
 
 def sym_killing_residuals(g: dict, a1: sp.Expr, a2: sp.Expr) -> dict:
-    """The eight affine Killing residuals for the field a1 d1 + a2 d2."""
+    """The eight affine Killing residuals for the field a1 d1 + a2 d2,
+    unsimplified (compare them at points)."""
     x = {1: X1, 2: X2}
     a = {1: a1, 2: a2}
     out = {}
@@ -85,8 +95,39 @@ def sym_killing_residuals(g: dict, a1: sp.Expr, a2: sp.Expr) -> dict:
                      - g[f"{i}{j}{l}"] * sp.diff(a[k], x[l])
                      + g[f"{i}{l}{k}"] * sp.diff(a[l], x[j])
                      + g[f"{l}{j}{k}"] * sp.diff(a[l], x[i]))
-        out[(i, j, k)] = sp.simplify(expr)
+        out[(i, j, k)] = expr
     return out
+
+
+# ---------------------------------------------------------------------------
+# row reduction, column by column
+# ---------------------------------------------------------------------------
+
+def rref_reference(rows: list) -> tuple[list, list]:
+    """Reduced row echelon form by column-major Gauss-Jordan elimination
+    (zero rows kept at the bottom) and the pivot columns."""
+    m = [row[:] for row in rows]
+    if not m:
+        return m, []
+    n_rows, n_cols = len(m), len(m[0])
+    pivots: list = []
+    r = 0
+    for col in range(n_cols):
+        pivot_row = next((i for i in range(r, n_rows) if not m[i][col].is_zero), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = ONE / m[r][col]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(n_rows):
+            if i != r and not m[i][col].is_zero:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == n_rows:
+            break
+    return m, pivots
 
 
 # ---------------------------------------------------------------------------

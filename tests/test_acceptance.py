@@ -104,7 +104,7 @@ def test_criterion_06_grading_on_fixtures():
             v1, v2 = L.evaluate(xi)
             if v1.is_zero and v2.is_zero:
                 continue
-            if not grading_check(L, xi, tol=1e-8).ok:
+            if not grading_check(L, xi).ok:
                 ok = False
     report(ok, "criterion 6: eigenspace grading holds on every fixture algebra")
 

@@ -10,7 +10,7 @@ import affkit.surface
 from affkit.cli import main
 from affkit.surface import sphere, surface_from_json, surface_to_json, type_a, type_b
 
-from conftest import LATE_CONSTRAINTS
+from conftest import EARLY_STOPS, LATE_CONSTRAINTS
 
 # Stdout of `classify` and `killing --basis` recorded before the exact core
 # skipped zeros and real-only work; exact answers must not change by a byte.
@@ -228,6 +228,16 @@ def test_input_errors_exit_two(files, capsys):
 
 @pytest.mark.parametrize("gamma, dim", LATE_CONSTRAINTS)
 def test_killing_dim_of_flat_surfaces_with_late_constraints(gamma, dim, tmp_path, capsys):
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps({"gamma": gamma, "basepoint": ["0", "0"]}), encoding="utf-8")
+    code, payload, _ = run(capsys, "killing", str(path), "--dim")
+    assert code == 0
+    assert payload == {"dim": dim}
+
+
+@pytest.mark.xfail(strict=True, reason="two stagnant rounds below 6 are taken as the answer")
+@pytest.mark.parametrize("gamma, dim", EARLY_STOPS)
+def test_killing_dim_stops_early(gamma, dim, tmp_path, capsys):
     path = tmp_path / "surface.json"
     path.write_text(json.dumps({"gamma": gamma, "basepoint": ["0", "0"]}), encoding="utf-8")
     code, payload, _ = run(capsys, "killing", str(path), "--dim")

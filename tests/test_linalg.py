@@ -7,12 +7,14 @@ import hypothesis.strategies as st
 import sympy as sp
 
 from affkit.linalg import (
-    clear_denominators, deflate, float_coeffs, gauss_mul, in_span, int_charpoly, is_root,
-    nullspace, rank, rref, solve,
+    Echelon, clear_denominators, deflate, float_coeffs, gauss_mul, in_span, int_charpoly,
+    is_root, nullspace, rank, rref, solve,
 )
 from affkit.scalars import ONE, ZERO, Scalar
 
-from helpers_oracle import charpoly_reference, mat_mul_reference, poly_eval_reference
+from helpers_oracle import (
+    charpoly_reference, mat_mul_reference, poly_eval_reference, rref_reference,
+)
 
 # Sparse Gaussian-rational entries: about half zero, the rest real,
 # imaginary or general, as in ad matrices and constraint rows.
@@ -57,6 +59,32 @@ def test_rref_and_rank():
     assert pivots == [0]
     assert m[1] == [ZERO, ZERO]
     assert rank(M([[1, 2], [3, 4]])) == 2
+
+
+@st.composite
+def ranked_rows(draw):
+    """Up to 6 sparse Gaussian-rational rows of width 6, plus rows that are
+    small integer combinations of them, in a random order: any rank 0-6."""
+    base = draw(st.integers(0, 6).flatmap(lambda r: sparse_matrices(r, 6)))
+    combos = draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(base),
+                                    max_size=len(base)), max_size=3))
+    rows = base + [[sum((base[r][c] * Scalar.of(k) for r, k in enumerate(ks)), ZERO)
+                    for c in range(6)] for ks in combos]
+    return draw(st.permutations(rows))
+
+
+@given(ranked_rows())
+def test_echelon_matches_column_major_reference(rows):
+    want = rref_reference(rows)
+    assert rref(rows) == want
+    assert rank(rows) == len(want[1])
+    # Row by row: the rank of every prefix, and the same unique form.
+    form = Echelon(6)
+    for k, row in enumerate(rows):
+        form.add(row)
+        assert form.rank == len(rref_reference(rows[:k + 1])[1])
+    assert (form.rows, form.pivots) == (want[0][:form.rank], want[1])
+    assert form.nullspace() == nullspace(rows, n_cols=6)
 
 
 def test_nullspace_known_kernel():

@@ -45,6 +45,14 @@ def unused_private_defs(sources: dict[str, str]) -> list[str]:
             if fn not in referenced]
 
 
+def function_level_imports(source: str) -> list[str]:
+    """Imports inside a function or method body, as "function (line)"."""
+    return [f"{fn.name} (line {node.lineno})"
+            for fn in ast.walk(ast.parse(source))
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
 def test_unused_imports_are_detected():
     assert unused_imports("import math\nimport numpy as np\nnp.zeros(1)\n") == ["math (line 1)"]
     assert unused_imports("from os import path, sep\n__all__ = ['sep']\n") == ["path (line 1)"]
@@ -69,3 +77,17 @@ def test_library_has_no_unused_private_defs():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert "coords.py" in sources
     assert unused_private_defs(sources) == []
+
+
+def test_function_level_imports_are_detected():
+    source = ("import os\n"
+              "def f():\n    from math import pi\n    return pi\n"
+              "class C:\n    def m(self):\n        import json\n")
+    assert function_level_imports(source) == ["f (line 3)", "m (line 7)"]
+
+
+def test_library_has_no_function_level_imports():
+    found = {p.name: function_level_imports(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py"))}
+    assert "killing.py" in found
+    assert {name: names for name, names in found.items() if names} == {}
