@@ -17,9 +17,9 @@ rows) and the integrability rows of the first-order system.
 Differentiating constraint rows along the system and re-evaluating at the
 basepoint cuts the jet space down until the dimension stabilizes; all of
 this is exact Gaussian-rational arithmetic, so the dimensions (at most 6)
-are exact integers.  The prolongation is built once per surface as a
-:class:`JetSystem` and returned with the jet space for brackets and
-classification to reuse.
+are exact integers.  ``killing_jet_space`` builds the prolongation once, as
+a :class:`JetSystem`, and its frozen :class:`KillingJetSpace` is what
+carries that system on to the Lie layer.
 """
 
 from __future__ import annotations
@@ -80,12 +80,15 @@ class Jet1:
         return Jet1(*v)
 
 
-@dataclass
+@dataclass(frozen=True)
 class KillingJetSpace:
     basis: list[Jet1]
-    dim: int
     constraint_history: list[int]
     system: JetSystem
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +142,20 @@ def is_killing(s: AffineSurface, X: VectorField) -> bool:
 # prolongation
 # ---------------------------------------------------------------------------
 
-def prolongation_symbolic(s: AffineSurface) -> tuple[ExprMat, ExprMat, list[list[Expr]]]:
-    """Symbolic M1, M2 (d_i v = M_i v) and the K_12 - K_21 consistency rows."""
+@dataclass(frozen=True)
+class JetSystem:
+    """One surface's prolongation: symbolic M1, M2 (d_i v = M_i v), the
+    K_12 - K_21 consistency rows C0, and the exact rows giving
+    dd_ij a^k = row . v at the basepoint, keyed (i, j, k)."""
+
+    m1: ExprMat
+    m2: ExprMat
+    c0: list[list[Expr]]
+    second: dict[tuple[int, int, int], list[Scalar]]
+
+
+def prolongation_symbolic(s: AffineSurface) -> JetSystem:
+    """Build the surface's prolongation and evaluate its second-derivative rows."""
     one = Expr.const(1)
     dd = {(i, j, k): _second_derivative_row(s, i, j, k) for i, j, k in product((1, 2), repeat=3)}
     m1: ExprMat = [_zero_row() for _ in range(JET_DIM)]
@@ -156,23 +171,6 @@ def prolongation_symbolic(s: AffineSurface) -> tuple[ExprMat, ExprMat, list[list
         m2[_idx_b(k, 2)] = dd[2, 2, k]
     # K_12^k - K_21^k = (row(2,1,k) - row(1,2,k)) . v
     c0 = [[a - b for a, b in zip(dd[2, 1, k], dd[1, 2, k])] for k in (1, 2)]
-    return m1, m2, c0
-
-
-@dataclass(frozen=True)
-class JetSystem:
-    """One surface's prolongation: symbolic M1, M2 and C0, and the exact
-    rows giving dd_ij a^k = row . v at the basepoint, keyed (i, j, k)."""
-
-    m1: ExprMat
-    m2: ExprMat
-    c0: list[list[Expr]]
-    second: dict[tuple[int, int, int], list[Scalar]]
-
-
-def jet_system(s: AffineSurface) -> JetSystem:
-    """Build the prolongation once and evaluate its second-derivative rows."""
-    m1, m2, c0 = prolongation_symbolic(s)
     # dd_ij a^k (i <= j) is row b^k_j of M_i; dd_21 a^k = dd_12 a^k.
     second = {(i, j, k): [e.eval_exact(s.basepoint)
                           for e in (m1, m2)[min(i, j) - 1][_idx_b(k, max(i, j))]]
@@ -224,7 +222,7 @@ def killing_jet_space(s: AffineSurface) -> KillingJetSpace:
     beyond the round cap raise ``NoStabilization``.
     """
     point = s.basepoint
-    system = jet_system(s)
+    system = prolongation_symbolic(s)
     m1, m2 = system.m1, system.m2
     base_rows = [row for row in system.c0 if any(not e.is_zero for e in row)]
     for row in _integrability_rows(m1, m2):
@@ -244,7 +242,7 @@ def killing_jet_space(s: AffineSurface) -> KillingJetSpace:
 
     def finish(history):
         jets = [Jet1.from_vector(v) for v in tracker.nullspace()]
-        return KillingJetSpace(jets, len(jets), history, system)
+        return KillingJetSpace(jets, history, system)
 
     history = [JET_DIM - tracker.rank]
     for _ in range(STABILIZATION_CAP):
@@ -300,11 +298,11 @@ class JetField:
         self.surface = s
         self.jet = jet
         self.step = step
-        self.system = jet_system(s)
+        system = prolongation_symbolic(s)
         # Per axis: the nonzero entries of M_i, compiled once, with the
         # 0/1 matrix (6, nnz) that scatters entry products onto their rows.
         self._legs = []
-        for m in (self.system.m1, self.system.m2):
+        for m in (system.m1, system.m2):
             rows, cols = np.nonzero([[not e.is_zero for e in row] for row in m])
             scatter = np.zeros((JET_DIM, len(rows)))
             scatter[rows, np.arange(len(rows))] = 1.0

@@ -15,20 +15,21 @@ through the jet bracket before it is returned.
 
 The layer runs over the Gaussian integers Z[i].  One integer bracket
 kernel serves ``structure_constants``, ``bracket_jets`` and the witness
-check.  A presentation is frozen: the tables it needs (the basis jets with
-their second derivatives from the surface's ``killing.JetSystem``, each
-over one common denominator, and den * ad(e_i)) are derived once, when it
-is built, so one classification builds the jet system once and no table
-can go stale.  Effectivity is a 2 x 2 determinant in Z[i].  Every ad
-comes from the presentation's Z[i] tables (``int_ad``): the spectra, the
-exact generalized eigenspaces and the witness searches all work on
-den * ad(x) in Python integers, and the Killing form is read off the
-structure constants directly.
+check.  Every entry point takes just the surface and solves its jets once:
+``structure_constants`` reads the basis jets' second derivatives off the
+``killing.JetSystem`` that ``killing_jet_space`` returns, each over one
+common denominator, and ``classify`` keeps that presentation as its
+result's ``algebra``.  A presentation is frozen, and den * ad(e_i) is
+derived once, when it is built, so no table can go stale.  Effectivity is
+a 2 x 2 determinant in Z[i].  Every ad comes from the presentation's Z[i]
+tables (``int_ad``): the spectra, the exact generalized eigenspaces and
+the witness searches all work on den * ad(x) in Python integers, and the
+Killing form is read off the structure constants directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import combinations, product
@@ -39,8 +40,8 @@ import numpy as np
 
 from . import linalg
 from .linalg import GaussMat
-from .killing import (JET_DIM, Jet1, JetSystem, KillingJetSpace, VectorField,
-                      jet_system, killing_jet_space)
+from .killing import (JET_DIM, Jet1, JetSystem, VectorField, killing_jet_space,
+                      prolongation_symbolic)
 from .scalars import ONE, ZERO, Scalar
 from .surface import AffineSurface
 from .symexpr import Expr
@@ -182,15 +183,6 @@ def _scalar_rows(m: GaussMat) -> linalg.Mat:
     return [_to_scalars(_row(m, r), 1) for r in range(len(m[0]))]
 
 
-def _second_table(system: JetSystem | None) -> tuple[int, GaussMat]:
-    """(d_second, S): the 8 x 6 rows of ``system.second`` as S / d_second;
-    all zero without a system."""
-    if system is None:
-        return 1, ([[0] * JET_DIM for _ in _SECOND], None)
-    d, re, im = linalg.clear_denominators(list(system.second.values()))
-    return d, (re, im)
-
-
 def _extend(jet: GaussVec, second: GaussMat) -> GaussVec:
     """Extended jet of a jet vector over D: append S . jet, over D * d_second."""
     dd = _gauss(_mat_vec, second, jet)
@@ -206,19 +198,17 @@ def _bracket_int(x: GaussVec, y: GaussVec, second_den: int) -> GaussVec:
     return _gauss(lambda u, v: _bracket_kernel(u, v, second_den), x, y)
 
 
-def bracket_jets(s: AffineSurface, vx: Jet1, vy: Jet1,
-                 system: JetSystem | None = None) -> Jet1:
+def bracket_jets(s: AffineSurface, vx: Jet1, vy: Jet1) -> Jet1:
     """Jet of [X, Y] from the jets of two Killing fields.
 
     [X, Y]^k = X^l d_l Y^k - Y^l d_l X^k, differentiated once with the
-    second derivatives of the surface's jet system (built here if not given).
-    The bracket runs over Z[i] on the jets and rows with their denominators
-    cleared, and is scaled back once.
+    second derivatives of the surface's jet system.  The bracket runs over
+    Z[i] on the two jets extended as in ``IntJets``, and is scaled back
+    once.
     """
-    second_den, second = _second_table(system or jet_system(s))
-    d, (x, y) = _cleared([vx.as_vector(), vy.as_vector()])
-    br = _bracket_int(_extend(x, second), _extend(y, second), second_den)
-    return Jet1.from_vector(_to_scalars(br, d * d * second_den))
+    ints = _int_jets([vx, vy], prolongation_symbolic(s))
+    br = _bracket_int(_column(ints.ext, 0), _column(ints.ext, 1), ints.second_den)
+    return Jet1.from_vector(_to_scalars(br, ints.den ** 2 * ints.second_den))
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +216,10 @@ def bracket_jets(s: AffineSurface, vx: Jet1, vy: Jet1,
 # ---------------------------------------------------------------------------
 
 class IntJets(NamedTuple):
-    """A jet basis over Z[i], derived once per presentation.
+    """Jets over Z[i]: a presentation's basis, derived once by
+    ``structure_constants``, or the pair that ``bracket_jets`` brackets.
 
-    Column k of ``ext`` is basis jet k times ``den`` (rows 0-5), followed by
+    Column k of ``ext`` is jet k times ``den`` (rows 0-5), followed by
     its second derivatives times den * second_den (rows 6-13).  Rows 0-5
     are the transposed basis, whose rows 0 and 1 evaluate the basis fields
     at P; ``basis_t`` holds those six rows as integer Scalars, the matrix
@@ -241,10 +232,12 @@ class IntJets(NamedTuple):
     basis_t: linalg.Mat
 
 
-def _int_jets(jets, system: JetSystem | None) -> IntJets:
+def _int_jets(jets, system: JetSystem) -> IntJets:
+    """The jets over Z[i], extended by the second derivatives
+    ``system.second``, cleared as S / second_den."""
     d, jet_ints = _cleared([j.as_vector() for j in jets])
-    second_den, second = _second_table(system)
-    cols = [_extend(jet, second) for jet in jet_ints]
+    second_den, re, im = linalg.clear_denominators(list(system.second.values()))
+    cols = [_extend(jet, (re, im)) for jet in jet_ints]
     rows = range(JET_DIM + len(_SECOND))
     ext_re = [[col[0][r] for col in cols] for r in rows]
     ext_im = None
@@ -258,32 +251,27 @@ def _int_jets(jets, system: JetSystem | None) -> IntJets:
 class LieAlgebraPresentation:
     """Structure constants over a jet basis, frozen.
 
-    ``c`` and ``jets`` are stored as tuples, and every table below is
-    derived from them once, at construction, so none can go stale:
-
-    * ``den`` is the least common denominator of the structure constants,
-      and ``ad_re``/``ad_im`` hold den * ad(e_i) over the Gaussian integers
-      as sparse (row, column, value) entries, so den * ad(x) for an integer
-      x is plain int arithmetic (``int_ad``); ``ad_im`` is None for a real
-      algebra;
-    * ``int_jets`` holds the basis jets and their second derivatives over
-      Z[i] (``IntJets``), for jet brackets, evaluation at P and effectivity.
-
-    ``structure_constants`` hands over the ``IntJets`` it derived for its
-    own brackets as ``prederived``; other callers leave it out.
+    ``int_jets`` holds the basis jets and their second derivatives over
+    Z[i] (``IntJets``), for jet brackets, evaluation at P and effectivity;
+    ``structure_constants`` derives it from the surface's jet system for
+    its own brackets and hands it over.  ``c`` and ``jets`` are stored as
+    tuples, and the ad tables are derived from ``c`` once, at construction,
+    so they cannot go stale: ``den`` is the least common denominator of the
+    structure constants, and ``ad_re``/``ad_im`` hold den * ad(e_i) over
+    the Gaussian integers as sparse (row, column, value) entries, so
+    den * ad(x) for an integer x is plain int arithmetic (``int_ad``);
+    ``ad_im`` is None for a real algebra.
     """
 
     dim: int
     c: tuple[tuple[tuple[Scalar, ...], ...], ...]   # [e_i, e_j] = sum_k c[i][j][k] e_k
     jets: tuple[Jet1, ...]
-    system: JetSystem | None = None      # the surface's, when built from one
-    prederived: InitVar[IntJets | None] = None
+    int_jets: IntJets = field(repr=False)
     den: int = field(init=False, repr=False)
     ad_re: list[list[tuple[int, int, int]]] = field(init=False, repr=False)
     ad_im: list[list[tuple[int, int, int]]] | None = field(init=False, repr=False)
-    int_jets: IntJets = field(init=False, repr=False)
 
-    def __post_init__(self, prederived):
+    def __post_init__(self):
         put = partial(object.__setattr__, self)
         put("c", tuple(tuple(tuple(row) for row in plane) for plane in self.c))
         put("jets", tuple(self.jets))
@@ -299,8 +287,6 @@ class LieAlgebraPresentation:
         put("den", d)
         put("ad_re", table(re))
         put("ad_im", table(im) if im is not None else None)
-        put("int_jets", prederived if prederived is not None
-            else _int_jets(self.jets, self.system))
 
     def int_ad(self, x: GaussVec) -> GaussMat:
         """den * ad(x) for x over Z[i]: column j holds den * [x, e_j]."""
@@ -351,8 +337,7 @@ class LieAlgebraPresentation:
         return tuple(_to_scalars(g, d))
 
 
-def structure_constants(s: AffineSurface,
-                        space: KillingJetSpace | None = None) -> LieAlgebraPresentation:
+def structure_constants(s: AffineSurface) -> LieAlgebraPresentation:
     """Exact structure constants of the Killing algebra in the jet basis.
 
     All n(n-1)/2 bracket jets come from the integer bracket kernel, and are
@@ -362,7 +347,7 @@ def structure_constants(s: AffineSurface,
     den^2 * second_den and the basis over den, so one rescale by
     1 / (den * second_den) gives the constants.
     """
-    ks = space or killing_jet_space(s)
+    ks = killing_jet_space(s)
     n = ks.dim
     ints = _int_jets(ks.basis, ks.system)
     cols = [_column(ints.ext, k) for k in range(n)]
@@ -383,7 +368,7 @@ def structure_constants(s: AffineSurface,
             if not red[r][col].is_zero:
                 c[i][j][k] = red[r][col] / scale
                 c[j][i][k] = -c[i][j][k]
-    return LieAlgebraPresentation(n, c, ks.basis, ks.system, ints)
+    return LieAlgebraPresentation(n, c, ks.basis, ints)
 
 
 def jacobi_residual(L: LieAlgebraPresentation) -> list[Scalar]:
@@ -567,9 +552,16 @@ class Witness:
 
 @dataclass
 class ClassificationResult:
-    dim: int
+    """The witnesses found and the presentation whose jet basis their
+    coefficient vectors refer to."""
+
     branches: list[Witness]
+    algebra: LieAlgebraPresentation
     diagnostics: list[str] = field(default_factory=list)
+
+    @property
+    def dim(self) -> int:
+        return self.algebra.dim
 
     def kinds(self) -> list[str]:
         return [w.kind for w in self.branches]
@@ -758,19 +750,17 @@ def _det3(m) -> Scalar:
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
-def classify(s: AffineSurface, space: KillingJetSpace | None = None) -> ClassificationResult:
+def classify(s: AffineSurface) -> ClassificationResult:
     """Search the Killing algebra for certified subalgebra witnesses.
 
     Branches are reported in the order TypeA, TypeB, so3 and are not
     exclusive; each witness' relations are re-verified exactly via the jet
-    bracket (TypeA/TypeB) or to residual 1e-9 (so3).  A precomputed
-    ``space`` of ``s`` is reused instead of solving the jets again.
+    bracket (TypeA/TypeB) or to residual 1e-9 (so3).
     """
-    ks = space or killing_jet_space(s)
-    if ks.dim < 2:
+    L = structure_constants(s)
+    if L.dim < 2:
         raise NotHomogeneousCandidate(
-            f"Killing dimension {ks.dim} < 2; not locally homogeneous")
-    L = structure_constants(s, ks)
+            f"Killing dimension {L.dim} < 2; not locally homogeneous")
     basis_coeffs = [_unit(L.dim, i) for i in range(L.dim)]
     if not effective(L, basis_coeffs):
         raise NotHomogeneousCandidate(
@@ -782,4 +772,4 @@ def classify(s: AffineSurface, space: KillingJetSpace | None = None) -> Classifi
     if not branches:
         raise ClassificationInconclusive(
             f"no witness found within budget {WITNESS_BUDGET}; diagnostics: {diagnostics}")
-    return ClassificationResult(L.dim, branches, diagnostics)
+    return ClassificationResult(branches, L, diagnostics)

@@ -109,11 +109,9 @@ def verify_paper(negative_control: str | None = None, seed: int = 0,
     killing_ok = all(is_killing(sph, f) for f in triple)
     items.append(CheckItem("sphere-killing-triple", killing_ok,
                            "rotation fields satisfy the Killing equations"))
-    sph_space = killing_jet_space(sph)
-    dim = sph_space.dim
-    items.append(CheckItem("sphere-killing-dimension", dim == 3, f"dim = {dim}"))
-
-    result = classify(sph, sph_space)
+    result = classify(sph)
+    items.append(CheckItem("sphere-killing-dimension", result.dim == 3,
+                           f"dim = {result.dim}"))
     so3_ok = result.kinds() == ["so3"]
     items.append(CheckItem(
         "sphere-so3-branch", so3_ok,
@@ -125,7 +123,7 @@ def verify_paper(negative_control: str | None = None, seed: int = 0,
     fixtures = [sph, type_a({}), type_a({"112": 1, "221": 1}),
                 type_b({"221": 1})]
     for surf in fixtures:
-        pres = structure_constants(surf, sph_space if surf is sph else None)
+        pres = result.algebra if surf is sph else structure_constants(surf)
         if negative_control == "corrupt-structure" and surf is sph:
             c = [[list(row) for row in plane] for plane in pres.c]
             c[2][0][2] = c[2][0][2] + ONE

@@ -52,7 +52,7 @@ def test_criterion_02_sphere_killing_algebra():
     w = result.branches[0]
     # Re-check the adapted-basis relations through the c tensor.
     import numpy as np
-    L = structure_constants(s)
+    L = result.algebra
     cf = np.array([[[float(complex(L.c[i][j][k]).real) for k in range(3)]
                     for j in range(3)] for i in range(3)])
     f1, f2, f3 = (np.array(e) for e in w.elements)

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import example, given
 import hypothesis.strategies as st
 
-from affkit.killing import Jet1, VectorField, jet_of, jet_system, killing_jet_space
+import affkit.liealg as liealg
+from affkit.killing import Jet1, VectorField, jet_of, killing_jet_space, prolongation_symbolic
 from affkit.liealg import (
-    LieAlgebraPresentation, NotHomogeneousCandidate,
+    IntJets, LieAlgebraPresentation, NotHomogeneousCandidate, SolveFailure,
     bracket_fields, bracket_jets, classify, effective, generalized_eigenspaces,
     grading_check, jacobi_residual, structure_constants,
 )
@@ -25,7 +26,8 @@ from helpers_oracle import ad_reference, bracket_reference, mat_mul_reference
 
 
 def presentation_from_table(dim, table):
-    """Build a bare presentation from {(i,j): {k: value}} bracket data."""
+    """Build a bare presentation from {(i,j): {k: value}} bracket data, over
+    zero jets with zero second derivatives."""
     c = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
     for (i, j), targets in table.items():
         for k, val in targets.items():
@@ -33,7 +35,9 @@ def presentation_from_table(dim, table):
             c[i][j][k] = sc
             c[j][i][k] = -sc
     jets = [Jet1(*([ZERO] * 6)) for _ in range(dim)]
-    return LieAlgebraPresentation(dim, c, jets)
+    zero_jets = IntJets(1, 1, ([[0] * dim for _ in range(14)], None),
+                        [[ZERO] * dim for _ in range(6)])
+    return LieAlgebraPresentation(dim, c, jets, zero_jets)
 
 
 SO3 = presentation_from_table(3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (2, 0): {1: 1}})
@@ -139,7 +143,7 @@ BRACKET_SURFACES = {
 @cache
 def surface_and_system(name):
     s = BRACKET_SURFACES[name]()
-    return s, jet_system(s)
+    return s, prolongation_symbolic(s)
 
 
 GAUSSIAN_RATIONAL = st.builds(lambda a, b, q: Scalar.of(Fraction(a, q), Fraction(b, q)),
@@ -152,7 +156,7 @@ GAUSSIAN_JET = st.lists(GAUSSIAN_RATIONAL, min_size=6, max_size=6).filter(
 @given(GAUSSIAN_JET, GAUSSIAN_JET)
 def test_integer_bracket_matches_the_field_reference(name, x, y):
     s, system = surface_and_system(name)
-    got = bracket_jets(s, Jet1.from_vector(x), Jet1.from_vector(y), system)
+    got = bracket_jets(s, Jet1.from_vector(x), Jet1.from_vector(y))
     assert got.as_vector() == bracket_reference(system, x, y)
 
 
@@ -168,13 +172,6 @@ def test_classify_builds_the_prolongation_once(flat_surface, monkeypatch):
                         lambda s: built.append(s) or original(s))
     result = classify(flat_surface)
     assert result.dim == 6 and len(built) == 1
-
-
-def test_bracket_jets_builds_its_own_system_for_a_bare_surface(sphere_surface):
-    ks = killing_jet_space(sphere_surface)
-    for u, v in combinations(ks.basis, 2):
-        assert (bracket_jets(sphere_surface, u, v)
-                == bracket_jets(sphere_surface, u, v, ks.system))
 
 
 def test_flat_structure_constants_match_hand_table(flat_surface):
@@ -210,14 +207,14 @@ def test_sphere_algebra_is_three_dimensional(sphere_surface):
     assert structure_constants(sphere_surface).dim == 3
 
 
-def test_structure_constants_name_the_pair_that_escapes(flat_surface):
+def test_structure_constants_name_the_pair_that_escapes(flat_surface, monkeypatch):
     # Drop x2 d2 from the flat basis (hand table above): the first pair
     # whose bracket needs it is [x2 d1, x1 d2] = x2 d2 - x1 d1.
-    from affkit.liealg import SolveFailure
     ks = killing_jet_space(flat_surface)
-    cut = replace(ks, basis=ks.basis[:5], dim=5)
+    cut = replace(ks, basis=ks.basis[:5])
+    monkeypatch.setattr(liealg, "killing_jet_space", lambda s: cut)
     with pytest.raises(SolveFailure, match="basis jets 3,4 "):
-        structure_constants(flat_surface, cut)
+        structure_constants(flat_surface)
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +541,8 @@ def test_classify_type_b_surface(type_b_radial_fields):
 
 
 def test_verify_paper_builds_the_sphere_jet_system_once(monkeypatch):
-    # The dimension item's jet space is handed to classify and to
-    # structure_constants instead of being solved again.
+    # The sphere is classified once; the dimension item reads that result,
+    # and the fixture loop reuses its algebra instead of solving again.
     import affkit.killing as killing
     from affkit.paperchecks import verify_paper
     built = []
@@ -573,7 +570,7 @@ def test_classify_witness_relations_reverify(sphere_surface):
     s = type_b({"221": 1, "122": -2})
     res = classify(s)
     wb = next(w for w in res.branches if w.kind == "TypeB")
-    L = structure_constants(s)
+    L = res.algebra
     x, y = wb.elements
     got = L.bracket_coeffs(x, y)
     assert all((got[k] - y[k]).is_zero for k in range(L.dim))
@@ -583,11 +580,12 @@ def test_type_b_witness_with_fractional_coefficients():
     # The first candidate with an eigenvalue gives x / 2, so the jet check
     # of [X, Y] = Y clears a denominator before it brackets.
     s = type_b({"122": -1, "112": 1})
-    wb = next(w for w in classify(s).branches if w.kind == "TypeB")
+    res = classify(s)
+    wb = next(w for w in res.branches if w.kind == "TypeB")
     x, y = wb.elements
     half = Scalar.of(Fraction(1, 2))
     assert x == [ZERO, half, ZERO, ZERO] and y == [half, ZERO, ONE, ZERO]
-    assert structure_constants(s).bracket_coeffs(x, y) == y
+    assert res.algebra.bracket_coeffs(x, y) == y
 
 
 def test_sphere_admits_no_two_dimensional_subalgebra(sphere_surface):

@@ -53,6 +53,25 @@ def function_level_imports(source: str) -> list[str]:
             for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
 
 
+def public_parameters_named(source: str, names: set[str]) -> list[str]:
+    """Parameters in ``names`` of public functions, public methods and
+    constructors of public classes, as "function: parameter (line)"."""
+    tree = ast.parse(source)
+    defs = [(fn.name, fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+            defs += [(f"{cls.name}.{fn.name}", fn) for fn in cls.body
+                     if isinstance(fn, ast.FunctionDef)]
+    found = []
+    for name, fn in defs:
+        if fn.name.startswith("_") and fn.name != "__init__":
+            continue
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        found += [f"{name}: {p.arg} (line {fn.lineno})" for p in params if p.arg in names]
+    return found
+
+
 def test_unused_imports_are_detected():
     assert unused_imports("import math\nimport numpy as np\nnp.zeros(1)\n") == ["math (line 1)"]
     assert unused_imports("from os import path, sep\n__all__ = ['sep']\n") == ["path (line 1)"]
@@ -90,4 +109,24 @@ def test_library_has_no_function_level_imports():
     found = {p.name: function_level_imports(p.read_text(encoding="utf-8"))
              for p in sorted(SRC.glob("*.py"))}
     assert "killing.py" in found
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_public_parameters_are_detected():
+    source = ("def f(s, space=None): pass\n"
+              "def _g(system): pass\n"
+              "class C:\n    def __init__(self, *, system): pass\n"
+              "    def m(self, *space): pass\n    def _h(self, space): pass\n"
+              "class _D:\n    def m(self, system): pass\n")
+    assert public_parameters_named(source, {"system", "space"}) == [
+        "f: space (line 1)", "C.__init__: system (line 4)", "C.m: space (line 5)"]
+
+
+def test_no_public_signature_takes_a_jet_system_or_space():
+    # The jets are solved from the surface alone: a public ``system`` or
+    # ``space`` parameter would be a second path that can disagree with it.
+    found = {p.name: public_parameters_named(p.read_text(encoding="utf-8"),
+                                             {"system", "space"})
+             for p in sorted(SRC.glob("*.py"))}
+    assert "liealg.py" in found
     assert {name: names for name, names in found.items() if names} == {}
