@@ -18,6 +18,7 @@ Three constructions:
 All verification is numeric on a grid.  Every chart map is two legs: the
 first depends on one chart coordinate only and runs once per distinct
 value, the second is one ``numeric.flow_batch`` over every stencil point.
+Each builder compiles every field it flows, and the symbols, once.
 The symbols are pulled back by ``numeric.pullback_gamma_batch``, the same
 17-point fourth-order stencil at h = 1e-3 that checks Killing flows, and
 ``Chart.jacobian`` reads that stencil's gradient.
@@ -34,8 +35,8 @@ import numpy as np
 
 from .killing import VectorField, is_killing
 from .liealg import bracket_fields
-from .numeric import (Grid, _field_array_fn, _stencil, flow_batch, geodesic_endpoints,
-                      pullback_gamma_batch)
+from .numeric import (Grid, _field_array_fn, _flow, _gamma_array_fn, _geodesic_endpoints,
+                      _pullback_gamma, _stencil, _symbols_fn, pullback_gamma_batch)
 from .surface import AffineSurface
 from .symexpr import Expr
 
@@ -105,12 +106,13 @@ def _transverse_axis(direction: tuple[float, float]) -> np.ndarray:
     return np.array([0.0, 1.0])
 
 
-def _value_at(field: VectorField, c) -> tuple[float, float]:
-    """The field's value at c.  Its evaluator's dtype decides exactly that
-    the field is real, as for its flows; a field that is not raises
-    NumericError."""
-    v = _field_array_fn(field)(*c)
-    return float(v[0]), float(v[1])
+def _value_at(field: VectorField, c):
+    """The field's evaluator, which its flows share, and its value at c.
+    The evaluator's dtype decides exactly that the field is real; a field
+    that is not raises NumericError."""
+    f = _field_array_fn(field)
+    v = f(*c)
+    return f, (float(v[0]), float(v[1]))
 
 
 def _finalize(mode, forward, grid, report, tol) -> Chart:
@@ -124,13 +126,14 @@ def _finalize(mode, forward, grid, report, tol) -> Chart:
     return chart
 
 
-def _two_legs(first, col: int, second: VectorField, step: float):
+def _two_legs(first, col: int, second, step: float):
     """Chart map T(q) = Phi^second_{q[1 - col]}(first(q[col])), with the
-    first leg run once per distinct value of the chart coordinate q[col]."""
+    first leg run once per distinct value of the chart coordinate q[col];
+    ``second`` is the evaluator of the second leg's field."""
     def forward(pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         vals, inverse = np.unique(pts[:, col], return_inverse=True)
-        return flow_batch(second, first(vals)[inverse], pts[:, 1 - col], step)
+        return _flow(second, first(vals)[inverse], pts[:, 1 - col], step)
 
     return forward
 
@@ -148,18 +151,19 @@ def normalize_chart(s: AffineSurface, xi: VectorField, *,
     if not is_killing(s, xi):
         raise NotKilling("the supplied field does not satisfy the Killing equations")
     c = center or (float(s.basepoint[0]), float(s.basepoint[1]))
-    xi_at_c = _value_at(xi, c)
+    f, xi_at_c = _value_at(xi, c)
     if math.hypot(*xi_at_c) < 1e-9:
         raise ZeroAtBasepoint("the field vanishes at the chart center")
     v0 = _transverse_axis(xi_at_c)
+    symbols = _symbols_fn(s)
 
     def geodesic_leg(u: np.ndarray) -> np.ndarray:
-        return geodesic_endpoints(s, np.repeat([c], len(u), axis=0),
-                                  np.repeat([v0], len(u), axis=0), u, step)
+        return _geodesic_endpoints(s, symbols, np.repeat([c], len(u), axis=0),
+                                   np.repeat([v0], len(u), axis=0), u, step)
 
-    forward = _two_legs(geodesic_leg, 0, xi, step)
+    forward = _two_legs(geodesic_leg, 0, f, step)
     grid = Grid((0.0, 0.0), (half_width, half_width), n)
-    pulled = pullback_gamma_batch(s, forward, grid.points())
+    pulled = _pullback_gamma(s, _gamma_array_fn(symbols), forward, grid.points())
     report = {
         "gamma_111_max": float(np.max(np.abs(pulled[:, 0, 0, 0]))),
         "gamma_112_max": float(np.max(np.abs(pulled[:, 0, 0, 1]))),
@@ -180,8 +184,9 @@ def _total_spread(pulled: np.ndarray) -> float:
 
 def _effective_pair(s: AffineSurface, X: VectorField, Y: VectorField,
                     center, bracket: VectorField, bad_relation: ChartError):
-    """Chart center P, once X and Y are Killing, [X, Y] equals ``bracket``
-    exactly (else ``bad_relation``) and X(P), Y(P) span the tangent plane."""
+    """Chart center P and the evaluators of X and Y, once X and Y are
+    Killing, [X, Y] equals ``bracket`` exactly (else ``bad_relation``) and
+    X(P), Y(P) span the tangent plane."""
     for f in (X, Y):
         if not is_killing(s, f):
             raise NotKilling("both fields must satisfy the Killing equations")
@@ -189,10 +194,10 @@ def _effective_pair(s: AffineSurface, X: VectorField, Y: VectorField,
     if not ((br.a1 - bracket.a1).is_zero and (br.a2 - bracket.a2).is_zero):
         raise bad_relation
     c = center or (float(s.basepoint[0]), float(s.basepoint[1]))
-    xv, yv = _value_at(X, c), _value_at(Y, c)
+    (fx, xv), (fy, yv) = _value_at(X, c), _value_at(Y, c)
     if abs(xv[0] * yv[1] - xv[1] * yv[0]) < 1e-9:
         raise NotEffective("X(P) and Y(P) do not span the tangent plane")
-    return c
+    return c, fx, fy
 
 
 def commuting_chart(s: AffineSurface, X: VectorField, Y: VectorField, *,
@@ -205,12 +210,12 @@ def commuting_chart(s: AffineSurface, X: VectorField, Y: VectorField, *,
     constant; the report carries their total spread over the grid.
     """
     zero = VectorField(Expr.zero(), Expr.zero())
-    c = _effective_pair(s, X, Y, center, zero, NotCommuting("[X, Y] != 0"))
+    c, fx, fy = _effective_pair(s, X, Y, center, zero, NotCommuting("[X, Y] != 0"))
 
     def y_leg(w2: np.ndarray) -> np.ndarray:
-        return flow_batch(Y, np.repeat([c], len(w2), axis=0), w2, step)
+        return _flow(fy, np.repeat([c], len(w2), axis=0), w2, step)
 
-    forward = _two_legs(y_leg, 1, X, step)
+    forward = _two_legs(y_leg, 1, fx, step)
     grid = Grid((0.0, 0.0), (half_width, half_width), n)
     pulled = pullback_gamma_batch(s, forward, grid.points())
     report = {"gamma_spread": _total_spread(pulled)}
@@ -232,14 +237,14 @@ def type_b_chart(s: AffineSurface, X: VectorField, Y: VectorField, *,
     times every pulled-back symbol is constant (Gamma = C / x1); the report
     carries the spread of those products and their mean values C.
     """
-    c = _effective_pair(s, X, Y, center, Y, BadRelation("[X, Y] != Y"))
+    c, fx, fy = _effective_pair(s, X, Y, center, Y, BadRelation("[X, Y] != Y"))
 
     def x_leg(x1: np.ndarray) -> np.ndarray:
         if np.min(x1) <= 0:
             raise ChartError("the chart coordinate x1 must stay positive")
-        return flow_batch(X, np.repeat([c], len(x1), axis=0), -np.log(x1), step)
+        return _flow(fx, np.repeat([c], len(x1), axis=0), -np.log(x1), step)
 
-    forward = _two_legs(x_leg, 0, Y, step)
+    forward = _two_legs(x_leg, 0, fy, step)
     grid = Grid((1.0, 0.0), (half_width, half_width), n)
     pts = grid.points()
     pulled = pullback_gamma_batch(s, forward, pts)

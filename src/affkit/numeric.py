@@ -12,7 +12,12 @@ every report threshold: the pullback of the symbols through flows and
 chart maps (``pullback_gamma_batch``) and every derivative in
 ``fd_residuals``.  Every integration (flows, geodesics, jet extension,
 chart legs) is one call of the fixed-step RK4 loop ``_rk4``, which alone
-sets the step count from the spans of its batch.
+sets the step count from the spans of its batch.  Its stages run in reused
+buffers, in the textbook loop's operation order, so every result is
+bit-identical to that loop's.  The public entry points compile their field
+or symbols per call; the chart builders share one evaluator per field
+through the private ``_flow``, ``_geodesic_endpoints`` and
+``_pullback_gamma``.
 """
 
 from __future__ import annotations
@@ -103,10 +108,8 @@ def _symbols_fn(s: AffineSurface) -> Callable[[np.ndarray, np.ndarray], np.ndarr
     return _real_array_fn([s.gamma[key] for key in GAMMA_KEYS], "connection symbols are not real")
 
 
-def _gamma_array_fn(s: AffineSurface):
-    """(..., 2) -> (..., 2, 2, 2) evaluator of the symbols, indexed [i, j, k]."""
-    symbols = _symbols_fn(s)
-
+def _gamma_array_fn(symbols):
+    """(..., 2) -> (..., 2, 2, 2) view of a ``_symbols_fn`` evaluator, indexed [i, j, k]."""
     def gamma(pts: np.ndarray) -> np.ndarray:
         out = np.moveaxis(symbols(pts[..., 0], pts[..., 1]), 0, -1)
         return out.reshape(pts.shape[:-1] + (2, 2, 2))
@@ -136,17 +139,42 @@ def _rk4(rhs, y: np.ndarray, spans, step: float) -> np.ndarray:
     called.  The state update is compensated (Kahan) so that roundoff does
     not accumulate over steps; stencil differences of flowed points then
     sit at the single-rounding floor.
+
+    The stage states and the weighted sum k1 + 2 k2 + 2 k3 + k4 live in two
+    buffers that every step reuses.  Each value is computed by the same
+    operations in the same order as the textbook loop, so results are
+    bit-identical to it.  Only those buffers are written: never the
+    caller's ``y``, nor an array that ``rhs`` returns unless it is the stage
+    buffer ``rhs`` was handed (whose result is exact all the same).
     """
     n_steps = math.ceil(float(np.max(np.abs(spans))) / step)
     h = 1.0 / max(n_steps, 1)
     t = 0.0
     comp = np.zeros_like(y)
+    stage = acc = None
     for _ in range(n_steps):
         k1 = rhs(t, y)
-        k2 = rhs(t + h / 2, y + (h / 2) * k1)
-        k3 = rhs(t + h / 2, y + (h / 2) * k2)
-        k4 = rhs(t + h, y + h * k3)
-        dy = (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4) - comp
+        if acc is None:
+            dtype = np.result_type(y, k1)
+            stage, acc = np.empty(y.shape, dtype), np.empty(y.shape, dtype)
+        np.multiply(k1, h / 2, out=stage)
+        stage += y
+        k2 = rhs(t + h / 2, stage)
+        np.multiply(k2, 2, out=acc)
+        acc += k1
+        np.multiply(k2, h / 2, out=stage)
+        stage += y
+        k3 = rhs(t + h / 2, stage)
+        # (h / 2) * (2 k3) is h k3 exactly, as both factors are exact; the
+        # stage buffer holds 2 k3 first, so k3 may share its memory.
+        np.multiply(k3, 2, out=stage)
+        acc += stage
+        stage *= h / 2
+        stage += y
+        k4 = rhs(t + h, stage)
+        acc += k4
+        acc *= h / 6
+        dy = acc - comp
         y_next = y + dy
         comp = (y_next - y) - dy
         y = y_next
@@ -160,7 +188,11 @@ def flow_batch(field, points: np.ndarray, t, step: float = 1e-3) -> np.ndarray:
     Each row integrates d y / d tau = t_row * X(y) over unit pseudo-time
     with ``_rk4``, so all rows finish exactly at their target times.
     """
-    f = _field_array_fn(field)
+    return _flow(_field_array_fn(field), points, t, step)
+
+
+def _flow(f, points: np.ndarray, t, step: float) -> np.ndarray:
+    """``flow_batch`` of the field whose ``_field_array_fn`` evaluator is f."""
     times = np.broadcast_to(np.asarray(t, dtype=float), (points.shape[0],))
     rows = np.array(points.T, dtype=float, order="C")  # (2, N) copy: x1 and x2 rows
     return _rk4(lambda _, y: times * f(y[0], y[1]), rows, times, step).T
@@ -172,15 +204,14 @@ def flow(field, p, t: float, step: float = 1e-3):
     return (float(out[0, 0]), float(out[0, 1]))
 
 
-def _geodesic_rhs(s: AffineSurface):
+def _geodesic_rhs(symbols):
     """Geodesic equation on states (4, N): rows x1, x2, v1, v2.
 
     The acceleration -G_ij^k v^i v^j is one two-operand contraction of
-    (v x v) (4, N) with the symbols reshaped (4, 2, N).  Only the symmetric
-    part of the connection acts; torsion drops out of the quadratic form.
+    (v x v) (4, N) with the symbols (a ``_symbols_fn`` evaluator) reshaped
+    (4, 2, N).  Only the symmetric part of the connection acts; torsion
+    drops out of the quadratic form.
     """
-    symbols = _symbols_fn(s)
-
     def rhs(_, y):
         vel = y[2:]
         vv = (vel[:, None, :] * vel[None, :, :]).reshape(4, -1)
@@ -197,9 +228,15 @@ def geodesic_endpoints(s: AffineSurface, p0: np.ndarray, v0: np.ndarray,
     Affine reparametrization folds the time into the initial velocity, so
     a batch with distinct times runs as one ``_rk4`` call.
     """
+    return _geodesic_endpoints(s, _symbols_fn(s), p0, v0, times, step)
+
+
+def _geodesic_endpoints(s: AffineSurface, symbols, p0: np.ndarray, v0: np.ndarray,
+                        times, step: float) -> np.ndarray:
+    """``geodesic_endpoints`` with the surface's ``_symbols_fn`` evaluator."""
     times = np.broadcast_to(np.asarray(times, dtype=float), (p0.shape[0],))
     state = np.concatenate([p0.T, (v0 * times[:, None]).T]).astype(float)
-    out = _rk4(_geodesic_rhs(s), state, times, step)[:2].T
+    out = _rk4(_geodesic_rhs(symbols), state, times, step)[:2].T
     _check_domain(s, out)
     return out
 
@@ -247,6 +284,11 @@ def pullback_gamma_batch(s: AffineSurface, transport, qs: np.ndarray) -> np.ndar
     (SingularMap).  The transformation rule is
     G~_ij^k = (dT^-1)^k_c (d_i d_j T^c + G_ab^c(T) d_i T^a d_j T^b).
     """
+    return _pullback_gamma(s, _gamma_array_fn(_symbols_fn(s)), transport, qs)
+
+
+def _pullback_gamma(s: AffineSurface, gamma, transport, qs: np.ndarray) -> np.ndarray:
+    """``pullback_gamma_batch`` with the surface's ``_gamma_array_fn`` evaluator."""
     def mapped(pts):
         out = transport(pts)
         _check_domain(s, out)
@@ -257,7 +299,7 @@ def pullback_gamma_batch(s: AffineSurface, transport, qs: np.ndarray) -> np.ndar
         raise SingularMap("map Jacobian is singular on the grid")
     jinv = np.linalg.inv(d.transpose(0, 2, 1))
     pulled = np.einsum("nkc,nijc->nijk", jinv, dd)
-    pulled += np.einsum("nkc,nabc,nia,njb->nijk", jinv, _gamma_array_fn(s)(image), d, d)
+    pulled += np.einsum("nkc,nabc,nia,njb->nijk", jinv, gamma(image), d, d)
     return pulled
 
 
@@ -270,13 +312,14 @@ def flow_preserves_connection(s: AffineSurface, X, t: float,
     Killing equations show O(t) deviations.
     """
     pts = (grid or default_grid(s)).points()
+    gamma = _gamma_array_fn(_symbols_fn(s))
 
     def transport(stencil):
         _check_domain(s, stencil)
         return flow_batch(X, stencil, t, step)
 
-    pulled = pullback_gamma_batch(s, transport, pts)
-    deviation = float(np.max(np.abs(pulled - _gamma_array_fn(s)(pts))))
+    pulled = _pullback_gamma(s, gamma, transport, pts)
+    deviation = float(np.max(np.abs(pulled - gamma(pts))))
     return FlowReport(deviation, t, step)
 
 
@@ -295,7 +338,7 @@ def fd_residuals(s: AffineSurface, field, grid: Grid | None = None) -> float:
     better conditioned; all 17N stencil points are extended in one batch.
     """
     pts = (grid or default_grid(s)).points()
-    gamma = _gamma_array_fn(s)
+    gamma = _gamma_array_fn(_symbols_fn(s))
     jets = hasattr(field, "jets_at")
     if jets:
         columns = field.jets_at

@@ -285,9 +285,12 @@ def compile_exprs(exprs) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
 
     Straight-line plan: the base factors (powers of x1, sin(x1), powers of
     cos(x1), powers of x2, exp(a*x2), cos and sin of beta*x2) are fixed at
-    compile time, each column is a tuple of factor indices, and one matrix
-    product sums the columns; constant terms fold into one vector, and an
-    all-constant list returns it before any factor is computed.  Poles as in
+    compile time, each resolved there to a ready function
+    (``_resolve_factor``); each column is a tuple of factor indices whose
+    product is written straight into its row of the column matrix, and one
+    matrix product sums the columns.  Constant terms fold into one vector,
+    and an all-constant list returns it before any factor is computed.
+    1-D input, the flows' case, is used as it comes.  Poles as in
     ``eval_numeric``: EvaluationPoleError at x1 = 0 with a negative power
     of x1, or at |cos(x1)| < 1e-12 with a negative power of cos(x1).
     """
@@ -325,56 +328,59 @@ def compile_exprs(exprs) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     if real:
         coeffs = coeffs[:n_rows]
     has_const = bool(const.any())
-    factors = [(kind, float(p) if kind in ("exp", "cos", "sin") else p) for kind, p in specs]
+    factors = [_resolve_factor(kind, p) for kind, p in specs]
     need_sin = ("sin1", 1) in specs
     need_cos = any(kind == "cos1" for kind, _ in specs)
+    const_column = const[:, None]
 
     def evaluate(x1, x2) -> np.ndarray:
         x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
         if x1.shape != x2.shape:
             x1, x2 = np.broadcast_arrays(x1, x2)
-        shape = (n_rows,) + x1.shape
+        shape, flat = (n_rows,) + x1.shape, x1.ndim == 1
         if not plan:
             out = np.empty((n_rows, x1.size), dtype=dtype)
-            out[...] = const[:, None]
-            return out.reshape(shape)
-        x1, x2 = x1.reshape(-1), x2.reshape(-1)
+            out[...] = const_column
+            return out if flat else out.reshape(shape)
+        if not flat:
+            x1, x2 = x1.reshape(-1), x2.reshape(-1)
         if x1_pole and (x1 == 0.0).any():
             raise EvaluationPoleError("negative power of x1 at x1 = 0")
         sin1 = np.sin(x1) if need_sin else None
         cos1 = np.cos(x1) if need_cos else None
         if cos_pole and np.abs(cos1).min() < 1e-12:
             raise EvaluationPoleError("negative power of cos(x1) at a zero of cos")
-        values = [_factor(kind, p, x1, x2, sin1, cos1) for kind, p in factors]
+        values = [factor(x1, x2, sin1, cos1) for factor in factors]
         columns = np.empty((len(plan), x1.size))
         for column, idx in zip(columns, plan):
-            column[...] = values[idx[0]]
-            for k in idx[1:]:
+            if len(idx) == 1:
+                column[...] = values[idx[0]]
+                continue
+            np.multiply(values[idx[0]], values[idx[1]], out=column)
+            for k in idx[2:]:
                 column *= values[k]
         # np.dot, not @: with a single column matmul skips BLAS and is 4x slower
         out = np.dot(coeffs, columns)
         if not real:
             out = out[:n_rows] + 1j * out[n_rows:]
         if has_const:
-            out += const[:, None]
-        return out.reshape(shape)
+            out += const_column
+        return out if flat else out.reshape(shape)
 
     evaluate.dtype = dtype
     return evaluate
 
 
-def _factor(kind: str, p, x1, x2, sin1, cos1):
-    """Values of one base factor of ``compile_exprs`` at the points."""
-    if kind == "sin1":
-        return sin1
-    if kind == "exp":
-        return np.exp(p * x2)
-    if kind == "cos":
-        return np.cos(p * x2)
-    if kind == "sin":
-        return np.sin(p * x2)
-    v = {"x1": x1, "cos1": cos1, "x2": x2}[kind]
-    return v if p == 1 else v ** p
+def _resolve_factor(kind: str, p) -> Callable:
+    """Function (x1, x2, sin1, cos1) -> values of one base factor of
+    ``compile_exprs``, chosen at compile time.  A rate of 1 skips its
+    multiply, as 1.0 * x2 is x2 exactly."""
+    if kind in ("exp", "cos", "sin"):
+        fn, rate = getattr(np, kind), float(p)
+        return (lambda x1, x2, sin1, cos1: fn(x2)) if rate == 1.0 else (
+            lambda x1, x2, sin1, cos1: fn(rate * x2))
+    pick = {"x1": 0, "x2": 1, "sin1": 2, "cos1": 3}[kind]
+    return (lambda *bases: bases[pick]) if p == 1 else (lambda *bases: bases[pick] ** p)
 
 
 def _coef_text(sc: Scalar) -> str:

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
+import affkit.killing
+import affkit.numeric
 from affkit.coords import (
     Chart, ChartError, ChartVerificationError, NotCommuting, NotEffective,
     NotKilling, ZeroAtBasepoint, commuting_chart, normalize_chart,
     pullback_gamma, pullback_gamma_batch, type_b_chart,
 )
-from affkit.killing import VectorField
+from affkit.killing import JetField, VectorField, jet_of
 from affkit.liealg import classify
-from affkit.numeric import Grid, NumericError, SingularMap
+from affkit.numeric import Grid, NumericError, SingularMap, fd_residuals, flow_preserves_connection
 from affkit.surface import type_a, type_b
 from affkit.symexpr import parse
 
@@ -265,3 +267,36 @@ def test_pullback_through_chart_and_inverse_returns_gamma(sphere_surface, sphere
             i, j, k = (int(ch) for ch in key)
             want = expr.eval_numeric(tuple(q)).real
             assert abs(pulled[row, i - 1, j - 1, k - 1] - want) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# one evaluator per expression list
+# ---------------------------------------------------------------------------
+
+def test_each_builder_and_check_compiles_each_expression_list_once(
+        sphere_surface, sphere_fields, monkeypatch):
+    # Per call: every field flowed or evaluated once, the symbols once, and
+    # each axis of a JetField once; the charts' legs and center values share
+    # one evaluator per field.
+    calls = []
+    for mod in (affkit.numeric, affkit.killing):
+        monkeypatch.setattr(mod, "compile_exprs",
+                            lambda exprs, compile=mod.compile_exprs: calls.append(exprs) or compile(exprs))
+
+    def compiles(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    sph, sa = sphere_surface, type_a({"112": 1, "221": -1})
+    grid = Grid((0.1, 0.2), (0.2, 0.2), 5)
+    control = VectorField(parse("x1^2"), parse("x2^2"))
+    assert compiles(lambda: normalize_chart(sph, D2, n=5)) == 2
+    assert compiles(lambda: commuting_chart(sa, D1, D2, n=5)) == 3
+    assert compiles(lambda: type_b_chart(type_b({"111": -1}), RADIAL, D2, n=5)) == 3
+    for s, field in ((sph, sphere_fields[0]), (sa, D1), (sa, control)):
+        assert compiles(lambda: flow_preserves_connection(s, field, 0.2, grid)) == 2
+    assert compiles(lambda: fd_residuals(sph, sphere_fields[1], grid)) == 2
+    jet = jet_of(sph, sphere_fields[0])
+    assert compiles(lambda: fd_residuals(sph, JetField(sph, jet, step=1e-2),
+                                         Grid((0.1, 0.2), (0.2, 0.2), 3))) == 3

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from affkit.coords import normalize_chart
+import affkit.killing
+import affkit.numeric
+from affkit.coords import commuting_chart, normalize_chart, type_b_chart
 from affkit.killing import Jet1, JetField, VectorField, jet_of, killing_jet_space, residuals
 from affkit.numeric import (
     FD_STENCIL, DomainExit, Grid, NumericError, _rk4, _stencil, default_grid, fd_residuals,
@@ -15,7 +17,8 @@ from affkit.scalars import Scalar
 from affkit.surface import surface_from_json, type_a, type_b
 from affkit.symexpr import parse
 
-from conftest import D1, D2
+from conftest import D1, D2, RADIAL
+from helpers_reference import assert_bitwise, compile_exprs_reference, rk4_reference
 
 ZERO_FIELD = VectorField(parse("0"), parse("0"))
 
@@ -70,6 +73,80 @@ def test_rk4_with_zero_spans_returns_the_state_without_calling_rhs():
 
     y = np.array([[0.3, -1.0], [2.0, 0.5]])
     assert np.array_equal(_rk4(rhs, y, np.zeros(2), 1e-3), y)
+
+
+def test_rk4_writes_only_its_own_buffers():
+    # The stages live in reused buffers; the caller's state and every array
+    # the right-hand side hands back must come out as they went in.
+    rng = np.random.default_rng(1)
+    y, fixed = rng.standard_normal((2, 3, 7))
+    y_before, fixed_before = y.copy(), fixed.copy()
+    spans = np.linspace(-0.3, 0.2, 7)
+    returned = []
+
+    def fresh(t, v):
+        out = np.sin(v) + t * fixed
+        returned.append((out, out.copy()))
+        return out
+
+    assert_bitwise(_rk4(fresh, y, spans, 1e-2), rk4_reference(fresh, y, spans, 1e-2))
+    assert len(returned) == 2 * 4 * 30
+    assert all(np.array_equal(out, copy) for out, copy in returned)
+    # an array of the caller's, returned on every call
+    assert_bitwise(_rk4(lambda t, v: fixed, y, spans, 1e-2),
+                   rk4_reference(lambda t, v: fixed, y, spans, 1e-2))
+    assert np.array_equal(fixed, fixed_before) and np.array_equal(y, y_before)
+    # its own argument, i.e. _rk4's stage buffer: the result is still exact
+    assert_bitwise(_rk4(lambda t, v: v, y, spans, 1e-2),
+                   rk4_reference(lambda t, v: v, y, spans, 1e-2))
+    # a complex right-hand side on a real state promotes the state
+    assert_bitwise(_rk4(lambda t, v: 1j * v - t, y, spans, 1e-2),
+                   rk4_reference(lambda t, v: 1j * v - t, y, spans, 1e-2))
+    assert np.array_equal(y, y_before)
+
+
+def on_reference_kernel(monkeypatch, run):
+    """``run()`` with numeric and killing on the reference RK4 loop and
+    evaluator (``helpers_reference``)."""
+    with monkeypatch.context() as m:
+        for mod in (affkit.numeric, affkit.killing):
+            m.setattr(mod, "_rk4", rk4_reference)
+            m.setattr(mod, "compile_exprs", compile_exprs_reference)
+        return run()
+
+
+@pytest.mark.parametrize("which", ["X", "Y", "d2", "d1", "radial", "control"])
+def test_flow_batch_is_bit_identical_to_the_reference_kernel(monkeypatch, sphere_fields, which):
+    fields = dict(zip(("X", "Y", "d2"), sphere_fields), d1=D1, radial=RADIAL,
+                  control=VectorField(parse("x1^2"), parse("x2^2")))
+    rng = np.random.default_rng(2)
+    pts = np.column_stack([rng.uniform(0.2, 0.6, 40), rng.uniform(-0.5, 0.5, 40)])
+    times = rng.uniform(-0.3, 0.3, 40)
+    run = lambda: flow_batch(fields[which], pts, times)
+    assert_bitwise(run(), on_reference_kernel(monkeypatch, run))
+
+
+def test_geodesics_and_jets_are_bit_identical_to_the_reference_kernel(monkeypatch, sphere_surface):
+    rng = np.random.default_rng(3)
+    p0 = rng.uniform(-0.4, 0.4, (30, 2))
+    v0 = rng.standard_normal((30, 2))
+    times = rng.uniform(0.0, 0.5, 30)
+    run = lambda: geodesic_endpoints(sphere_surface, p0, v0, times)
+    assert_bitwise(run(), on_reference_kernel(monkeypatch, run))
+    jet = killing_jet_space(sphere_surface).basis[1]
+    run = lambda: JetField(sphere_surface, jet).jets_at(p0)
+    assert_bitwise(run(), on_reference_kernel(monkeypatch, run))
+
+
+@pytest.mark.parametrize("build", [
+    lambda sph: normalize_chart(sph, D2, center=(0.1, 0.3), n=5),
+    lambda sph: commuting_chart(type_a({"112": 1, "221": -1}), D1, D2, center=(0.2, -0.1), n=5),
+    lambda sph: type_b_chart(type_b({"111": -1, "122": 2}), RADIAL, D2, n=5),
+], ids=["normalize", "commuting", "type_b"])
+def test_chart_reports_are_bit_identical_to_the_reference_kernel(monkeypatch, sphere_surface,
+                                                                 build):
+    run = lambda: build(sphere_surface).report
+    assert run() == on_reference_kernel(monkeypatch, run)
 
 
 def test_numeric_checks_reject_a_non_real_field():

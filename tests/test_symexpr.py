@@ -17,6 +17,8 @@ from affkit.symexpr import (
     ParseError, Term, compile_exprs, parse,
 )
 
+from helpers_reference import assert_bitwise, compile_exprs_reference
+
 
 # ---------------------------------------------------------------------------
 # hypothesis strategies
@@ -295,6 +297,44 @@ def test_compiled_evaluator_broadcasts_and_stays_real():
             for (i, j), a in np.ndenumerate(np.broadcast_to(x1, (2, 3))):
                 want = e.eval_numeric((a, x2[j]))
                 assert abs(vals[row, i, j] - want) <= 1e-12 * max(1.0, abs(want))
+
+
+# Inputs of every shape the evaluator takes: 1-D rows (the flows' case), a
+# broadcast pair, scalars and a row that crosses x1 = 0 and cos(x1) = 0.
+BITWISE_INPUTS = [
+    (np.array([0.3, -0.4, 1.1, 0.05]), np.array([0.1, 0.2, -0.5, 1.7])),
+    (np.array([[0.5], [1.0]]), np.array([-1.0, 0.0, 2.5])),
+    (0.7, -0.3),
+    (np.array([0.2, 0.0, math.pi / 2]), np.array([0.4, -0.1, 0.3])),
+]
+
+
+def assert_bit_identical_to_reference(exprs):
+    ev, ref = compile_exprs(exprs), compile_exprs_reference(exprs)
+    assert ev.dtype == ref.dtype
+    for x1, x2 in BITWISE_INPUTS:
+        try:
+            want = ref(x1, x2)
+        except EvaluationPoleError:
+            with pytest.raises(EvaluationPoleError):
+                ev(x1, x2)
+            continue
+        assert_bitwise(ev(x1, x2), want)
+
+
+@given(st.lists(exprs(), min_size=1, max_size=3))
+@settings(max_examples=60)
+def test_compiled_evaluator_is_bit_identical_to_the_reference(exprs_list):
+    assert_bit_identical_to_reference(exprs_list)
+
+
+@pytest.mark.parametrize("fixture", [
+    _sphere_symbols, _a_over_x1_symbols, _trig_exp_exprs, _sphere_triple,
+    *(pytest.param(_case_exprs(texts), id="+".join(texts)) for texts, _ in EVALUATOR_CASES),
+    _case_exprs(["x1^2*exp(2*x2) - x2^3*exp(-1*x2)", "cos(x1)^2*exp(1*i*x2)", "sec(x1)^2"]),
+])
+def test_compiled_fixtures_are_bit_identical_to_the_reference(fixture, rng):
+    assert_bit_identical_to_reference(fixture(rng))
 
 
 @given(exprs(), st.booleans())
