@@ -2,9 +2,9 @@
 
 The Killing fields of a surface close under the Lie bracket.  Working at
 the 1-jet level (second derivatives supplied exactly by the prolongation),
-this module computes structure constants, generalized ad-eigenspace
-decompositions with their grading, effectivity certificates, and searches
-for subalgebra witnesses of the three target presentations:
+this module computes structure constants, the grading of the generalized
+ad-eigenspaces, effectivity certificates, and searches for subalgebra
+witnesses of the three target presentations:
 
     abelian pair        [X, Y] = 0            ("TypeA")
     affine pair         [X, Y] = Y            ("TypeB")
@@ -22,16 +22,17 @@ common denominator, and ``classify`` keeps that presentation as its
 result's ``algebra``.  A presentation is frozen, and den * ad(e_i) is
 derived once, when it is built, so no table can go stale.  Effectivity is
 a 2 x 2 determinant in Z[i].  Every ad comes from the presentation's Z[i]
-tables (``int_ad``): the spectra, the exact generalized eigenspaces and
-the witness searches all work on den * ad(x) in Python integers, and the
-Killing form is read off the structure constants directly.
+tables (``int_ad``): the witness searches work on den * ad(x) in Python
+integers, and the grading check tests whether the semisimple part of
+den * ad(xi), exact over Q(i), is a derivation, with no eigenvalue
+computed.  The Killing form is read off the structure constants directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial, reduce
+from functools import partial
 from itertools import combinations, product
 from math import gcd
 from typing import NamedTuple
@@ -50,9 +51,6 @@ from .symexpr import Expr
 # ends by itself in dimensions 2-4 (8, 49, 272 candidates), so only
 # dimension 6 (7448) is cut.
 WITNESS_BUDGET = 4000
-# Relative residual allowed for a bracket of numeric eigenspaces in
-# ``grading_check``.
-GRADING_TOL = 1e-8
 
 
 class LieAlgError(Exception):
@@ -388,14 +386,6 @@ def jacobi_residual(L: LieAlgebraPresentation) -> list[Scalar]:
 # spectra and grading
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Eigenspace:
-    alpha: Scalar | complex
-    exact: bool
-    basis: list          # list of exact Vecs, or float ndarrays
-    certificate: float = 0.0
-
-
 def _rationalize_root(z: complex, poly: linalg.IntPoly, den: int) -> Scalar | None:
     """An exact root near z of P_A, given ``poly`` = P_B for A = B/den."""
     fr, fi = Fraction(z.real), Fraction(z.imag)
@@ -406,119 +396,40 @@ def _rationalize_root(z: complex, poly: linalg.IntPoly, den: int) -> Scalar | No
     return None
 
 
-def _shifted_kernel(m: GaussMat, s: tuple[int, int], power: int) -> list[linalg.Vec]:
-    """Kernel of (m - s*I)^power for m and s over Z[i]."""
-    shifted = linalg.gauss_shift(m, *s)
-    return linalg.nullspace(_scalar_rows(reduce(linalg.gauss_mul, [shifted] * power)),
-                            n_cols=len(m[0]))
-
-
-def eigenvalues(L: LieAlgebraPresentation, xi: list[Scalar]):
-    """(exact roots with multiplicity, leftover numeric roots, (D, M)) for
-    ad(xi) = M / D with M over Z[i]."""
-    d, (x,) = _cleared([xi])
-    den, ad = d * L.den, L.int_ad(x)
-    poly = linalg.int_charpoly(*ad)
-    numeric = np.roots(linalg.float_coeffs(poly, den))
-    exact: list[Scalar] = []
-    for z in numeric:
-        root = _rationalize_root(complex(z), poly, den)
-        if root is not None:
-            exact.append(root)
-            poly = linalg.deflate(poly, den, root)
-    leftover = [complex(z) for z in numeric
-                if not any(abs(complex(r) - z) < 1e-7 for r in exact)]
-    return exact, leftover, (den, ad)
-
-
-def generalized_eigenspaces(L: LieAlgebraPresentation, xi: list[Scalar]) -> list[Eigenspace]:
-    """Complexified decomposition into generalized ad(xi) eigenspaces.
-
-    Exact Gaussian-rational eigenvalues give exact kernels of
-    (ad - alpha)^dim, taken over Z[i] as those of (M - D alpha)^dim for
-    ad = M / D (D alpha is a Gaussian integer for a root); any remaining
-    spectrum is handled numerically with a residual certificate below 1e-9.
-    """
-    exact_roots, leftover, (den, ad) = eigenvalues(L, xi)
-    n = L.dim
-    spaces: list[Eigenspace] = []
-    seen: list[Scalar] = []
-    for root in exact_roots:
-        if any((root - r).is_zero for r in seen):
-            continue
-        seen.append(root)
-        s = root * den
-        basis = _shifted_kernel(ad, (s.re.numerator, s.im.numerator), n)
-        spaces.append(Eigenspace(root, True, basis))
-    done = [complex(r) for r in seen]
-    for z in leftover:
-        if any(abs(z - d) < 1e-8 for d in done):
-            continue
-        done.append(z)
-        re, im = ad[0], ad[1] or [[0] * n for _ in range(n)]
-        adf = np.array([[complex(x / den, y / den) for x, y in zip(rr, ri)]
-                        for rr, ri in zip(re, im)])
-        shifted = adf - z * np.eye(n)
-        power = np.linalg.matrix_power(shifted, n)
-        _, sv, vt = np.linalg.svd(power)
-        tol = 1e-9 * max(1.0, sv[0] if len(sv) else 1.0)
-        kernel = vt[int(np.sum(sv >= tol)):].conj()
-        cert = float(max((np.linalg.norm(power @ v) for v in kernel), default=0.0))
-        spaces.append(Eigenspace(z, False, [v for v in kernel], cert))
-    return spaces
+def _shifted_kernel(m: GaussMat, s: tuple[int, int]) -> list[linalg.Vec]:
+    """Kernel of m - s*I for m and s over Z[i]."""
+    return linalg.nullspace(_scalar_rows(linalg.gauss_shift(m, *s)), n_cols=len(m[0]))
 
 
 @dataclass
 class GradingReport:
     ok: bool
     violations: list[str] = field(default_factory=list)
-    pairs_checked: int = 0
 
 
 def grading_check(L: LieAlgebraPresentation, xi: list[Scalar]) -> GradingReport:
-    """Verify [E(alpha), E(beta)] lies inside E(alpha + beta)."""
-    spaces = generalized_eigenspaces(L, xi)
-    report = GradingReport(ok=True)
+    """Verify [E(alpha), E(beta)] lies inside E(alpha + beta) for the
+    generalized eigenspaces E of ad(xi), exactly.
+
+    The semisimple part S of ad(xi) acts on E(alpha) as alpha (Jordan-
+    Chevalley), so the grading holds exactly when S is a derivation:
+    S[e_i, e_j] = [S e_i, e_j] + [e_i, S e_j] on every basis pair.  The
+    identity is linear in S, so S is taken of den * d * ad(xi) from the
+    integer tables (``int_ad``), and no eigenvalue is computed.
+    """
     n = L.dim
-    for ea, eb in product(spaces, repeat=2):
-        if ea.exact and eb.exact:
-            target_alpha = ea.alpha + eb.alpha
-            target = next((sp for sp in spaces
-                           if sp.exact and (sp.alpha - target_alpha).is_zero), None)
-            for u in ea.basis:
-                for v in eb.basis:
-                    w = L.bracket_coeffs(u, v)
-                    ok = (linalg.in_span(target.basis, w) if target is not None
-                          else all(x.is_zero for x in w))
-                    report.pairs_checked += 1
-                    if not ok:
-                        report.ok = False
-                        report.violations.append(
-                            f"[E({ea.alpha}), E({eb.alpha})] escapes E({target_alpha})")
-        else:
-            # complex() takes exact Scalars and numeric values alike
-            target_z = complex(ea.alpha) + complex(eb.alpha)
-            target = next((sp for sp in spaces
-                           if abs(complex(sp.alpha) - target_z) < 1e-7), None)
-            tb = np.array([[complex(x) for x in bv]
-                           for bv in (target.basis if target is not None else [])])
-            cf = np.array([[complex(L.c[i][j][k]) for k in range(n)]
-                           for i in range(n) for j in range(n)]).reshape(n, n, n)
-            for u in ea.basis:
-                uf = np.array([complex(x) for x in u])
-                for v in eb.basis:
-                    vf = np.array([complex(x) for x in v])
-                    w = np.einsum("i,j,ijk->k", uf, vf, cf)
-                    if tb.size == 0:
-                        resid = float(np.linalg.norm(w))
-                    else:
-                        sol, *_ = np.linalg.lstsq(tb.T, w, rcond=None)
-                        resid = float(np.linalg.norm(tb.T @ sol - w))
-                    report.pairs_checked += 1
-                    if resid > GRADING_TOL * max(1.0, float(np.linalg.norm(w))):
-                        report.ok = False
-                        report.violations.append(
-                            f"[E({ea.alpha}), E({eb.alpha})] residual {resid:.2e}")
+    _, (x,) = _cleared([xi])
+    s = linalg.semisimple_part(_scalar_rows(L.int_ad(x)))
+    images = [[row[j] for row in s] for j in range(n)]      # S e_j
+    report = GradingReport(ok=True)
+    for i, j in product(range(n), repeat=2):
+        lhs = [sum((a * b for a, b in zip(row, L.c[i][j]) if not b.is_zero), ZERO)
+               for row in s]
+        rhs = [a + b for a, b in zip(L.bracket_coeffs(images[i], _unit(n, j)),
+                                     L.bracket_coeffs(_unit(n, i), images[j]))]
+        if lhs != rhs:
+            report.ok = False
+            report.violations.append(f"S[e{i}, e{j}] != [S e{i}, e{j}] + [e{i}, S e{j}]")
     return report
 
 
@@ -639,7 +550,7 @@ def _type_a_at(L, ints, ad: GaussMat) -> Witness | None:
     """Commuting effective pairs among the integer candidate x and the
     kernel of ad(x), taken from ad = den * ad(x), which has the same kernel."""
     x = [Scalar.of(v) for v in ints]
-    pool = [x] + _shifted_kernel(ad, (0, 0), 1)
+    pool = [x] + _shifted_kernel(ad, (0, 0))
     for u, v in combinations(pool, 2):
         # [x, v] = ad(x) v vanishes on the kernel; only kernel pairs can fail.
         if u is not x and not all(e.is_zero for e in L.bracket_coeffs(u, v)):
@@ -671,7 +582,7 @@ def _type_b_at(L, ints, ad: GaussMat, diagnostics) -> Witness | None:
                 f"skipped non-rational candidate eigenvalue {z.real:.6g}")
             continue
         x = x or [Scalar.of(v) for v in ints]
-        for y in _shifted_kernel(ad, (int(lam.re * den), 0), 1):
+        for y in _shifted_kernel(ad, (int(lam.re * den), 0)):
             x_scaled = [xi / lam for xi in x]
             if not effective(L, [x_scaled, y]):
                 continue

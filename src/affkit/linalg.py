@@ -9,13 +9,17 @@ imaginary) int matrices: a matrix A = B/d has its characteristic
 polynomial computed from B's by Faddeev-LeVerrier in Python integers
 (every division there is exact, and ``gauss_mul`` is the one product), and
 a rational root of A's polynomial is tested as a root of B's, which is
-monic over Z[i].  Products and row operations skip zero entries, since
-the matrices met here (ad matrices, constraint rows) are mostly zero.
+monic over Z[i].  ``semisimple_part`` takes the Jordan-Chevalley
+semisimple part of a Scalar matrix exactly, by Newton's iteration on the
+squarefree part of that polynomial, with no eigenvalue computed.  Products
+and row operations skip zero entries, since the matrices met here (ad
+matrices, constraint rows) are mostly zero.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
+from fractions import Fraction
 from math import lcm
 
 from .scalars import ONE, ZERO, Scalar
@@ -129,13 +133,6 @@ def solve(a: Mat, b: Vec) -> Vec | None:
     return x
 
 
-def in_span(basis: list[Vec], v: Vec) -> bool:
-    if not basis:
-        return all(x.is_zero for x in v)
-    cols = [[basis[k][i] for k in range(len(basis))] for i in range(len(v))]
-    return solve(cols, v) is not None
-
-
 def clear_denominators(a: Mat) -> tuple[int, IntMat, IntMat | None]:
     """(d, re, im) with a = (re + i*im) / d and d the least common denominator.
 
@@ -212,53 +209,98 @@ def int_charpoly(re: IntMat, im: IntMat | None = None) -> IntPoly:
     return cr, ci
 
 
-def _int_horner(poly: IntPoly, sr: int, si: int) -> tuple[int, int, list[int], list[int]]:
-    """Synthetic division of ``poly`` by (t - s), s = sr + i*si in Z[i].
-
-    Returns the value at s and the quotient's coefficients, lowest first.
-    """
-    qr, qi = [], []
-    ar = ai = 0
-    for cr, ci in zip(reversed(poly[0]), reversed(poly[1])):
-        ar, ai = ar * sr - ai * si + cr, ar * si + ai * sr + ci
-        qr.append(ar)
-        qi.append(ai)
-    qr.pop()
-    qi.pop()
-    return ar, ai, qr[::-1], qi[::-1]
-
-
-def _scaled_root(d: int, r: Scalar) -> tuple[int, int] | None:
-    """d*r as a Gaussian integer, or None when it is not one."""
-    sr, si = r.re * d, r.im * d
-    if sr.denominator != 1 or si.denominator != 1:
-        return None
-    return sr.numerator, si.numerator
-
-
 def is_root(poly: IntPoly, d: int, r: Scalar) -> bool:
     """Whether r is an exact root of P_A, given ``poly`` = P_B for A = B/d.
 
     r is a root of P_A exactly when d*r is a root of P_B, which is monic
     over Z[i]; a root of such a polynomial in Q(i) lies in Z[i], so any r
-    with d*r outside Z[i] is rejected without evaluation.
+    with d*r outside Z[i] is rejected without evaluation.  P_B(d*r) is
+    evaluated by Horner's rule in Python integers.
     """
-    s = _scaled_root(d, r)
-    if s is None:
+    sr, si = r.re * d, r.im * d
+    if sr.denominator != 1 or si.denominator != 1:
         return False
-    vr, vi, _, _ = _int_horner(poly, *s)
-    return not vr and not vi
+    sr, si = sr.numerator, si.numerator
+    ar = ai = 0
+    for cr, ci in zip(reversed(poly[0]), reversed(poly[1])):
+        ar, ai = ar * sr - ai * si + cr, ar * si + ai * sr + ci
+    return not ar and not ai
 
 
-def deflate(poly: IntPoly, d: int, r: Scalar) -> IntPoly:
-    """P_B / (t - d*r) over Z[i]; r must be an exact root (see ``is_root``)."""
-    s = _scaled_root(d, r)
-    if s is None:
-        raise ValueError("not an exact root")
-    vr, vi, qr, qi = _int_horner(poly, *s)
-    if vr or vi:
-        raise ValueError("not an exact root")
-    return qr, qi
+# A polynomial over the Gaussian rationals as [c_0, ..., c_n].
+Poly = list[Scalar]
+
+
+def _poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Quotient and remainder of a by b over Q(i); b's leading coefficient
+    is nonzero, and so is the remainder's, unless the remainder is []."""
+    rem, nb = a[:], len(b)
+    quot = [ZERO] * max(len(a) - nb + 1, 0)
+    inv = ONE / b[-1]
+    for k in reversed(range(len(quot))):
+        f = quot[k] = rem[k + nb - 1] * inv
+        for j, y in enumerate(b):
+            rem[k + j] = rem[k + j] - f * y
+    rem = rem[:nb - 1]
+    while rem and rem[-1].is_zero:
+        rem.pop()
+    return quot, rem
+
+
+def _derivative(p: Poly) -> Poly:
+    return [c * k for k, c in enumerate(p)][1:]
+
+
+def _mat_mul(a: Mat, b: Mat) -> Mat:
+    """The product ``a @ b`` of Scalar matrices; zero entries of ``a`` are
+    skipped."""
+    out = []
+    for row in a:
+        acc = [ZERO] * len(b[0])
+        for t, x in enumerate(row):
+            if not x.is_zero:
+                acc = [y if z.is_zero else y + x * z for y, z in zip(acc, b[t])]
+        out.append(acc)
+    return out
+
+
+def _poly_at(p: Poly, m: Mat) -> Mat:
+    """p(m) by Horner's rule."""
+    out = [[ZERO] * len(m) for _ in m]
+    for c in reversed(p):
+        out = _mat_mul(out, m)
+        for i, row in enumerate(out):
+            row[i] = row[i] + c
+    return out
+
+
+def semisimple_part(m: Mat) -> Mat:
+    """The semisimple part S of m = S + N (Jordan-Chevalley: S is
+    diagonalizable over C, N is nilpotent and SN = NS), exactly over Q(i).
+
+    Newton's iteration S <- S - q'(S)^-1 q(S) from S = m, for q the
+    squarefree part chi / gcd(chi, chi') of m's characteristic polynomial
+    chi (``int_charpoly``).  Every S is m plus a nilpotent polynomial in m,
+    so its eigenvalues are the roots of q, q'(S) is invertible and commutes
+    with q(S), and the step is read off one ``Echelon`` of the rows
+    [q'(S) | q(S)].  The iteration converges quadratically in the nilpotent
+    q(m): it ends with q(S) = 0 after about log2 of the largest
+    multiplicity of an eigenvalue.
+    """
+    n = len(m)
+    d, re, im = clear_denominators(m)
+    chi = [Scalar(Fraction(x, d ** (n - k)), Fraction(y, d ** (n - k)))
+           for k, (x, y) in enumerate(zip(*int_charpoly(re, im)))]
+    g, h = chi, _derivative(chi)
+    while h:
+        g, h = h, _poly_divmod(g, h)[1]
+    q = _poly_divmod(chi, g)[0]
+    s, qs = m, _poly_at(q, m)
+    while any(not x.is_zero for row in qs for x in row):
+        step = _reduced([a + b for a, b in zip(_poly_at(_derivative(q), s), qs)], 2 * n)
+        s = [[x - y for x, y in zip(row, srow[n:])] for row, srow in zip(s, step.rows)]
+        qs = _poly_at(q, s)
+    return s
 
 
 def float_coeffs(poly: IntPoly, d: int) -> list[complex]:

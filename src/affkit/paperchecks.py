@@ -3,7 +3,8 @@
 Each item re-derives a key exact statement from built-in fixtures: the
 sphere curvature data, the rotation Killing triple and its algebra, the
 rank of the linear system that pins the sphere's Christoffel symbols, the
-eigenspace grading, and the dimension bound.  Negative controls inject a
+eigenspace grading (decided exactly: the semisimple part of ad(xi) is a
+derivation), and the dimension bound.  Negative controls inject a
 documented fault (flipped curvature sign, a dropped kernel equation,
 corrupted structure constants) and must turn the run red.
 """
@@ -75,9 +76,14 @@ def _row(slot, entries) -> list[Scalar]:
 
 def verify_paper(negative_control: str | None = None, seed: int = 0,
                  sweep_size: int = 40) -> list[CheckItem]:
-    """Run the whole suite; a negative control injects one fault."""
+    """Run the whole suite; a negative control injects one fault.
+
+    ValueError for an unknown control or a negative ``sweep_size``.
+    """
     if negative_control not in (None,) + NEGATIVE_CONTROLS:
         raise ValueError(f"unknown negative control {negative_control!r}")
+    if sweep_size < 0:
+        raise ValueError(f"sweep size {sweep_size} is negative")
     items: list[CheckItem] = []
     sph = sphere()
 

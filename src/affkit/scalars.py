@@ -14,13 +14,19 @@ from fractions import Fraction
 
 
 def as_fraction(x) -> Fraction:
-    """Coerce ints, Fractions, and 'p/q' strings to an exact Fraction."""
+    """Coerce ints, Fractions, and 'p/q' strings to an exact Fraction.
+
+    A malformed string or one with a zero denominator raises ValueError.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x.strip())
+        try:
+            return Fraction(x.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"cannot coerce {x!r} to an exact rational")
 
 

@@ -89,7 +89,7 @@ def parse_domain(note: str) -> tuple[float, float]:
 
 
 def _bound(text: str) -> float:
-    return float(Fraction(text.replace("pi", "1"))) * (math.pi if "pi" in text else 1)
+    return float(as_fraction(text.replace("pi", "1"))) * (math.pi if "pi" in text else 1)
 
 
 def make_surface(gamma: dict[str, Expr], basepoint, domain_note: str = "") -> AffineSurface:

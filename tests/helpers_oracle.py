@@ -17,7 +17,11 @@ Cross-check paths that deliberately avoid the package's own kernel:
   the reference for the package's fraction-free integer spectra;
 
 * the field (Scalar) ad matrix and matrix product, the reference for the
-  package's integer ad tables, eigenspaces and Killing form;
+  package's integer ad tables and Killing form;
+
+* the former eigenspace grading check (explicit generalized eigenspaces,
+  exact where the roots are Gaussian rationals and numeric elsewhere), the
+  reference for the package's exact derivation test;
 
 * the field (Scalar) jet bracket, the reference for the package's
   integer bracket kernel.
@@ -26,13 +30,17 @@ Cross-check paths that deliberately avoid the package's own kernel:
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 import numpy as np
 import sympy as sp
 
-from affkit.scalars import ONE, ZERO
+from affkit import linalg
+from affkit.liealg import _cleared, _rationalize_root, _scalar_rows
+from affkit.scalars import ONE, ZERO, Scalar
 
 X1, X2 = sp.symbols("x1 x2")
 
@@ -182,6 +190,163 @@ def ad_reference(c, xi: list) -> list:
                 if not cijk.is_zero:
                     out[k][j] = out[k][j] + xi[i] * cijk
     return out
+
+
+# ---------------------------------------------------------------------------
+# eigenspace grading through explicit eigenspaces
+# ---------------------------------------------------------------------------
+# The package's former grading check, kept verbatim as the reference for the
+# exact derivation test: exact Gaussian-rational roots get exact kernels of
+# (ad - alpha)^n, every other root an np.roots/SVD eigenspace, and brackets
+# of basis vectors are tested against the target eigenspace (exact span or
+# least-squares residual).
+
+GRADING_TOL = 1e-8
+
+
+@dataclass
+class Eigenspace:
+    alpha: Scalar | complex
+    exact: bool
+    basis: list          # list of exact Vecs, or float ndarrays
+    certificate: float = 0.0
+
+
+def _in_span(basis, v) -> bool:
+    if not basis:
+        return all(x.is_zero for x in v)
+    cols = [[basis[k][i] for k in range(len(basis))] for i in range(len(v))]
+    return linalg.solve(cols, v) is not None
+
+
+def _int_horner(poly, sr: int, si: int):
+    """Synthetic division of ``poly`` by (t - s), s = sr + i*si in Z[i].
+
+    Returns the value at s and the quotient's coefficients, lowest first.
+    """
+    qr, qi = [], []
+    ar = ai = 0
+    for cr, ci in zip(reversed(poly[0]), reversed(poly[1])):
+        ar, ai = ar * sr - ai * si + cr, ar * si + ai * sr + ci
+        qr.append(ar)
+        qi.append(ai)
+    qr.pop()
+    qi.pop()
+    return ar, ai, qr[::-1], qi[::-1]
+
+
+def _scaled_root(d: int, r: Scalar):
+    """d*r as a Gaussian integer, or None when it is not one."""
+    sr, si = r.re * d, r.im * d
+    if sr.denominator != 1 or si.denominator != 1:
+        return None
+    return sr.numerator, si.numerator
+
+
+def _deflate(poly, d: int, r: Scalar):
+    """P_B / (t - d*r) over Z[i]; r must be an exact root (see ``is_root``)."""
+    s = _scaled_root(d, r)
+    if s is None:
+        raise ValueError("not an exact root")
+    vr, vi, qr, qi = _int_horner(poly, *s)
+    if vr or vi:
+        raise ValueError("not an exact root")
+    return qr, qi
+
+
+def _shifted_kernel(m, s: tuple[int, int], power: int) -> list:
+    """Kernel of (m - s*I)^power for m and s over Z[i]."""
+    shifted = linalg.gauss_shift(m, *s)
+    return linalg.nullspace(_scalar_rows(reduce(linalg.gauss_mul, [shifted] * power)),
+                            n_cols=len(m[0]))
+
+
+def _eigenvalues(L, xi: list):
+    """(exact roots with multiplicity, leftover numeric roots, (D, M)) for
+    ad(xi) = M / D with M over Z[i]."""
+    d, (x,) = _cleared([xi])
+    den, ad = d * L.den, L.int_ad(x)
+    poly = linalg.int_charpoly(*ad)
+    numeric = np.roots(linalg.float_coeffs(poly, den))
+    exact: list[Scalar] = []
+    for z in numeric:
+        root = _rationalize_root(complex(z), poly, den)
+        if root is not None:
+            exact.append(root)
+            poly = _deflate(poly, den, root)
+    leftover = [complex(z) for z in numeric
+                if not any(abs(complex(r) - z) < 1e-7 for r in exact)]
+    return exact, leftover, (den, ad)
+
+
+def _generalized_eigenspaces(L, xi: list) -> list[Eigenspace]:
+    exact_roots, leftover, (den, ad) = _eigenvalues(L, xi)
+    n = L.dim
+    spaces: list[Eigenspace] = []
+    seen: list[Scalar] = []
+    for root in exact_roots:
+        if any((root - r).is_zero for r in seen):
+            continue
+        seen.append(root)
+        s = root * den
+        basis = _shifted_kernel(ad, (s.re.numerator, s.im.numerator), n)
+        spaces.append(Eigenspace(root, True, basis))
+    done = [complex(r) for r in seen]
+    for z in leftover:
+        if any(abs(z - d) < 1e-8 for d in done):
+            continue
+        done.append(z)
+        re, im = ad[0], ad[1] or [[0] * n for _ in range(n)]
+        adf = np.array([[complex(x / den, y / den) for x, y in zip(rr, ri)]
+                        for rr, ri in zip(re, im)])
+        shifted = adf - z * np.eye(n)
+        power = np.linalg.matrix_power(shifted, n)
+        _, sv, vt = np.linalg.svd(power)
+        tol = 1e-9 * max(1.0, sv[0] if len(sv) else 1.0)
+        kernel = vt[int(np.sum(sv >= tol)):].conj()
+        cert = float(max((np.linalg.norm(power @ v) for v in kernel), default=0.0))
+        spaces.append(Eigenspace(z, False, [v for v in kernel], cert))
+    return spaces
+
+
+def grading_reference(L, xi: list) -> bool:
+    """Whether [E(alpha), E(beta)] lies inside E(alpha + beta)."""
+    spaces = _generalized_eigenspaces(L, xi)
+    ok = True
+    n = L.dim
+    for ea, eb in product(spaces, repeat=2):
+        if ea.exact and eb.exact:
+            target_alpha = ea.alpha + eb.alpha
+            target = next((sp for sp in spaces
+                           if sp.exact and (sp.alpha - target_alpha).is_zero), None)
+            for u in ea.basis:
+                for v in eb.basis:
+                    w = L.bracket_coeffs(u, v)
+                    if not (_in_span(target.basis, w) if target is not None
+                            else all(x.is_zero for x in w)):
+                        ok = False
+        else:
+            # complex() takes exact Scalars and numeric values alike
+            target_z = complex(ea.alpha) + complex(eb.alpha)
+            target = next((sp for sp in spaces
+                           if abs(complex(sp.alpha) - target_z) < 1e-7), None)
+            tb = np.array([[complex(x) for x in bv]
+                           for bv in (target.basis if target is not None else [])])
+            cf = np.array([[complex(L.c[i][j][k]) for k in range(n)]
+                           for i in range(n) for j in range(n)]).reshape(n, n, n)
+            for u in ea.basis:
+                uf = np.array([complex(x) for x in u])
+                for v in eb.basis:
+                    vf = np.array([complex(x) for x in v])
+                    w = np.einsum("i,j,ijk->k", uf, vf, cf)
+                    if tb.size == 0:
+                        resid = float(np.linalg.norm(w))
+                    else:
+                        sol, *_ = np.linalg.lstsq(tb.T, w, rcond=None)
+                        resid = float(np.linalg.norm(tb.T @ sol - w))
+                    if resid > GRADING_TOL * max(1.0, float(np.linalg.norm(w))):
+                        ok = False
+    return ok
 
 
 # ---------------------------------------------------------------------------

@@ -394,6 +394,25 @@ def test_bad_domain_exits_two(domain, basepoint, tmp_path, capsys):
     assert "domain" in err
 
 
+@pytest.mark.parametrize("domain, basepoint", [
+    ("", ["1/0", "0"]),
+    ("x1 > 1/0", ["1", "0"]),
+    ("x1 < pi/0", ["1", "0"]),
+])
+def test_zero_denominators_exit_two(domain, basepoint, tmp_path, capsys):
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps({"gamma": {}, "basepoint": basepoint, "domain": domain}))
+    code, payload, err = run(capsys, "killing", str(path), "--dim")
+    assert code == 2 and payload is None
+    assert "input error" in err and "zero denominator" in err
+
+
+def test_verify_paper_negative_sweep_exits_two(capsys):
+    code, payload, err = run(capsys, "verify-paper", "--sweep", "-3")
+    assert code == 2 and payload is None
+    assert "sweep" in err
+
+
 def test_output_file_flag(files, capsys, tmp_path):
     target = tmp_path / "result.json"
     code = main(["--output", str(target), "killing", files["sphere"], "--dim"])

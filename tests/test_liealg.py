@@ -1,4 +1,4 @@
-"""Brackets, structure constants, spectra, grading, classification."""
+"""Brackets, structure constants, the Killing form, grading, classification."""
 
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
@@ -13,16 +13,16 @@ import affkit.liealg as liealg
 from affkit.killing import Jet1, VectorField, jet_of, killing_jet_space, prolongation_symbolic
 from affkit.liealg import (
     IntJets, LieAlgebraPresentation, NotHomogeneousCandidate, SolveFailure,
-    bracket_fields, bracket_jets, classify, effective, generalized_eigenspaces,
-    grading_check, jacobi_residual, structure_constants,
+    bracket_fields, bracket_jets, classify, effective, grading_check, jacobi_residual,
+    structure_constants,
 )
-from affkit.linalg import nullspace, rank, solve
+from affkit.linalg import rank, solve
 from affkit.scalars import I, ONE, ZERO, Scalar
 from affkit.surface import GAMMA_KEYS, make_surface, sphere, type_a, type_b
 from affkit.symexpr import Expr, parse
 
 from conftest import D1, D2, random_type_a
-from helpers_oracle import ad_reference, bracket_reference, mat_mul_reference
+from helpers_oracle import ad_reference, bracket_reference, grading_reference, mat_mul_reference
 
 
 def presentation_from_table(dim, table):
@@ -41,8 +41,6 @@ def presentation_from_table(dim, table):
 
 
 SO3 = presentation_from_table(3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (2, 0): {1: 1}})
-AFFINE_PAIR = presentation_from_table(2, {(0, 1): {1: 1}})  # [X, Y] = Y
-ABELIAN3 = presentation_from_table(3, {})
 
 
 def coeffs_of(L, s, X):
@@ -276,45 +274,8 @@ def test_algebra_invariants_survive_complex_conjugation(symbols):
 
 
 # ---------------------------------------------------------------------------
-# generalized eigenspaces and grading
+# the Killing form and the grading
 # ---------------------------------------------------------------------------
-
-def test_so3_eigenspaces_for_rotation_generator():
-    spaces = generalized_eigenspaces(SO3, [ZERO, ZERO, ONE])
-    byval = {str(sp.alpha): sp for sp in spaces}
-    assert set(byval) == {"0", "1*i", "-1*i"}
-    zero_space = byval["0"]
-    assert zero_space.exact
-    assert len(zero_space.basis) == 1
-    assert zero_space.basis[0] == [ZERO, ZERO, ONE]
-    assert all(sp.exact for sp in spaces)
-
-
-def test_abelian_algebra_has_single_zero_eigenspace():
-    spaces = generalized_eigenspaces(ABELIAN3, [ONE, ZERO, ZERO])
-    assert len(spaces) == 1
-    assert str(spaces[0].alpha) == "0"
-    assert len(spaces[0].basis) == 3
-
-
-def test_affine_pair_spectrum():
-    spaces = generalized_eigenspaces(AFFINE_PAIR, [ONE, ZERO])
-    byval = {str(sp.alpha): sp for sp in spaces}
-    assert set(byval) == {"0", "1"}
-    assert byval["1"].basis == [[ZERO, ONE]]
-
-
-def test_fractional_constants_keep_an_exact_spectrum():
-    # [X, Y] = Y/2 and [X, Y] = (1/3 + i/2) Y: den > 1, so the integer
-    # spectrum must be scaled back before the roots are rationalized.
-    for lam, den in ((Scalar.of(Fraction(1, 2)), 2),
-                     (Scalar.of(Fraction(1, 3), Fraction(1, 2)), 6)):
-        L = presentation_from_table(2, {(0, 1): {1: lam}})
-        assert L.den == den
-        spaces = generalized_eigenspaces(L, [ONE, ZERO])
-        assert all(sp.exact for sp in spaces)
-        assert {str(sp.alpha) for sp in spaces} == {"0", str(lam)}
-
 
 GAUSSIAN_CONSTANTS = st.builds(
     lambda a, b, q: Scalar.of(Fraction(a, q), Fraction(b, q)),
@@ -352,47 +313,72 @@ def test_integer_ad_tables_scale_ad(case):
 
 @given(tables_with(lambda n: st.lists(st.one_of(st.just(ZERO), GAUSSIAN_CONSTANTS),
                                       min_size=n, max_size=n)))
-# Jordan blocks, where the kernel of ad - alpha alone is too small: a
-# nilpotent ad (Heisenberg), and alpha = 1/2 + i/3 on a 2-block.
-@example((3, {(0, 1): {2: ONE}}, [ONE, ZERO, ZERO]))
-@example((3, {(0, 1): {1: ONE, 2: ONE}, (0, 2): {2: ONE}},
-          [Scalar.of(Fraction(1, 2), Fraction(1, 3)), ZERO, ZERO]))
 def test_spectra_and_killing_form_match_the_field_reference(case):
-    # Each exact generalized eigenspace of ad(xi), xi Gaussian-rational, is
-    # the nullspace of (ad - alpha)^n built from the Scalar ad; the Killing
-    # form is tr(ad(e_i) ad(e_j)) in Scalars.
-    n, table, xi = case
+    # The Killing form is tr(ad(e_i) ad(e_j)) in Scalars.
+    n, table, _ = case
     L = presentation_from_table(n, table)
-    ad = ad_reference(L.c, xi)
-    for space in generalized_eigenspaces(L, xi):
-        if space.exact:
-            shifted = [[x - space.alpha if i == j else x for j, x in enumerate(row)]
-                       for i, row in enumerate(ad)]
-            power = shifted
-            for _ in range(n - 1):
-                power = mat_mul_reference(power, shifted)
-            assert space.basis == nullspace(power, n_cols=n)
     ads = [ad_reference(L.c, [ONE if j == i else ZERO for j in range(n)]) for i in range(n)]
     trace = lambda m: sum((m[k][k] for k in range(n)), ZERO)
     assert L.killing_form() == [[trace(mat_mul_reference(a, b)) for b in ads] for a in ads]
 
 
+@given(tables_with(lambda n: st.lists(st.one_of(st.just(ZERO), GAUSSIAN_CONSTANTS),
+                                      min_size=n, max_size=n)))
+# Jordan blocks, where the kernel of ad - alpha alone is too small: a
+# nilpotent ad (Heisenberg), and alpha = 1/2 + i/3 on a 2-block.
+@example((3, {(0, 1): {2: ONE}}, [ONE, ZERO, ZERO]))
+@example((3, {(0, 1): {1: ONE, 2: ONE}, (0, 2): {2: ONE}},
+          [Scalar.of(Fraction(1, 2), Fraction(1, 3)), ZERO, ZERO]))
+# Spectrum 0, +-sqrt(2): the reference's numeric branch.
+@example((3, {(0, 1): {2: 2}, (0, 2): {1: 1}}, [ONE, ZERO, ZERO]))
+def test_grading_verdict_matches_the_eigenspace_reference(case):
+    # Jacobi or not, the derivation test on the semisimple part of ad(xi)
+    # gives the verdict of explicit generalized eigenspaces.
+    n, table, xi = case
+    L = presentation_from_table(n, table)
+    assert grading_check(L, xi).ok == grading_reference(L, xi)
+
+
+SQRT2 = presentation_from_table(3, {(0, 1): {2: 2}, (0, 2): {1: 1}})
+
+
 def test_irrational_spectrum_gets_numeric_certificates():
     # [e1,e2] = 2 e3, [e1,e3] = e2 (Jacobi holds): ad(e1) has eigenvalues
     # 0 and +-sqrt(2), which are outside the exact scalar field.
-    L = presentation_from_table(3, {(0, 1): {2: 2}, (0, 2): {1: 1}})
-    assert all(x.is_zero for x in jacobi_residual(L))
-    spaces = generalized_eigenspaces(L, [ONE, ZERO, ZERO])
-    exact = [sp for sp in spaces if sp.exact]
-    numeric = [sp for sp in spaces if not sp.exact]
-    assert len(exact) == 1 and str(exact[0].alpha) == "0"
-    assert len(numeric) == 2
-    import math
-    vals = sorted(sp.alpha.real for sp in numeric)
-    assert abs(vals[0] + math.sqrt(2)) < 1e-9
-    assert abs(vals[1] - math.sqrt(2)) < 1e-9
-    assert all(sp.certificate < 1e-9 for sp in numeric)
+    assert all(x.is_zero for x in jacobi_residual(SQRT2))
+    assert grading_check(SQRT2, [ONE, ZERO, ZERO]).ok
+
+
+def test_fractional_constants_grade():
+    # [X, Y] = Y/2 and [X, Y] = (1/3 + i/2) Y: den > 1 and ad(X) has a
+    # nonzero Gaussian-rational eigenvalue.
+    for lam, den in ((Scalar.of(Fraction(1, 2)), 2),
+                     (Scalar.of(Fraction(1, 3), Fraction(1, 2)), 6)):
+        L = presentation_from_table(2, {(0, 1): {1: lam}})
+        assert L.den == den
+        assert grading_check(L, [ONE, ZERO]).ok
+
+
+def test_grading_holds_for_a_nilpotent_ad_that_is_no_derivation():
+    # Jacobi fails and ad(e0) is not a derivation, but ad(e0) is nilpotent,
+    # so its semisimple part is 0 and every bracket lands in E(0).
+    L = presentation_from_table(3, {(0, 1): {2: 1}, (1, 2): {1: 1}})
+    assert not all(x.is_zero for x in jacobi_residual(L))
     assert grading_check(L, [ONE, ZERO, ZERO]).ok
+    assert grading_reference(L, [ONE, ZERO, ZERO])
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} called on the grading path")
+
+
+def test_grading_makes_no_numpy_call(sphere_surface, monkeypatch):
+    L = structure_constants(sphere_surface)
+    broken = corrupted(L, [((2, 0, 2), L.c[2][0][2] + ONE), ((0, 2, 2), L.c[0][2][2] - ONE)])
+    monkeypatch.setattr(liealg, "np", _NoNumpy())
+    assert grading_check(SQRT2, [ONE, ZERO, ZERO]).ok
+    assert not grading_check(broken, [ONE, ZERO, ZERO]).ok
 
 
 def test_grading_sphere_and_flat(sphere_surface, flat_surface):
@@ -423,6 +409,7 @@ def test_grading_detects_corrupted_constants():
     report = grading_check(broken, [ZERO, ZERO, ONE])
     assert not report.ok
     assert report.violations
+    assert "S[e0, e1] != [S e0, e1] + [e0, S e1]" in report.violations
     assert grading_check(SO3, [ZERO, ZERO, ONE]).ok
 
 
