@@ -121,8 +121,7 @@ def cmd_classify(args) -> int:
         branches.append({
             "kind": w.kind,
             "relations": w.relations,
-            "witnesses": [[repr(float(x)) if isinstance(x, float) else str(x)
-                           for x in elt] for elt in w.elements],
+            "witnesses": [[str(x) for x in elt] for elt in w.elements],
             "verified": True,
             "exact": w.exact,
             "residual": w.residual,

@@ -10,8 +10,10 @@ witnesses of the three target presentations:
     affine pair         [X, Y] = Y            ("TypeB")
     rotation triple     [X, Y] = Z, [Y, Z] = X, [Z, X] = Y   ("so3")
 
-Witnesses are certificates: every reported relation is re-verified exactly
-through the jet bracket before it is returned.
+Witnesses are certificates: every reported relation, so3's included, is
+re-verified exactly through the jet bracket before it is returned.  The so3
+branch is one exact Gram-Schmidt against the Killing form; numpy only
+proposes Type B eigenvalues, and each is tested exactly.
 
 The layer runs over the Gaussian integers Z[i].  One integer bracket
 kernel serves ``structure_constants``, ``bracket_jets`` and the witness
@@ -387,12 +389,12 @@ def jacobi_residual(L: LieAlgebraPresentation) -> list[Scalar]:
 # ---------------------------------------------------------------------------
 
 def _rationalize_root(z: complex, poly: linalg.IntPoly, den: int) -> Scalar | None:
-    """An exact root near z of P_A, given ``poly`` = P_B for A = B/den."""
-    fr, fi = Fraction(z.real), Fraction(z.imag)
-    for limit in (1, 12, 720, 10**6):
-        cand = Scalar(fr.limit_denominator(limit), fi.limit_denominator(limit))
-        if abs(complex(cand) - z) < 1e-6 and linalg.is_root(poly, den, cand):
-            return cand
+    """The exact root of P_A near z, given ``poly`` = P_B for A = B/den: a
+    root lam in Q(i) has den * lam in Z[i], a root of the monic Z[i] P_B, so
+    the nearest point of Z[i] / den is the one candidate (``linalg.is_root``)."""
+    cand = Scalar(Fraction(round(den * z.real), den), Fraction(round(den * z.imag), den))
+    if abs(complex(cand) - z) < 1e-6 and linalg.is_root(poly, den, cand):
+        return cand
     return None
 
 
@@ -569,14 +571,11 @@ def _type_b_at(L, ints, ad: GaussMat, diagnostics) -> Witness | None:
     are the kernel of the integer matrix den * ad(x) - den * lam."""
     n, den = L.dim, L.den
     poly = linalg.int_charpoly(*ad)
-    roots = np.roots(linalg.float_coeffs(poly, den))
     x = None
-    for z in roots:
-        if abs(z) < 1e-9:
+    for z in np.roots(linalg.float_coeffs(poly, den)):
+        if abs(z) < 1e-9 or abs(z.imag) > 1e-9:
             continue
-        if abs(z.imag) > 1e-9:
-            continue
-        lam = _rationalize_root(complex(z.real, 0.0), poly, den)
+        lam = _rationalize_root(z.real, poly, den)
         if lam is None or lam.is_zero:
             diagnostics.append(
                 f"skipped non-rational candidate eigenvalue {z.real:.6g}")
@@ -608,65 +607,66 @@ def _find_pairs(L, diagnostics) -> tuple[Witness | None, Witness | None]:
     return wa, wb
 
 
-def _find_so3(L) -> Witness | None:
+_CYCLE = ((0, 1, 2), (1, 2, 0), (2, 0, 1))      # [f_a, f_b] = k f_c
+
+
+def _so3_frame(L) -> tuple[list[list[Scalar]], list[Scalar]] | None:
+    """(f, ks) with [f_a, f_b] = k f_c along ``_CYCLE``, every k > 0: the
+    rotation frame of a 3-dim algebra over Q(i), or None.
+
+    One Gram-Schmidt of the basis against -B (B the Killing form) decides:
+    the algebra is so(3) exactly when every pivot f^T (-B) f is a positive
+    rational.  B is ad-invariant, so [f_a, f_b] is a multiple of f_c unless
+    the constants break Jacobi; f1 and f2 swap unless [f1, f2] = k f3, k > 0.
+    """
     if L.dim != 3:
         return None
     kf = L.killing_form()
-    # Negative definite iff leading principal minors alternate in sign.
-    minors = [_det3([row[:k] for row in kf[:k]]) for k in (1, 2, 3)]
-    signs_ok = (minors[0].is_real and minors[0].re < 0
-                and minors[1].is_real and minors[1].re > 0
-                and minors[2].is_real and minors[2].re < 0)
-    if not signs_ok:
-        return None
-    # Orthonormalize against -(Killing form)/2 numerically.
-    b = np.array([[-float(complex(kf[i][j]).real) / 2 for j in range(3)]
-                  for i in range(3)])
-    cf = np.array([[[float(complex(L.c[i][j][k]).real) for k in range(3)]
-                    for j in range(3)] for i in range(3)])
-    frame = []
+    form = lambda u, v: -sum((u[i] * kf[i][j] * v[j] for i in range(3)
+                              for j in range(3)), ZERO)
+    positive = lambda x: x.is_real and x.re > 0
+    f = []
     for i in range(3):
-        v = np.eye(3)[i]
-        for w in frame:
-            v = v - (v @ b @ w) * w
-        norm = float(np.sqrt(v @ b @ v))
-        frame.append(v / norm)
-    f1, f2, f3 = frame
-    orient = np.einsum("i,j,ijk,k->", f1, f2, cf, f3 @ b)
-    if orient < 0:
-        f1, f2 = f2, f1
+        v = _unit(3, i)
+        for g in f:
+            t = form(v, g) / form(g, g)
+            v = [x - t * y for x, y in zip(v, g)]
+        if not positive(form(v, v)):
+            return None
+        f.append(v)
 
-    def br(u, v):
-        return np.einsum("i,j,ijk->k", u, v, cf)
+    def multiple(a, b, c):
+        got = L.bracket_coeffs(f[a], f[b])
+        k = next(x / y for x, y in zip(got, f[c]) if not y.is_zero)
+        return k if got == [k * y for y in f[c]] else ZERO
 
-    residual = max(
-        float(np.linalg.norm(br(f1, f2) - f3)),
-        float(np.linalg.norm(br(f2, f3) - f1)),
-        float(np.linalg.norm(br(f3, f1) - f2)),
-    )
-    if residual > 1e-9:
+    if not positive(multiple(0, 1, 2)):
+        f[0], f[1] = f[1], f[0]
+    ks = [multiple(*t) for t in _CYCLE]
+    return (f, ks) if all(map(positive, ks)) else None
+
+
+def _find_so3(L) -> Witness | None:
+    """``_so3_frame``'s triple, each relation re-verified by the jet bracket."""
+    found = _so3_frame(L)
+    if found is None:
         return None
-    return Witness("so3", [list(f1), list(f2), list(f3)],
-                   "[X,Y]=Z, [Y,Z]=X, [Z,X]=Y", False, residual)
-
-
-def _det3(m) -> Scalar:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+    f, ks = found
+    relations = []
+    for (a, b, c), k in zip(_CYCLE, ks):
+        if _verified_bracket(L, f[a], f[b]) != [k * x for x in f[c]]:
+            return None
+        k = "" if k == ONE else str(k.re) if k.re.denominator == 1 else f"({k.re})"
+        relations.append(f"[{'XYZ'[a]},{'XYZ'[b]}]={k}{'XYZ'[c]}")
+    return Witness("so3", f, ", ".join(relations), True)
 
 
 def classify(s: AffineSurface) -> ClassificationResult:
     """Search the Killing algebra for certified subalgebra witnesses.
 
     Branches are reported in the order TypeA, TypeB, so3 and are not
-    exclusive; each witness' relations are re-verified exactly via the jet
-    bracket (TypeA/TypeB) or to residual 1e-9 (so3).
+    exclusive; each witness' relations are re-verified exactly through the
+    jet bracket.  A so3 coefficient other than 1 is printed: [Y,Z]=2X.
     """
     L = structure_constants(s)
     if L.dim < 2:

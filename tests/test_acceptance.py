@@ -9,8 +9,8 @@ import time
 
 from affkit.cli import main as cli_main
 from affkit.coords import commuting_chart, normalize_chart, type_b_chart
-from affkit.killing import VectorField, is_killing, killing_jet_space
-from affkit.liealg import classify, grading_check, structure_constants
+from affkit.killing import Jet1, VectorField, is_killing, killing_jet_space
+from affkit.liealg import bracket_jets, classify, grading_check, structure_constants
 from affkit.linalg import rank
 from affkit.numeric import Grid, fd_residuals, flow_preserves_connection
 from affkit.paperchecks import constraint_rows, sphere_killing_triple
@@ -50,18 +50,18 @@ def test_criterion_02_sphere_killing_algebra():
     result = classify(s)
     branch_ok = result.kinds() == ["so3"]
     w = result.branches[0]
-    # Re-check the adapted-basis relations through the c tensor.
-    import numpy as np
+    # Re-check the adapted-basis relations exactly, through the c tensor and
+    # through the jet bracket of the witnesses' jets.
     L = result.algebra
-    cf = np.array([[[float(complex(L.c[i][j][k]).real) for k in range(3)]
-                    for j in range(3)] for i in range(3)])
-    f1, f2, f3 = (np.array(e) for e in w.elements)
-    br = lambda u, v: np.einsum("i,j,ijk->k", u, v, cf)
-    residual = max(np.linalg.norm(br(f1, f2) - f3),
-                   np.linalg.norm(br(f2, f3) - f1),
-                   np.linalg.norm(br(f3, f1) - f2))
-    report(fields_ok and dim_ok and branch_ok and residual < 1e-9,
-           f"criterion 2: sphere Killing algebra (dim 3, so3 residual {residual:.1e})")
+    f = w.elements
+    jet = lambda coeffs: Jet1.from_vector(
+        [sum((x * j.as_vector()[r] for x, j in zip(coeffs, L.jets)), ZERO) for r in range(6)])
+    relations_ok = w.exact and all(
+        L.bracket_coeffs(f[a], f[b]) == f[c]
+        and bracket_jets(s, jet(f[a]), jet(f[b])).as_vector() == jet(f[c]).as_vector()
+        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+    report(fields_ok and dim_ok and branch_ok and relations_ok,
+           "criterion 2: sphere Killing algebra (dim 3, exact so3 relations)")
 
 
 def test_criterion_03_flat_bound_attained():

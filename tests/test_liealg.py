@@ -18,7 +18,8 @@ from affkit.liealg import (
 )
 from affkit.linalg import rank, solve
 from affkit.scalars import I, ONE, ZERO, Scalar
-from affkit.surface import GAMMA_KEYS, make_surface, sphere, type_a, type_b
+from affkit.surface import (GAMMA_KEYS, make_surface, nabla_ricci, ricci, sphere, torsion,
+                            type_a, type_b)
 from affkit.symexpr import Expr, parse
 
 from conftest import D1, D2, random_type_a
@@ -41,6 +42,9 @@ def presentation_from_table(dim, table):
 
 
 SO3 = presentation_from_table(3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (2, 0): {1: 1}})
+SL2 = presentation_from_table(3, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
+CYCLE = ((0, 1, 2), (1, 2, 0), (2, 0, 1))            # [f_a, f_b] = f_c
+SPHERE_FRAME = [[ZERO, ONE, ZERO], [ONE, ZERO, ZERO], [ZERO, ZERO, ONE]]
 
 
 def coeffs_of(L, s, X):
@@ -370,7 +374,7 @@ def test_grading_holds_for_a_nilpotent_ad_that_is_no_derivation():
 
 class _NoNumpy:
     def __getattr__(self, name):
-        raise AssertionError(f"numpy.{name} called on the grading path")
+        raise AssertionError(f"numpy.{name} called on an exact path")
 
 
 def test_grading_makes_no_numpy_call(sphere_surface, monkeypatch):
@@ -517,7 +521,11 @@ def test_classify_sphere_is_exactly_so3(sphere_surface):
     assert res.kinds() == ["so3"]
     assert res.dim == 3
     w = res.branches[0]
-    assert w.residual < 1e-9
+    assert w.exact and w.residual == 0.0
+    assert w.elements == SPHERE_FRAME
+    assert w.relations == "[X,Y]=Z, [Y,Z]=X, [Z,X]=Y"
+    for a, b, c in CYCLE:
+        assert liealg._verified_bracket(res.algebra, w.elements[a], w.elements[b]) == w.elements[c]
 
 
 def test_classify_type_b_surface(type_b_radial_fields):
@@ -593,3 +601,92 @@ def test_classify_flat_also_finds_affine_branch(flat_surface):
     # pair and a [X,Y] = Y pair (radial scaling with a translation).
     res = classify(flat_surface)
     assert "TypeA" in res.kinds() and "TypeB" in res.kinds()
+
+
+# ---------------------------------------------------------------------------
+# the rotation branch
+# ---------------------------------------------------------------------------
+
+def killing_pairing(L, u, v):
+    """u^T B v for the Killing form B of L."""
+    kf = L.killing_form()
+    return sum((u[i] * kf[i][j] * v[j] for i in range(L.dim) for j in range(L.dim)), ZERO)
+
+
+def in_basis(L, p):
+    """L written in the basis whose i-th vector has coefficients p[i]."""
+    cols = [[p[k][r] for k in range(L.dim)] for r in range(L.dim)]
+    table = {(i, j): dict(enumerate(solve(cols, L.bracket_coeffs(p[i], p[j]))))
+             for i, j in combinations(range(L.dim), 2)}
+    return presentation_from_table(L.dim, table)
+
+
+def test_so3_branch_makes_no_numpy_call(sphere_surface, monkeypatch):
+    L = structure_constants(sphere_surface)
+    monkeypatch.setattr(liealg, "np", _NoNumpy())
+    w = liealg._find_so3(L)
+    assert w.kind == "so3" and w.exact and w.elements == SPHERE_FRAME
+    assert w.relations == "[X,Y]=Z, [Y,Z]=X, [Z,X]=Y"
+
+
+RATIONAL = st.builds(lambda a, q: Scalar.of(Fraction(a, q)), st.integers(-3, 3), st.integers(1, 3))
+RATIONAL_BASES = st.lists(RATIONAL, min_size=9, max_size=9).map(
+    lambda xs: [xs[0:3], xs[3:6], xs[6:9]]).filter(lambda p: rank(p) == 3)
+
+
+@given(RATIONAL_BASES)
+def test_so3_frame_in_random_rational_bases(p):
+    # The frame is B-orthogonal and each cyclic bracket is a positive
+    # multiple of the third vector, whatever basis so(3) is written in.
+    L = in_basis(SO3, p)
+    f, ks = liealg._so3_frame(L)
+    assert all(killing_pairing(L, f[a], f[b]).is_zero for a, b in combinations(range(3), 2))
+    for (a, b, c), k in zip(CYCLE, ks):
+        assert k.is_real and k.re > 0
+        assert L.bracket_coeffs(f[a], f[b]) == [k * x for x in f[c]]
+
+
+def test_so3_frame_rejects_indefinite_degenerate_and_broken_algebras():
+    assert liealg._so3_frame(SL2) is None           # sl(2, R): B is indefinite
+    assert liealg._so3_frame(SQRT2) is None         # solvable: B is degenerate
+    broken = corrupted(SO3, [((2, 0, 2), ONE), ((0, 2, 2), -ONE)])
+    # B stays negative definite (minors -1, 2, -3), so only the relation
+    # test can reject it: [f1, f2] is no multiple of f3.
+    assert broken.killing_form() == [[Scalar.of(x) for x in row]
+                                     for row in ((-1, 0, 0), (0, -2, 1), (0, 1, -2))]
+    assert liealg._so3_frame(broken) is None
+    assert liealg._find_so3(broken) is None
+
+
+@pytest.mark.parametrize("k, printed", [(2, "2X"), (Fraction(1, 2), "(1/2)X")])
+def test_so3_relations_print_a_coefficient_other_than_one(k, printed, monkeypatch):
+    # A table has no jets, so its c tensor stands in for the jet bracket.
+    monkeypatch.setattr(liealg, "_verified_bracket", lambda L, u, v: L.bracket_coeffs(u, v))
+    L = presentation_from_table(3, {(0, 1): {2: 1}, (1, 2): {0: Scalar.of(k)}, (2, 0): {1: 1}})
+    w = liealg._find_so3(L)
+    assert w.exact and w.relations == f"[X,Y]=Z, [Y,Z]={printed}, [Z,X]=Y"
+
+
+# Torsion-free surfaces with parallel Ricci tensor and Killing dimension 3,
+# with rho(P) and their branches: the sphere, a Type B surface with
+# rho(P) = -I and its Lorentzian twin.
+PARALLEL_RICCI = [
+    (sphere(), ((1, 0), (0, 1)), ["so3"]),
+    (type_b({"111": -1, "221": 1, "122": -1, "212": -1}), ((-1, 0), (0, -1)), ["TypeB"]),
+    (type_b({"111": -1, "221": -1, "122": -1, "212": -1}), ((-1, 0), (0, 1)), ["TypeB"]),
+]
+
+
+@pytest.mark.parametrize("s, rho_p, kinds", PARALLEL_RICCI)
+def test_so3_branch_exactly_when_ricci_is_positive_definite(s, rho_p, kinds):
+    # The geometric certificate of the rotation branch: with T = 0 and
+    # nabla rho = 0, the algebra is so(3) exactly when rho(P) is positive
+    # definite.
+    assert torsion(s).is_zero and nabla_ricci(s).is_zero
+    rho = ricci(s)
+    r = [[rho[(i, j)].eval_exact(s.basepoint) for j in (1, 2)] for i in (1, 2)]
+    assert r == [[Scalar.of(x) for x in row] for row in rho_p]
+    definite = r[0][0].re > 0 and (r[0][0] * r[1][1] - r[0][1] * r[1][0]).re > 0
+    res = classify(s)
+    assert res.dim == 3 and res.kinds() == kinds
+    assert ("so3" in res.kinds()) == definite

@@ -53,6 +53,20 @@ def function_level_imports(source: str) -> list[str]:
             for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
 
 
+def numpy_uses(source: str) -> list[str]:
+    """Uses of numpy (the names ``np`` and ``numpy``, and ``from numpy``
+    imports) as "definition (line)", named by the top-level function or
+    class they sit in, or "<module>"; ``import numpy as np`` is no use."""
+    found = []
+    for stmt in ast.parse(source).body:
+        owner = getattr(stmt, "name", "<module>")
+        found += [f"{owner} (line {node.lineno})" for node in ast.walk(stmt)
+                  if isinstance(node, ast.Name) and node.id in ("np", "numpy")
+                  or isinstance(node, ast.ImportFrom) and node.module
+                  and node.module.split(".")[0] == "numpy"]
+    return found
+
+
 def public_parameters_named(source: str, names: set[str]) -> list[str]:
     """Parameters in ``names`` of public functions, public methods and
     constructors of public classes, as "function: parameter (line)"."""
@@ -130,3 +144,17 @@ def test_no_public_signature_takes_a_jet_system_or_space():
              for p in sorted(SRC.glob("*.py"))}
     assert "liealg.py" in found
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_numpy_uses_are_detected():
+    source = ("import numpy as np\nfrom numpy.linalg import norm\nx = np.eye(2)\n"
+              "def f():\n    return np.roots([1])\n"
+              "class C:\n    def m(self):\n        import numpy\n        return numpy.pi\n")
+    assert numpy_uses(source) == ["<module> (line 2)", "<module> (line 3)", "f (line 5)",
+                                  "C (line 9)"]
+
+
+def test_liealg_uses_numpy_only_to_propose_type_b_eigenvalues():
+    # Every other branch is decided and certified in exact arithmetic.
+    found = numpy_uses((SRC / "liealg.py").read_text(encoding="utf-8"))
+    assert {use.split(" (")[0] for use in found} <= {"_type_b_at"}
