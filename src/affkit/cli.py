@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -132,8 +133,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_chart(args) -> int:
-    if args.grid < 3 or args.tol <= 0 or args.step <= 0 or args.half_width <= 0:
-        _diag("invalid run configuration: need grid >= 3, tol > 0, step > 0, "
+    sizes = (args.tol, args.step, args.half_width)
+    if args.grid < 3 or not all(math.isfinite(x) and x > 0 for x in sizes):
+        _diag("invalid run configuration: need grid >= 3 and finite tol > 0, step > 0, "
               "half-width > 0")
         return EXIT_INPUT
     s = load_surface(args.surface)

@@ -18,7 +18,8 @@ Three constructions:
 All verification is numeric on a grid.  Every chart map is two legs: the
 first depends on one chart coordinate only and runs once per distinct
 value, the second is one ``numeric.flow_batch`` over every stencil point.
-Each builder compiles every field it flows, and the symbols, once.
+Each builder compiles every field it flows, and the symbols, once (with
+``numeric.field_fn`` and ``numeric.symbols_fn``), and its legs share them.
 The symbols are pulled back by ``numeric.pullback_gamma_batch``, the same
 17-point fourth-order stencil at h = 1e-3 that checks Killing flows, and
 ``Chart.jacobian`` reads that stencil's gradient.
@@ -35,8 +36,8 @@ import numpy as np
 
 from .killing import VectorField, is_killing
 from .liealg import bracket_fields
-from .numeric import (Grid, _field_array_fn, _flow, _gamma_array_fn, _geodesic_endpoints,
-                      _pullback_gamma, _stencil, _symbols_fn, pullback_gamma_batch)
+from .numeric import (Grid, _stencil, field_fn, flow_batch, geodesic_endpoints,
+                      pullback_gamma_batch, symbols_fn)
 from .surface import AffineSurface
 from .symexpr import Expr
 
@@ -90,7 +91,7 @@ class Chart:
 
 def pullback_gamma(s: AffineSurface, chart: Chart, q) -> dict[str, float]:
     """The eight pulled-back symbols at one chart point."""
-    pulled = pullback_gamma_batch(s, chart.forward, np.array([q], dtype=float))
+    pulled = pullback_gamma_batch(s, symbols_fn(s), chart.forward, np.array([q], dtype=float))
     return {f"{i}{j}{k}": float(pulled[0, i - 1, j - 1, k - 1])
             for i, j, k in product((1, 2), repeat=3)}
 
@@ -110,7 +111,7 @@ def _value_at(field: VectorField, c):
     """The field's evaluator, which its flows share, and its value at c.
     The evaluator's dtype decides exactly that the field is real; a field
     that is not raises NumericError."""
-    f = _field_array_fn(field)
+    f = field_fn(field)
     v = f(*c)
     return f, (float(v[0]), float(v[1]))
 
@@ -133,7 +134,7 @@ def _two_legs(first, col: int, second, step: float):
     def forward(pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         vals, inverse = np.unique(pts[:, col], return_inverse=True)
-        return _flow(second, first(vals)[inverse], pts[:, 1 - col], step)
+        return flow_batch(second, first(vals)[inverse], pts[:, 1 - col], step)
 
     return forward
 
@@ -155,15 +156,15 @@ def normalize_chart(s: AffineSurface, xi: VectorField, *,
     if math.hypot(*xi_at_c) < 1e-9:
         raise ZeroAtBasepoint("the field vanishes at the chart center")
     v0 = _transverse_axis(xi_at_c)
-    symbols = _symbols_fn(s)
+    symbols = symbols_fn(s)
 
     def geodesic_leg(u: np.ndarray) -> np.ndarray:
-        return _geodesic_endpoints(s, symbols, np.repeat([c], len(u), axis=0),
-                                   np.repeat([v0], len(u), axis=0), u, step)
+        return geodesic_endpoints(s, symbols, np.repeat([c], len(u), axis=0),
+                                  np.repeat([v0], len(u), axis=0), u, step)
 
     forward = _two_legs(geodesic_leg, 0, f, step)
     grid = Grid((0.0, 0.0), (half_width, half_width), n)
-    pulled = _pullback_gamma(s, _gamma_array_fn(symbols), forward, grid.points())
+    pulled = pullback_gamma_batch(s, symbols, forward, grid.points())
     report = {
         "gamma_111_max": float(np.max(np.abs(pulled[:, 0, 0, 0]))),
         "gamma_112_max": float(np.max(np.abs(pulled[:, 0, 0, 1]))),
@@ -213,11 +214,11 @@ def commuting_chart(s: AffineSurface, X: VectorField, Y: VectorField, *,
     c, fx, fy = _effective_pair(s, X, Y, center, zero, NotCommuting("[X, Y] != 0"))
 
     def y_leg(w2: np.ndarray) -> np.ndarray:
-        return _flow(fy, np.repeat([c], len(w2), axis=0), w2, step)
+        return flow_batch(fy, np.repeat([c], len(w2), axis=0), w2, step)
 
     forward = _two_legs(y_leg, 1, fx, step)
     grid = Grid((0.0, 0.0), (half_width, half_width), n)
-    pulled = pullback_gamma_batch(s, forward, grid.points())
+    pulled = pullback_gamma_batch(s, symbols_fn(s), forward, grid.points())
     report = {"gamma_spread": _total_spread(pulled)}
     return _finalize("commuting", forward, grid, report, tol)
 
@@ -242,12 +243,12 @@ def type_b_chart(s: AffineSurface, X: VectorField, Y: VectorField, *,
     def x_leg(x1: np.ndarray) -> np.ndarray:
         if np.min(x1) <= 0:
             raise ChartError("the chart coordinate x1 must stay positive")
-        return _flow(fx, np.repeat([c], len(x1), axis=0), -np.log(x1), step)
+        return flow_batch(fx, np.repeat([c], len(x1), axis=0), -np.log(x1), step)
 
     forward = _two_legs(x_leg, 0, fy, step)
     grid = Grid((1.0, 0.0), (half_width, half_width), n)
     pts = grid.points()
-    pulled = pullback_gamma_batch(s, forward, pts)
+    pulled = pullback_gamma_batch(s, symbols_fn(s), forward, pts)
     scaled = pulled * pts[:, 0][:, None, None, None]
     constants = {f"{i}{j}{k}": float(np.mean(scaled[:, i - 1, j - 1, k - 1]))
                  for i, j, k in product((1, 2), repeat=3)}

@@ -345,8 +345,19 @@ class JetField:
 # field files
 # ---------------------------------------------------------------------------
 
-def field_from_json(data: dict) -> VectorField:
-    return VectorField(parse(data.get("a1", "0")), parse(data.get("a2", "0")))
+def field_from_json(data) -> VectorField:
+    """A field from its file's JSON; a malformed or unknown key raises
+    KillingError naming it."""
+    if not isinstance(data, dict):
+        raise KillingError(f"a field file must hold a JSON object, not a {type(data).__name__}")
+    unknown = set(data) - {"a1", "a2"}
+    if unknown:
+        raise KillingError(f"unknown field keys: {sorted(unknown)} (allowed: a1, a2)")
+    texts = {key: data.get(key, "0") for key in ("a1", "a2")}
+    for key, text in texts.items():
+        if not isinstance(text, str):
+            raise KillingError(f'"{key}" must be an expression string, not {text!r}')
+    return VectorField(parse(texts["a1"]), parse(texts["a2"]))
 
 
 def load_field(path) -> VectorField:

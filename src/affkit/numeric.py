@@ -14,10 +14,10 @@ chart maps (``pullback_gamma_batch``) and every derivative in
 chart legs) is one call of the fixed-step RK4 loop ``_rk4``, which alone
 sets the step count from the spans of its batch.  Its stages run in reused
 buffers, in the textbook loop's operation order, so every result is
-bit-identical to that loop's.  The public entry points compile their field
-or symbols per call; the chart builders share one evaluator per field
-through the private ``_flow``, ``_geodesic_endpoints`` and
-``_pullback_gamma``.
+bit-identical to that loop's.  Fields and symbols are compiled only by
+``field_fn`` and ``symbols_fn``; ``flow_batch``, ``geodesic_endpoints`` and
+``pullback_gamma_batch`` take those evaluators, so a caller compiles each
+once and shares it.
 """
 
 from __future__ import annotations
@@ -98,23 +98,21 @@ def _real_array_fn(exprs, message: str) -> Callable[[np.ndarray, np.ndarray], np
     return evaluate
 
 
-def _field_array_fn(field) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+def field_fn(field) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """(x1, x2) -> (2, N) evaluator of a real ``killing.VectorField``."""
     return _real_array_fn([field.a1, field.a2], f"field ({field.a1}, {field.a2}) is not real")
 
 
-def _symbols_fn(s: AffineSurface) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+def symbols_fn(s: AffineSurface) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """(x1, x2) -> (8, ...) evaluator of the real symbols in GAMMA_KEYS order."""
     return _real_array_fn([s.gamma[key] for key in GAMMA_KEYS], "connection symbols are not real")
 
 
-def _gamma_array_fn(symbols):
-    """(..., 2) -> (..., 2, 2, 2) view of a ``_symbols_fn`` evaluator, indexed [i, j, k]."""
-    def gamma(pts: np.ndarray) -> np.ndarray:
-        out = np.moveaxis(symbols(pts[..., 0], pts[..., 1]), 0, -1)
-        return out.reshape(pts.shape[:-1] + (2, 2, 2))
-
-    return gamma
+def _gamma_at(symbols, pts: np.ndarray) -> np.ndarray:
+    """The symbols at points (..., 2) as (..., 2, 2, 2), indexed [i, j, k],
+    from a ``symbols_fn`` evaluator."""
+    out = np.moveaxis(symbols(pts[..., 0], pts[..., 1]), 0, -1)
+    return out.reshape(pts.shape[:-1] + (2, 2, 2))
 
 
 def _check_domain(s: AffineSurface, pts: np.ndarray) -> None:
@@ -182,17 +180,13 @@ def _rk4(rhs, y: np.ndarray, spans, step: float) -> np.ndarray:
     return y
 
 
-def flow_batch(field, points: np.ndarray, t, step: float = 1e-3) -> np.ndarray:
-    """Flow many points for (possibly distinct) times in lockstep.
+def flow_batch(f, points: np.ndarray, t, step: float = 1e-3) -> np.ndarray:
+    """Flow many points for (possibly distinct) times in lockstep along the
+    field whose ``field_fn`` evaluator is f.
 
     Each row integrates d y / d tau = t_row * X(y) over unit pseudo-time
     with ``_rk4``, so all rows finish exactly at their target times.
     """
-    return _flow(_field_array_fn(field), points, t, step)
-
-
-def _flow(f, points: np.ndarray, t, step: float) -> np.ndarray:
-    """``flow_batch`` of the field whose ``_field_array_fn`` evaluator is f."""
     times = np.broadcast_to(np.asarray(t, dtype=float), (points.shape[0],))
     rows = np.array(points.T, dtype=float, order="C")  # (2, N) copy: x1 and x2 rows
     return _rk4(lambda _, y: times * f(y[0], y[1]), rows, times, step).T
@@ -200,7 +194,7 @@ def _flow(f, points: np.ndarray, t, step: float) -> np.ndarray:
 
 def flow(field, p, t: float, step: float = 1e-3):
     """Flow a single point for time t along the field."""
-    out = flow_batch(field, np.array([p], dtype=float), t, step)
+    out = flow_batch(field_fn(field), np.array([p], dtype=float), t, step)
     return (float(out[0, 0]), float(out[0, 1]))
 
 
@@ -208,7 +202,7 @@ def _geodesic_rhs(symbols):
     """Geodesic equation on states (4, N): rows x1, x2, v1, v2.
 
     The acceleration -G_ij^k v^i v^j is one two-operand contraction of
-    (v x v) (4, N) with the symbols (a ``_symbols_fn`` evaluator) reshaped
+    (v x v) (4, N) with the symbols (a ``symbols_fn`` evaluator) reshaped
     (4, 2, N).  Only the symmetric part of the connection acts; torsion
     drops out of the quadratic form.
     """
@@ -221,19 +215,14 @@ def _geodesic_rhs(symbols):
     return rhs
 
 
-def geodesic_endpoints(s: AffineSurface, p0: np.ndarray, v0: np.ndarray,
+def geodesic_endpoints(s: AffineSurface, symbols, p0: np.ndarray, v0: np.ndarray,
                        times, step: float = 1e-3) -> np.ndarray:
-    """Endpoint of the geodesic from each p0 with velocity v0 at parameter t.
+    """Endpoint of the geodesic from each p0 with velocity v0 at parameter t,
+    for the surface whose ``symbols_fn`` evaluator is ``symbols``.
 
     Affine reparametrization folds the time into the initial velocity, so
     a batch with distinct times runs as one ``_rk4`` call.
     """
-    return _geodesic_endpoints(s, _symbols_fn(s), p0, v0, times, step)
-
-
-def _geodesic_endpoints(s: AffineSurface, symbols, p0: np.ndarray, v0: np.ndarray,
-                        times, step: float) -> np.ndarray:
-    """``geodesic_endpoints`` with the surface's ``_symbols_fn`` evaluator."""
     times = np.broadcast_to(np.asarray(times, dtype=float), (p0.shape[0],))
     state = np.concatenate([p0.T, (v0 * times[:, None]).T]).astype(float)
     out = _rk4(_geodesic_rhs(symbols), state, times, step)[:2].T
@@ -276,19 +265,15 @@ def _stencil(f, pts: np.ndarray):
     return vals[:, 0], grad, hess
 
 
-def pullback_gamma_batch(s: AffineSurface, transport, qs: np.ndarray) -> np.ndarray:
+def pullback_gamma_batch(s: AffineSurface, symbols, transport, qs: np.ndarray) -> np.ndarray:
     """Symbols pulled back through ``transport``, (N, 2, 2, 2) at points qs (N, 2).
 
-    ``transport`` maps stacked points (K, 2) -> (K, 2); its images must lie
-    in the domain (DomainExit) and its Jacobian must be invertible
-    (SingularMap).  The transformation rule is
+    ``symbols`` is the surface's ``symbols_fn`` evaluator.  ``transport``
+    maps stacked points (K, 2) -> (K, 2); its images must lie in the domain
+    (DomainExit) and its Jacobian must be invertible (SingularMap).  The
+    transformation rule is
     G~_ij^k = (dT^-1)^k_c (d_i d_j T^c + G_ab^c(T) d_i T^a d_j T^b).
     """
-    return _pullback_gamma(s, _gamma_array_fn(_symbols_fn(s)), transport, qs)
-
-
-def _pullback_gamma(s: AffineSurface, gamma, transport, qs: np.ndarray) -> np.ndarray:
-    """``pullback_gamma_batch`` with the surface's ``_gamma_array_fn`` evaluator."""
     def mapped(pts):
         out = transport(pts)
         _check_domain(s, out)
@@ -299,7 +284,7 @@ def _pullback_gamma(s: AffineSurface, gamma, transport, qs: np.ndarray) -> np.nd
         raise SingularMap("map Jacobian is singular on the grid")
     jinv = np.linalg.inv(d.transpose(0, 2, 1))
     pulled = np.einsum("nkc,nijc->nijk", jinv, dd)
-    pulled += np.einsum("nkc,nabc,nia,njb->nijk", jinv, gamma(image), d, d)
+    pulled += np.einsum("nkc,nabc,nia,njb->nijk", jinv, _gamma_at(symbols, image), d, d)
     return pulled
 
 
@@ -312,14 +297,14 @@ def flow_preserves_connection(s: AffineSurface, X, t: float,
     Killing equations show O(t) deviations.
     """
     pts = (grid or default_grid(s)).points()
-    gamma = _gamma_array_fn(_symbols_fn(s))
+    symbols, f = symbols_fn(s), field_fn(X)
 
     def transport(stencil):
         _check_domain(s, stencil)
-        return flow_batch(X, stencil, t, step)
+        return flow_batch(f, stencil, t, step)
 
-    pulled = _pullback_gamma(s, gamma, transport, pts)
-    deviation = float(np.max(np.abs(pulled - gamma(pts))))
+    pulled = pullback_gamma_batch(s, symbols, transport, pts)
+    deviation = float(np.max(np.abs(pulled - _gamma_at(symbols, pts))))
     return FlowReport(deviation, t, step)
 
 
@@ -338,18 +323,19 @@ def fd_residuals(s: AffineSurface, field, grid: Grid | None = None) -> float:
     better conditioned; all 17N stencil points are extended in one batch.
     """
     pts = (grid or default_grid(s)).points()
-    gamma = _gamma_array_fn(_symbols_fn(s))
+    symbols = symbols_fn(s)
     jets = hasattr(field, "jets_at")
     if jets:
         columns = field.jets_at
     else:
-        field_rows = _field_array_fn(field)
+        field_rows = field_fn(field)
 
         def columns(q):
             _check_domain(s, q)
             return field_rows(q[:, 0], q[:, 1]).T
 
-    vals, grad, hess = _stencil(lambda q: np.hstack([gamma(q).reshape(-1, 8), columns(q)]), pts)
+    vals, grad, hess = _stencil(
+        lambda q: np.hstack([symbols(q[:, 0], q[:, 1]).T, columns(q)]), pts)
     g0 = vals[:, :8].reshape(-1, 2, 2, 2)
     dg = grad[:, :, :8].reshape(-1, 2, 2, 2, 2)  # [n, l, i, j, k] = d_l G_ij^k
     a = vals[:, 8:10]

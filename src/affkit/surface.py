@@ -120,18 +120,16 @@ def make_surface(gamma: dict[str, Expr], basepoint, domain_note: str = "") -> Af
 # model families
 # ---------------------------------------------------------------------------
 
-def type_a(constants: dict[str, object] | None = None, **kw) -> AffineSurface:
+def type_a(constants: dict[str, object] | None = None) -> AffineSurface:
     """Constant Christoffel symbols; basepoint (0, 0)."""
-    vals = dict(constants or {})
-    vals.update(kw)
+    vals = constants or {}
     gamma = {key: Expr.const(as_fraction(vals.get(key, 0))) for key in GAMMA_KEYS}
     return AffineSurface(gamma, (Fraction(0), Fraction(0)), "")
 
 
-def type_b(constants: dict[str, object] | None = None, **kw) -> AffineSurface:
+def type_b(constants: dict[str, object] | None = None) -> AffineSurface:
     """Symbols A_ijk / x1 on the half plane x1 > 0; basepoint (1, 0)."""
-    vals = dict(constants or {})
-    vals.update(kw)
+    vals = constants or {}
     inv_x1 = Expr.monomial(ONE, p1=-1)
     gamma = {key: Expr.const(as_fraction(vals.get(key, 0))) * inv_x1 for key in GAMMA_KEYS}
     return AffineSurface(gamma, (Fraction(1), Fraction(0)), "x1>0")
@@ -207,14 +205,34 @@ def surface_to_json(s: AffineSurface) -> dict:
     }
 
 
-def surface_from_json(data: dict) -> AffineSurface:
-    gamma = {key: parse(text) for key, text in data.get("gamma", {}).items()}
+def surface_from_json(data) -> AffineSurface:
+    """A surface from its file's JSON; a malformed or unknown key raises
+    SurfaceError naming it."""
+    if not isinstance(data, dict):
+        raise SurfaceError(f"a surface file must hold a JSON object, not a {type(data).__name__}")
+    unknown = set(data) - {"gamma", "basepoint", "domain"}
+    if unknown:
+        raise SurfaceError(f"unknown surface keys: {sorted(unknown)} "
+                           "(allowed: gamma, basepoint, domain)")
+    texts = data.get("gamma", {})
+    if not isinstance(texts, dict):
+        raise SurfaceError('"gamma" must map symbol keys to expression strings')
+    for key, text in texts.items():
+        if not isinstance(text, str):
+            raise SurfaceError(f'"gamma" key {key!r} must be an expression string, not {text!r}')
+    gamma = {key: parse(text) for key, text in texts.items()}
     unknown = set(gamma) - set(GAMMA_KEYS)
     if unknown:
         raise SurfaceError(f"unknown gamma keys: {sorted(unknown)}")
     bp = data.get("basepoint", ["0", "0"])
-    return make_surface(gamma, (as_fraction(bp[0]), as_fraction(bp[1])),
-                        data.get("domain", ""))
+    if not (isinstance(bp, list) and len(bp) == 2
+            and all(isinstance(x, (str, int)) and not isinstance(x, bool) for x in bp)):
+        raise SurfaceError(f'"basepoint" must be two rationals ("p/q" strings or integers), '
+                           f"not {bp!r}")
+    domain = data.get("domain", "")
+    if not isinstance(domain, str):
+        raise SurfaceError(f'"domain" must be a string, not {domain!r}')
+    return make_surface(gamma, (as_fraction(bp[0]), as_fraction(bp[1])), domain)
 
 
 def load_surface(path) -> AffineSurface:

@@ -218,12 +218,52 @@ def test_chart_invalid_config_exits_two(files, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--tol", "nan"), ("--step", "inf"), ("--step", "nan"),
+    ("--half-width", "inf"), ("--half-width", "nan"),
+])
+def test_chart_non_finite_config_exits_two(option, value, files, capsys):
+    code, payload, err = run(capsys, "chart", files["flat"], "--mode", "commuting",
+                             "--field", files["d1"], "--field", files["d2"], option, value)
+    assert code == 2 and payload is None
+    assert "invalid run configuration" in err
+
+
 def test_input_errors_exit_two(files, capsys):
     code, _, err = run(capsys, "tensors", files["not_json"], "--ricci")
     assert code == 2
     code, _, err = run(capsys, "tensors", files["broken"], "--ricci")
     assert code == 2
     assert "Gamma_111" in err
+
+
+@pytest.mark.parametrize("kind, content, named", [
+    ("surface", {"gamma": {}, "basepoint": ["0"]}, '"basepoint"'),
+    ("surface", {"gamma": {}, "basepoint": [0.5, 0]}, '"basepoint"'),
+    ("surface", {"gamma": ["111"]}, '"gamma"'),
+    ("surface", {"gamma": {"111": 5}}, "'111'"),
+    ("surface", ["x"], "JSON object"),
+    ("surface", {"gamma": {}, "domain": 5}, '"domain"'),
+    ("surface", {"gamma": {}, "domian": "x1 > 0"}, "'domian'"),
+    ("field", {"a1": 1}, '"a1"'),
+    ("field", ["x"], "JSON object"),
+    ("field", {"a1": "0", "A2": "1"}, "'A2'"),
+], ids=["short-basepoint", "float-basepoint", "gamma-list", "gamma-number", "surface-list",
+        "domain-number", "misspelled-domain", "field-number", "field-list", "misspelled-a2"])
+def test_malformed_input_files_exit_two(kind, content, named, files, tmp_path, capsys):
+    # Exit 1 means a verification failure; a file of the wrong shape is an
+    # input error whose message names the key.  A misspelled key is one too:
+    # {"a1": "0", "A2": "1"} used to be read as the zero field, a Killing field.
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content), encoding="utf-8")
+    if kind == "surface":
+        runs = [("tensors", str(path), "--flat"), ("killing", str(path), "--dim")]
+    else:
+        runs = [("killing", files["flat"], "--check", str(path))]
+    for argv in runs:
+        code, payload, err = run(capsys, *argv)
+        assert code == 2 and payload is None
+        assert "input error" in err and named in err
 
 
 @pytest.mark.parametrize("gamma, dim", LATE_CONSTRAINTS)

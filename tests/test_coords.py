@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import affkit.coords
 import affkit.killing
 import affkit.numeric
 from affkit.coords import (
@@ -12,7 +13,8 @@ from affkit.coords import (
 )
 from affkit.killing import JetField, VectorField, jet_of
 from affkit.liealg import classify
-from affkit.numeric import Grid, NumericError, SingularMap, fd_residuals, flow_preserves_connection
+from affkit.numeric import (Grid, NumericError, SingularMap, fd_residuals,
+                            flow_preserves_connection, symbols_fn)
 from affkit.surface import type_a, type_b
 from affkit.symexpr import parse
 
@@ -261,7 +263,7 @@ def test_pullback_through_chart_and_inverse_returns_gamma(sphere_surface, sphere
     composed = lambda pts: chart.forward(inverse(pts))
 
     qs = np.array([[0.12, 0.02], [0.05, -0.04]])
-    pulled = pullback_gamma_batch(sphere_surface, composed, qs)
+    pulled = pullback_gamma_batch(sphere_surface, symbols_fn(sphere_surface), composed, qs)
     for row, q in enumerate(qs):
         for key, expr in sphere_surface.gamma.items():
             i, j, k = (int(ch) for ch in key)
@@ -277,14 +279,18 @@ def test_each_builder_and_check_compiles_each_expression_list_once(
         sphere_surface, sphere_fields, monkeypatch):
     # Per call: every field flowed or evaluated once, the symbols once, and
     # each axis of a JetField once; the charts' legs and center values share
-    # one evaluator per field.
-    calls = []
+    # one evaluator per field.  Every flow leg of a chart is one call of the
+    # public ``numeric.flow_batch``.
+    calls, flows = [], []
     for mod in (affkit.numeric, affkit.killing):
         monkeypatch.setattr(mod, "compile_exprs",
                             lambda exprs, compile=mod.compile_exprs: calls.append(exprs) or compile(exprs))
+    monkeypatch.setattr(affkit.coords, "flow_batch",
+                        lambda *args, flow=affkit.coords.flow_batch: flows.append(args) or flow(*args))
 
     def compiles(run):
         calls.clear()
+        flows.clear()
         run()
         return len(calls)
 
@@ -292,8 +298,11 @@ def test_each_builder_and_check_compiles_each_expression_list_once(
     grid = Grid((0.1, 0.2), (0.2, 0.2), 5)
     control = VectorField(parse("x1^2"), parse("x2^2"))
     assert compiles(lambda: normalize_chart(sph, D2, n=5)) == 2
+    assert len(flows) == 1
     assert compiles(lambda: commuting_chart(sa, D1, D2, n=5)) == 3
+    assert len(flows) == 2
     assert compiles(lambda: type_b_chart(type_b({"111": -1}), RADIAL, D2, n=5)) == 3
+    assert len(flows) == 2
     for s, field in ((sph, sphere_fields[0]), (sa, D1), (sa, control)):
         assert compiles(lambda: flow_preserves_connection(s, field, 0.2, grid)) == 2
     assert compiles(lambda: fd_residuals(sph, sphere_fields[1], grid)) == 2

@@ -45,6 +45,25 @@ def unused_private_defs(sources: dict[str, str]) -> list[str]:
             if fn not in referenced]
 
 
+def private_imports(source: str) -> list[str]:
+    """Private names taken from sibling modules, as "module._name (line)":
+    ``from .module import _name`` and ``module._name`` after
+    ``from . import module``."""
+    tree = ast.parse(source)
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                modules.update(alias.asname or alias.name for alias in node.names)
+            else:
+                found += [(node.module, alias.name, node.lineno) for alias in node.names
+                          if alias.name.startswith("_")]
+    found += [(node.value.id, node.attr, node.lineno) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+              and isinstance(node.value, ast.Name) and node.value.id in modules]
+    return [f"{module}.{name} (line {line})" for module, name, line in sorted(found)]
+
+
 def function_level_imports(source: str) -> list[str]:
     """Imports inside a function or method body, as "function (line)"."""
     return [f"{fn.name} (line {node.lineno})"
@@ -110,6 +129,27 @@ def test_library_has_no_unused_private_defs():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert "coords.py" in sources
     assert unused_private_defs(sources) == []
+
+
+def test_private_imports_are_detected():
+    source = ("from . import linalg\nfrom .numeric import Grid, _rk4\n"
+              "from .surface import GAMMA_KEYS as _KEYS\nx = linalg._pivot(1) + linalg.rref\n"
+              "from __future__ import annotations\n")
+    assert private_imports(source) == ["linalg._pivot (line 4)", "numeric._rk4 (line 2)"]
+
+
+def test_modules_import_no_private_names_of_each_other():
+    # The numeric boundary is public: flows, geodesics and pullbacks take the
+    # evaluators of ``field_fn`` and ``symbols_fn``.  Only the integrator,
+    # which the jet extension runs on its own right-hand side, and the
+    # stencil, which ``Chart.jacobian`` reads, cross a module boundary.
+    found = {p.name: private_imports(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py"))}
+    assert "coords.py" in found
+    allowed = {"killing.py": ["numeric._rk4"], "coords.py": ["numeric._stencil"]}
+    found = {name: [use for use in uses if use.split(" (")[0] not in allowed.get(name, [])]
+             for name, uses in found.items()}
+    assert {name: uses for name, uses in found.items() if uses} == {}
 
 
 def test_function_level_imports_are_detected():

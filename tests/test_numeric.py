@@ -11,7 +11,7 @@ from affkit.coords import commuting_chart, normalize_chart, type_b_chart
 from affkit.killing import Jet1, JetField, VectorField, jet_of, killing_jet_space, residuals
 from affkit.numeric import (
     FD_STENCIL, DomainExit, Grid, NumericError, _rk4, _stencil, default_grid, fd_residuals,
-    flow, flow_batch, flow_preserves_connection, geodesic_endpoints,
+    field_fn, flow, flow_batch, flow_preserves_connection, geodesic_endpoints, symbols_fn,
 )
 from affkit.scalars import Scalar
 from affkit.surface import surface_from_json, type_a, type_b
@@ -61,7 +61,7 @@ def test_flow_measured_convergence_order():
 def test_flow_batch_distinct_times():
     xd1 = VectorField(parse("x1"), parse("0"))
     pts = np.array([[1.0, 0.0], [1.0, 0.0], [2.0, 1.0]])
-    out = flow_batch(xd1, pts, np.array([0.3, -0.4, 0.1]), step=1e-3)
+    out = flow_batch(field_fn(xd1), pts, np.array([0.3, -0.4, 0.1]), step=1e-3)
     assert abs(out[0, 0] - math.exp(0.3)) < 1e-10
     assert abs(out[1, 0] - math.exp(-0.4)) < 1e-10
     assert abs(out[2, 0] - 2 * math.exp(0.1)) < 1e-10
@@ -122,7 +122,7 @@ def test_flow_batch_is_bit_identical_to_the_reference_kernel(monkeypatch, sphere
     rng = np.random.default_rng(2)
     pts = np.column_stack([rng.uniform(0.2, 0.6, 40), rng.uniform(-0.5, 0.5, 40)])
     times = rng.uniform(-0.3, 0.3, 40)
-    run = lambda: flow_batch(fields[which], pts, times)
+    run = lambda: flow_batch(field_fn(fields[which]), pts, times)
     assert_bitwise(run(), on_reference_kernel(monkeypatch, run))
 
 
@@ -131,7 +131,7 @@ def test_geodesics_and_jets_are_bit_identical_to_the_reference_kernel(monkeypatc
     p0 = rng.uniform(-0.4, 0.4, (30, 2))
     v0 = rng.standard_normal((30, 2))
     times = rng.uniform(0.0, 0.5, 30)
-    run = lambda: geodesic_endpoints(sphere_surface, p0, v0, times)
+    run = lambda: geodesic_endpoints(sphere_surface, symbols_fn(sphere_surface), p0, v0, times)
     assert_bitwise(run(), on_reference_kernel(monkeypatch, run))
     jet = killing_jet_space(sphere_surface).basis[1]
     run = lambda: JetField(sphere_surface, jet).jets_at(p0)
@@ -164,7 +164,8 @@ def test_numeric_checks_reject_non_real_symbols():
     # normalize_chart passed, exactly as on the surface without G_11^1.
     s = surface_from_json({"gamma": {"111": "i", "221": "1"}, "basepoint": ["0", "0"]})
     for check in (lambda: flow_preserves_connection(s, VectorField(parse("x1"), parse("0")), 0.2),
-                  lambda: geodesic_endpoints(s, np.zeros((1, 2)), np.array([[1.0, 0.0]]), 0.1),
+                  lambda: geodesic_endpoints(s, symbols_fn(s), np.zeros((1, 2)),
+                                             np.array([[1.0, 0.0]]), 0.1),
                   lambda: fd_residuals(s, D1),
                   lambda: normalize_chart(s, D1)):
         with pytest.raises(NumericError, match="connection symbols are not real"):
@@ -178,7 +179,7 @@ def test_numeric_checks_reject_non_real_symbols():
 def endpoints(s, p, v, times, step):
     """Endpoints of the one geodesic from p with velocity v at each time."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    return geodesic_endpoints(s, np.repeat([p], len(times), axis=0),
+    return geodesic_endpoints(s, symbols_fn(s), np.repeat([p], len(times), axis=0),
                               np.repeat([v], len(times), axis=0), times, step=step)
 
 
@@ -218,7 +219,8 @@ def test_geodesic_endpoints_match_sampled_geodesics(sphere_surface):
     # A batch runs each row as it would run alone.
     p0 = np.array([[0.1, 0.0], [-0.2, 0.5], [0.3, -0.1]])
     v0 = np.array([[0.6, 0.8], [1.0, 0.0], [-0.3, 0.4]])
-    ends = geodesic_endpoints(sphere_surface, p0, v0, 0.7, step=1e-2)
+    ends = geodesic_endpoints(sphere_surface, symbols_fn(sphere_surface), p0, v0, 0.7,
+                              step=1e-2)
     for p, v, end in zip(p0, v0, ends):
         assert np.allclose(end, endpoints(sphere_surface, p, v, 0.7, step=1e-2)[0],
                            rtol=0, atol=1e-13)
