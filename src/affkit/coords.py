@@ -74,7 +74,6 @@ class ChartVerificationError(ChartError):
 
 @dataclass
 class Chart:
-    mode: str
     forward: Callable[[np.ndarray], np.ndarray]
     grid: Grid
     report: dict = field(default_factory=dict)
@@ -120,11 +119,10 @@ def _finalize(mode, forward, grid, report, tol) -> Chart:
     checks = {k: v for k, v in report.items() if isinstance(v, float)}
     report["pass"] = all(v < tol for v in checks.values())
     report["tol"] = tol
-    chart = Chart(mode, forward, grid, report)
     if not report["pass"]:
         raise ChartVerificationError(
             f"{mode} chart failed verification: {checks}", report)
-    return chart
+    return Chart(forward, grid, report)
 
 
 def _two_legs(first, col: int, second, step: float):

@@ -292,9 +292,16 @@ def jet_of(s: AffineSurface, X: VectorField) -> Jet1:
 
 
 class JetField:
-    """A Killing field known only through its 1-jet, evaluated on demand."""
+    """A real Killing field known only through its 1-jet, evaluated on demand.
+
+    Realness is decided exactly, at construction: a jet entry with a nonzero
+    imaginary part, or a jet system whose compiled M_i evaluator is complex
+    (the dtype verdict of ``compile_exprs``), raises KillingError.
+    """
 
     def __init__(self, s: AffineSurface, jet: Jet1, step: float = 1e-3):
+        if not all(x.is_real for x in jet.as_vector()):
+            raise KillingError("jet extension needs a real jet")
         self.surface = s
         self.jet = jet
         self.step = step
@@ -306,7 +313,10 @@ class JetField:
             rows, cols = np.nonzero([[not e.is_zero for e in row] for row in m])
             scatter = np.zeros((JET_DIM, len(rows)))
             scatter[rows, np.arange(len(rows))] = 1.0
-            self._legs.append((cols, scatter, compile_exprs([m[r][c] for r, c in zip(rows, cols)])))
+            entries = compile_exprs([m[r][c] for r, c in zip(rows, cols)])
+            if entries.dtype != float:
+                raise KillingError("jet extension needs a real jet system")
+            self._legs.append((cols, scatter, entries))
 
     def jets_at(self, points) -> np.ndarray:
         """Extended jets (N, 6) at the points (N, 2), all rows in lockstep.
@@ -321,8 +331,8 @@ class JetField:
         lo, hi = s.domain_bounds()
         if np.any(pts[:, 0] <= lo) or np.any(pts[:, 0] >= hi):
             raise OutsideDomain(f"jet extension target leaves x1 in ({lo}, {hi})")
-        jet = np.array([complex(x) for x in self.jet.as_vector()])
-        state = np.repeat((jet if jet.imag.any() else jet.real)[:, None], len(pts), axis=1)
+        jet = np.array([float(x.re) for x in self.jet.as_vector()])
+        state = np.repeat(jet[:, None], len(pts), axis=1)
         base = (float(s.basepoint[0]), float(s.basepoint[1]))
         for axis, (cols, scatter, entries) in enumerate(self._legs):
             spans = pts[:, axis] - base[axis]
@@ -334,11 +344,6 @@ class JetField:
                 return spans * (scatter @ (vals * v[cols]))
 
             state = _rk4(rhs, state, spans, self.step)
-        if np.iscomplexobj(state):
-            scale = 1 + np.max(np.abs(state), axis=0)
-            if np.any(np.max(np.abs(state.imag), axis=0) > 1e-8 * scale):
-                raise KillingError("jet extension produced a non-real jet")
-            state = state.real
         return state.T
 
 # ---------------------------------------------------------------------------

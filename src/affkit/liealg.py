@@ -93,7 +93,7 @@ GaussVec = tuple[list[int], list[int] | None]
 
 # An extended jet: the six jet entries of a field, over a denominator D, then
 # its eight second derivatives dd_ij a^k at the basepoint, over D * d_second,
-# in the key order of ``JetSystem.second``.
+# in this table's key order; ``JetSystem.second`` is read by key.
 _SECOND = {key: JET_DIM + n for n, key in enumerate(product((1, 2), repeat=3))}
 
 
@@ -236,7 +236,7 @@ def _int_jets(jets, system: JetSystem) -> IntJets:
     """The jets over Z[i], extended by the second derivatives
     ``system.second``, cleared as S / second_den."""
     d, jet_ints = _cleared([j.as_vector() for j in jets])
-    second_den, re, im = linalg.clear_denominators(list(system.second.values()))
+    second_den, re, im = linalg.clear_denominators([system.second[key] for key in _SECOND])
     cols = [_extend(jet, (re, im)) for jet in jet_ints]
     rows = range(JET_DIM + len(_SECOND))
     ext_re = [[col[0][r] for col in cols] for r in rows]
@@ -459,8 +459,6 @@ class Witness:
     kind: str                       # "TypeA" | "TypeB" | "so3"
     elements: list                  # coefficient vectors over the jet basis
     relations: str
-    exact: bool
-    residual: float = 0.0
 
 
 @dataclass
@@ -560,7 +558,7 @@ def _type_a_at(L, ints, ad: GaussMat) -> Witness | None:
         if not effective(L, [u, v]):
             continue
         if all(e.is_zero for e in _verified_bracket(L, u, v)):
-            return Witness("TypeA", [u, v], "[X,Y]=0", True)
+            return Witness("TypeA", [u, v], "[X,Y]=0")
     return None
 
 
@@ -587,7 +585,7 @@ def _type_b_at(L, ints, ad: GaussMat, diagnostics) -> Witness | None:
                 continue
             got = _verified_bracket(L, x_scaled, y)
             if all((got[k] - y[k]).is_zero for k in range(n)):
-                return Witness("TypeB", [x_scaled, y], "[X,Y]=Y", True)
+                return Witness("TypeB", [x_scaled, y], "[X,Y]=Y")
     return None
 
 
@@ -658,7 +656,7 @@ def _find_so3(L) -> Witness | None:
             return None
         k = "" if k == ONE else str(k.re) if k.re.denominator == 1 else f"({k.re})"
         relations.append(f"[{'XYZ'[a]},{'XYZ'[b]}]={k}{'XYZ'[c]}")
-    return Witness("so3", f, ", ".join(relations), True)
+    return Witness("so3", f, ", ".join(relations))
 
 
 def classify(s: AffineSurface) -> ClassificationResult:

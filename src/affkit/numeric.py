@@ -73,13 +73,6 @@ def default_grid(s: AffineSurface, n: int = 5, half_width: float = 0.2,
     return Grid(c, (hw, half_width), n)
 
 
-@dataclass(frozen=True)
-class FlowReport:
-    max_gamma_deviation: float
-    t: float
-    step: float
-
-
 # ---------------------------------------------------------------------------
 # field evaluation helpers
 # ---------------------------------------------------------------------------
@@ -290,8 +283,9 @@ def pullback_gamma_batch(s: AffineSurface, symbols, transport, qs: np.ndarray) -
 
 def flow_preserves_connection(s: AffineSurface, X, t: float,
                               grid: Grid | None = None,
-                              step: float = 1e-3) -> FlowReport:
-    """Pull the symbols back through the time-t flow of X and compare.
+                              step: float = 1e-3) -> float:
+    """Max deviation of the symbols pulled back through the time-t flow of
+    X from the symbols themselves, over the grid.
 
     Killing fields give deviations at rounding level; fields that fail the
     Killing equations show O(t) deviations.
@@ -304,8 +298,7 @@ def flow_preserves_connection(s: AffineSurface, X, t: float,
         return flow_batch(f, stencil, t, step)
 
     pulled = pullback_gamma_batch(s, symbols, transport, pts)
-    deviation = float(np.max(np.abs(pulled - _gamma_at(symbols, pts))))
-    return FlowReport(deviation, t, step)
+    return float(np.max(np.abs(pulled - _gamma_at(symbols, pts))))
 
 
 # ---------------------------------------------------------------------------

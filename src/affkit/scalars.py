@@ -105,6 +105,8 @@ class Scalar:
         return complex(float(self.re), float(self.im))
 
     def __str__(self) -> str:
+        """'a', 'b*i' or 'a+b*i': the parser's exp-coefficient grammar, so
+        ``Expr``'s printer uses it for frequencies and coefficients too."""
         if self.is_real:
             return str(self.re)
         if not self.re:

@@ -48,7 +48,6 @@ class TensorField:
     """Components of a tensor, keyed by index tuples with entries in {1,2}."""
 
     components: dict[tuple[int, ...], Expr]
-    valence: tuple[int, int]  # (contravariant, covariant)
 
     def __getitem__(self, idx: tuple[int, ...]) -> Expr:
         return self.components[idx]
@@ -155,7 +154,7 @@ def sphere() -> AffineSurface:
 def torsion(s: AffineSurface) -> TensorField:
     comps = {(i, j, k): s.g(i, j, k) - s.g(j, i, k)
              for i, j, k in product((1, 2), repeat=3)}
-    return TensorField(comps, (1, 2))
+    return TensorField(comps)
 
 
 def curvature(s: AffineSurface) -> TensorField:
@@ -165,7 +164,7 @@ def curvature(s: AffineSurface) -> TensorField:
         for m in (1, 2):
             e = e + s.g(i, m, l) * s.g(j, k, m) - s.g(j, m, l) * s.g(i, k, m)
         comps[(i, j, k, l)] = e
-    return TensorField(comps, (1, 3))
+    return TensorField(comps)
 
 
 def ricci(s: AffineSurface, r: TensorField | None = None) -> TensorField:
@@ -174,7 +173,7 @@ def ricci(s: AffineSurface, r: TensorField | None = None) -> TensorField:
     r = curvature(s) if r is None else r
     comps = {(j, k): r[(1, j, k, 1)] + r[(2, j, k, 2)]
              for j, k in product((1, 2), repeat=2)}
-    return TensorField(comps, (0, 2))
+    return TensorField(comps)
 
 
 def nabla_ricci(s: AffineSurface, rho: TensorField | None = None) -> TensorField:
@@ -186,7 +185,7 @@ def nabla_ricci(s: AffineSurface, rho: TensorField | None = None) -> TensorField
         for m in (1, 2):
             e = e - s.g(i, j, m) * rho[(m, k)] - s.g(i, k, m) * rho[(j, m)]
         comps[(i, j, k)] = e
-    return TensorField(comps, (0, 3))
+    return TensorField(comps)
 
 
 def is_flat(s: AffineSurface) -> bool:

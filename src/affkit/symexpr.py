@@ -146,11 +146,17 @@ class Expr:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> Expr:
+        """Square-and-multiply, with no square past the top bit, so n <= 3
+        costs n products; the canonical form makes the grouping immaterial."""
         if n < 0:
             return self.inverse_monomial() ** (-n)
-        result = Expr.const(1)
-        for _ in range(n):
-            result = result * self
+        result, base = Expr.const(1), self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
         return result
 
     def inverse_monomial(self) -> Expr:
@@ -383,16 +389,6 @@ def _resolve_factor(kind: str, p) -> Callable:
     return (lambda *bases: bases[pick]) if p == 1 else (lambda *bases: bases[pick] ** p)
 
 
-def _coef_text(sc: Scalar) -> str:
-    """Render a Scalar per the exp-argument grammar: 'a', 'b*i', 'a+b*i'."""
-    if sc.is_real:
-        return str(sc.re)
-    if not sc.re:
-        return f"{sc.im}*i"
-    sign = "+" if sc.im > 0 else "-"
-    return f"{sc.re}{sign}{abs(sc.im)}*i"
-
-
 def _term_text(t: Term) -> tuple[int, str]:
     """Sign (+1/-1) and unsigned body text for one canonical term."""
     factors: list[str] = []
@@ -405,7 +401,7 @@ def _term_text(t: Term) -> tuple[int, str]:
     if t.c:
         factors.append("cos(x1)" if t.c == 1 else f"cos(x1)^{t.c}")
     if not t.freq.is_zero:
-        factors.append(f"exp({_coef_text(t.freq)}*x2)")
+        factors.append(f"exp({t.freq}*x2)")
 
     coeff = t.coeff
     if coeff.is_real:
@@ -420,7 +416,7 @@ def _term_text(t: Term) -> tuple[int, str]:
         factors = head + factors
     else:
         sign = 1
-        factors.insert(0, f"({_coef_text(coeff)})")
+        factors.insert(0, f"({coeff})")
     return sign, "*".join(factors)
 
 

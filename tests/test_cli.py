@@ -229,6 +229,16 @@ def test_chart_non_finite_config_exits_two(option, value, files, capsys):
     assert "invalid run configuration" in err
 
 
+@pytest.mark.parametrize("mode, fields", [
+    ("normalize", ["d1", "d2"]), ("commuting", ["d1"]), ("type-b", []),
+])
+def test_chart_wrong_field_count_exits_two(mode, fields, files, capsys):
+    argv = [arg for name in fields for arg in ("--field", files[name])]
+    code, payload, err = run(capsys, "chart", files["flat"], "--mode", mode, *argv)
+    assert code == 2 and payload is None
+    assert f"{mode} mode takes" in err
+
+
 def test_input_errors_exit_two(files, capsys):
     code, _, err = run(capsys, "tensors", files["not_json"], "--ricci")
     assert code == 2

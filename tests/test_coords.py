@@ -22,7 +22,7 @@ from conftest import D1, D2, RADIAL
 
 
 def identity_chart(grid=None):
-    return Chart("identity", lambda pts: np.asarray(pts, dtype=float),
+    return Chart(lambda pts: np.asarray(pts, dtype=float),
                  grid or Grid((0.0, 0.0), (0.2, 0.2), 5))
 
 
@@ -39,7 +39,7 @@ def test_pullback_identity_chart(sphere_surface):
 
 def test_pullback_translation_chart(sphere_surface):
     # x2-translations leave x2-independent symbols alone.
-    chart = Chart("shift", lambda pts: pts + np.array([0.0, 1.0]),
+    chart = Chart(lambda pts: pts + np.array([0.0, 1.0]),
                   Grid((0.0, 0.0), (0.2, 0.2), 5))
     got = pullback_gamma(sphere_surface, chart, (0.15, -0.3))
     for key, expr in sphere_surface.gamma.items():
@@ -51,7 +51,7 @@ def test_pullback_homothety_fixes_type_b():
     # Simultaneous scaling of both coordinates preserves A/x1 symbols.
     s = type_b({"111": -1, "221": 2, "122": 1})
     lam = 1.7
-    chart = Chart("scale", lambda pts: lam * np.asarray(pts, dtype=float),
+    chart = Chart(lambda pts: lam * np.asarray(pts, dtype=float),
                   Grid((1.0, 0.0), (0.2, 0.2), 5))
     got = pullback_gamma(s, chart, (1.1, 0.2))
     for key, expr in s.gamma.items():
@@ -61,7 +61,7 @@ def test_pullback_homothety_fixes_type_b():
 
 def test_degenerate_chart_map_raises_singular_map(sphere_surface):
     # T(x1, x2) = (x1, x1) collapses the plane onto a line.
-    chart = Chart("collapse", lambda pts: np.stack([pts[:, 0], pts[:, 0]], axis=1),
+    chart = Chart(lambda pts: np.stack([pts[:, 0], pts[:, 0]], axis=1),
                   Grid((0.0, 0.0), (0.2, 0.2), 5))
     with pytest.raises(SingularMap):
         pullback_gamma(sphere_surface, chart, (0.1, 0.2))

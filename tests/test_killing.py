@@ -14,7 +14,8 @@ from affkit.killing import (
 from affkit.linalg import rank
 from affkit.numeric import default_grid
 from affkit.scalars import ONE, ZERO, Scalar
-from affkit.surface import GAMMA_KEYS, is_flat, make_surface, sphere, type_a, type_b
+from affkit.surface import (GAMMA_KEYS, is_flat, make_surface, sphere, surface_from_json,
+                            type_a, type_b)
 from affkit.symexpr import Expr, parse
 
 from conftest import D2, EARLY_STOPS, LATE_CONSTRAINTS, RADIAL, random_type_a
@@ -386,6 +387,25 @@ def test_jet_field_compiles_its_system_once(sphere_surface, sphere_fields, monke
     first = jf.jets_at([(0.3, 0.7), (-0.2, 0.1)])
     assert np.array_equal(jf.jets_at([(0.3, 0.7), (-0.2, 0.1)]), first)
     assert len(calls) == 2   # one per axis, in the constructor
+
+
+def test_jet_field_rejects_a_jet_with_a_tiny_imaginary_part(sphere_surface):
+    # Realness is decided exactly: 10^-12 i is as non-real as i, where a
+    # tolerance on the extended jet's imaginary part let it through.
+    v = killing_jet_space(sphere_surface).basis[0].as_vector()
+    v[0] = v[0] + Scalar.of(0, Fraction(1, 10**12))
+    with pytest.raises(KillingError, match="real jet"):
+        JetField(sphere_surface, Jet1(*v))
+
+
+def test_jet_field_rejects_a_non_real_connection():
+    # A real jet of a non-real connection: the dtype of the compiled M_i
+    # evaluator decides, at construction, before any integration.
+    s = surface_from_json({"gamma": {"112": "i", "222": "-2"}})
+    jet = killing_jet_space(s).basis[0]
+    assert all(x.is_real for x in jet.as_vector())
+    with pytest.raises(KillingError, match="real jet system"):
+        JetField(s, jet)
 
 
 def test_extend_jet_rejects_targets_outside_the_domain(sphere_surface, sphere_fields,

@@ -3,7 +3,8 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "affkit"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "affkit"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -105,6 +106,38 @@ def public_parameters_named(source: str, names: set[str]) -> list[str]:
     return found
 
 
+def record_fields(source: str) -> list[tuple[str, str, int]]:
+    """(class, field, line) for each field of a dataclass or NamedTuple."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        marks = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+        marks += cls.bases
+        if any(getattr(m, "id", getattr(m, "attr", None)) in ("dataclass", "NamedTuple")
+               for m in marks):
+            found += [(cls.name, stmt.target.id, stmt.lineno) for stmt in cls.body
+                      if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    return found
+
+
+def names_read(source: str) -> set[str]:
+    """Attribute names loaded, and string constants, anywhere in a module."""
+    return {node.attr if isinstance(node, ast.Attribute) else node.value
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def unread_fields(records: dict[str, str], readers: list[str]) -> list[str]:
+    """Record fields of ``records`` that no source in ``readers`` reads by
+    name, as "module: Class.field (line)".  Name-based: a field whose name
+    is read elsewhere, on another object, escapes."""
+    read = set().union(*map(names_read, readers))
+    return [f"{name}: {cls}.{fld} (line {line})" for name, source in records.items()
+            for cls, fld, line in record_fields(source) if fld not in read]
+
+
 def test_unused_imports_are_detected():
     assert unused_imports("import math\nimport numpy as np\nnp.zeros(1)\n") == ["math (line 1)"]
     assert unused_imports("from os import path, sep\n__all__ = ['sep']\n") == ["path (line 1)"]
@@ -150,6 +183,26 @@ def test_modules_import_no_private_names_of_each_other():
     found = {name: [use for use in uses if use.split(" (")[0] not in allowed.get(name, [])]
              for name, uses in found.items()}
     assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+def test_unread_record_fields_are_detected():
+    source = ("from dataclasses import dataclass\nfrom typing import NamedTuple\n"
+              "@dataclass(frozen=True)\nclass A:\n    kept: int\n    dead: int\n"
+              "class B(NamedTuple):\n    keyed: str\n    lost: str\n"
+              "class C:\n    plain: int\n")
+    readers = [source, "def f(a, b):\n    a.dead = 1\n    return a.kept, b['keyed']\n"]
+    assert unread_fields({"m.py": source}, readers) == ["m.py: A.dead (line 6)",
+                                                        "m.py: B.lost (line 9)"]
+
+
+def test_every_record_field_is_read():
+    # A field that nothing reads is state that every constructor must still
+    # fill in.  Reads count in the library, the tests and the benchmark.
+    records = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert "liealg.py" in records
+    readers = [p.read_text(encoding="utf-8") for d in (SRC, ROOT / "tests", ROOT / "perfbench")
+               for p in sorted(d.glob("*.py"))]
+    assert unread_fields(records, readers) == []
 
 
 def test_function_level_imports_are_detected():

@@ -137,6 +137,38 @@ def test_pythagorean_identity():
     assert SIN * SIN + COS * COS == Expr.const(1)
 
 
+def repeated_product(e, n):
+    out = Expr.const(1)
+    for _ in range(n):
+        out = out * e
+    return out
+
+
+def test_power_matches_repeated_multiplication():
+    bases = [parse("x1+sin(x1)"), parse("2*cos(x1)-x2*exp(1*x2)+1/2"),
+             parse("i*x1+tan(x1)"), SIN + COS]
+    for e in bases:
+        for n in range(10):
+            assert e ** n == repeated_product(e, n)
+    for e in (parse("-x1^3*cos(x1)^2"), SEC, X1):
+        for n in range(1, 6):
+            assert e ** -n == repeated_product(e.inverse_monomial(), n)
+
+
+def test_power_squares_and_multiplies(monkeypatch):
+    # At most 2 * log2(n) products: x1^1000 took 1 000, so a large exponent
+    # in a surface file stalled the parser.
+    calls = []
+    mul = Expr.__mul__
+    monkeypatch.setattr(Expr, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    assert parse("x1^1000") == Expr.monomial(ONE, p1=1000)
+    assert len(calls) <= 21
+    for n in range(4):          # small powers cost n products, as before
+        calls.clear()
+        X1 ** n
+        assert len(calls) == n
+
+
 @given(exprs(), exprs(), exprs())
 def test_ring_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
