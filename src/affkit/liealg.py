@@ -15,9 +15,10 @@ re-verified exactly through the jet bracket before it is returned.  The so3
 branch is one exact Gram-Schmidt against the Killing form; numpy only
 proposes Type B eigenvalues, and each is tested exactly.
 
-The layer runs over the Gaussian integers Z[i].  One integer bracket
-kernel serves ``structure_constants``, ``bracket_jets`` and the witness
-check.  Every entry point takes just the surface and solves its jets once:
+The layer runs over the Gaussian integers Z[i], in ``linalg``'s format
+and through its one extension rule, ``gauss_bilinear``.  One integer
+bracket kernel serves ``structure_constants``, ``bracket_jets`` and the
+witness check.  Every entry point takes just the surface and solves its jets once:
 ``structure_constants`` reads the basis jets' second derivatives off the
 ``killing.JetSystem`` that ``killing_jet_space`` returns, each over one
 common denominator, and ``classify`` keeps that presentation as its
@@ -35,14 +36,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import gcd
 from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
-from .linalg import GaussMat
+from .linalg import (GaussMat, GaussVec, clear_denominators, gauss_bilinear, gauss_column,
+                     gauss_row, int_mat_vec, scalar_rows, to_scalars)
 from .killing import (JET_DIM, Jet1, JetSystem, VectorField, killing_jet_space,
                       prolongation_symbolic)
 from .scalars import ONE, ZERO, Scalar
@@ -50,7 +52,7 @@ from .surface import AffineSurface
 from .symexpr import Expr
 
 # Witness candidates, one stream shared by the TypeA and TypeB searches; it
-# ends by itself in dimensions 2-4 (8, 49, 272 candidates), so only
+# ends by itself in dimensions 2-5 (8, 49, 272 and 1441 candidates), so only
 # dimension 6 (7448) is cut.
 WITNESS_BUDGET = 4000
 
@@ -86,10 +88,6 @@ def bracket_fields(X: VectorField, Y: VectorField) -> VectorField:
         comps.append(e)
     return VectorField(comps[0], comps[1])
 
-
-# A vector over the Gaussian integers Z[i] as (real parts, imaginary parts);
-# the imaginary parts are None for a real vector, as in ``linalg.GaussMat``.
-GaussVec = tuple[list[int], list[int] | None]
 
 # An extended jet: the six jet entries of a field, over a denominator D, then
 # its eight second derivatives dd_ij a^k at the basepoint, over D * d_second,
@@ -130,62 +128,9 @@ def _bracket_kernel(x: list[int], y: list[int], second_den: int) -> list[int]:
     return [second_den * f + s for f, s in zip(first, second)]
 
 
-def _gauss(f, a, b):
-    """The Z-bilinear map f on int lists, extended to Z[i] on (re, im) pairs."""
-    (ar, ai), (br, bi) = a, b
-    re = f(ar, br)
-    if ai is None and bi is None:
-        return re, None
-    im = [0] * len(re)
-    if bi is not None:
-        im = [s + t for s, t in zip(im, f(ar, bi))]
-    if ai is not None:
-        im = [s + t for s, t in zip(im, f(ai, br))]
-        if bi is not None:
-            re = [s - t for s, t in zip(re, f(ai, bi))]
-    return re, im
-
-
-def _mat_vec(m: linalg.IntMat, v: list[int]) -> list[int]:
-    return [sum(x * y for x, y in zip(row, v) if x) for row in m]
-
-
-def _row(m: GaussMat, r: int) -> GaussVec:
-    re, im = m
-    return re[r], None if im is None else im[r]
-
-
-def _column(m: GaussMat, k: int) -> GaussVec:
-    re, im = m
-    return [row[k] for row in re], None if im is None else [row[k] for row in im]
-
-
-def _cleared(vectors: list[list[Scalar]]) -> tuple[int, list[GaussVec]]:
-    """(d, gs) with vectors[r] = gs[r] / d over Z[i], d the least common
-    denominator."""
-    d, re, im = linalg.clear_denominators(vectors)
-    return d, [_row((re, im), r) for r in range(len(vectors))]
-
-
-_F0 = Fraction(0)
-
-
-def _to_scalars(g: GaussVec, d: int) -> list[Scalar]:
-    """The Scalars g / d."""
-    re, im = g
-    if im is None:
-        return [Scalar(Fraction(x, d), _F0) for x in re]
-    return [Scalar(Fraction(x, d), Fraction(y, d)) for x, y in zip(re, im)]
-
-
-def _scalar_rows(m: GaussMat) -> linalg.Mat:
-    """An int matrix over Z[i] as a matrix of (integer) Scalars."""
-    return [_to_scalars(_row(m, r), 1) for r in range(len(m[0]))]
-
-
 def _extend(jet: GaussVec, second: GaussMat) -> GaussVec:
     """Extended jet of a jet vector over D: append S . jet, over D * d_second."""
-    dd = _gauss(_mat_vec, second, jet)
+    dd = gauss_bilinear(int_mat_vec, second, jet)
     if jet[1] is None and dd[1] is None:
         return jet[0] + dd[0], None
     zero = [0] * JET_DIM
@@ -195,7 +140,7 @@ def _extend(jet: GaussVec, second: GaussMat) -> GaussVec:
 def _bracket_int(x: GaussVec, y: GaussVec, second_den: int) -> GaussVec:
     """The one jet bracket: Z[i] extended jets over D in, jet over
     D^2 * second_den out."""
-    return _gauss(lambda u, v: _bracket_kernel(u, v, second_den), x, y)
+    return gauss_bilinear(lambda u, v: _bracket_kernel(u, v, second_den), x, y)
 
 
 def bracket_jets(s: AffineSurface, vx: Jet1, vy: Jet1) -> Jet1:
@@ -207,8 +152,8 @@ def bracket_jets(s: AffineSurface, vx: Jet1, vy: Jet1) -> Jet1:
     once.
     """
     ints = _int_jets([vx, vy], prolongation_symbolic(s))
-    br = _bracket_int(_column(ints.ext, 0), _column(ints.ext, 1), ints.second_den)
-    return Jet1.from_vector(_to_scalars(br, ints.den ** 2 * ints.second_den))
+    br = _bracket_int(gauss_column(ints.ext, 0), gauss_column(ints.ext, 1), ints.second_den)
+    return Jet1.from_vector(to_scalars(br, ints.den ** 2 * ints.second_den))
 
 
 # ---------------------------------------------------------------------------
@@ -235,15 +180,15 @@ class IntJets(NamedTuple):
 def _int_jets(jets, system: JetSystem) -> IntJets:
     """The jets over Z[i], extended by the second derivatives
     ``system.second``, cleared as S / second_den."""
-    d, jet_ints = _cleared([j.as_vector() for j in jets])
-    second_den, re, im = linalg.clear_denominators([system.second[key] for key in _SECOND])
-    cols = [_extend(jet, (re, im)) for jet in jet_ints]
+    d, jet_ints = clear_denominators([j.as_vector() for j in jets])
+    second_den, second = clear_denominators([system.second[key] for key in _SECOND])
+    cols = [_extend(gauss_row(jet_ints, r), second) for r in range(len(jets))]
     rows = range(JET_DIM + len(_SECOND))
     ext_re = [[col[0][r] for col in cols] for r in rows]
     ext_im = None
     if any(col[1] is not None for col in cols):
         ext_im = [[0 if col[1] is None else col[1][r] for col in cols] for r in rows]
-    basis_t = _scalar_rows((ext_re[:JET_DIM], None if ext_im is None else ext_im[:JET_DIM]))
+    basis_t = scalar_rows((ext_re[:JET_DIM], None if ext_im is None else ext_im[:JET_DIM]))
     return IntJets(d, second_den, (ext_re, ext_im), basis_t)
 
 
@@ -276,7 +221,7 @@ class LieAlgebraPresentation:
         put("c", tuple(tuple(tuple(row) for row in plane) for plane in self.c))
         put("jets", tuple(self.jets))
         n = self.dim
-        d, re, im = linalg.clear_denominators(
+        d, (re, im) = clear_denominators(
             [[self.c[i][j][k] for i in range(n) for j in range(n)] for k in range(n)])
 
         def table(part):
@@ -300,7 +245,7 @@ class LieAlgebraPresentation:
                         flat[k * n + j] += xi * v
             return flat
 
-        re, im = _gauss(combine, x, (self.ad_re, self.ad_im))
+        re, im = gauss_bilinear(combine, x, (self.ad_re, self.ad_im))
         rows = lambda flat: [flat[k * n:(k + 1) * n] for k in range(n)]
         return rows(re), None if im is None else rows(im)
 
@@ -327,14 +272,14 @@ class LieAlgebraPresentation:
 
     def _values_at_p(self, coeffs: list[Scalar]) -> tuple[int, GaussVec]:
         """(d, g): the field with these coefficients has value g / d at P."""
-        d, (g,) = _cleared([coeffs])
+        d, cleared = clear_denominators([coeffs])
         ext = self.int_jets.ext
         rows = (ext[0][:2], None if ext[1] is None else ext[1][:2])
-        return d * self.int_jets.den, _gauss(_mat_vec, rows, g)
+        return d * self.int_jets.den, gauss_bilinear(int_mat_vec, rows, gauss_row(cleared, 0))
 
     def evaluate(self, coeffs: list[Scalar]) -> tuple[Scalar, Scalar]:
         d, g = self._values_at_p(coeffs)
-        return tuple(_to_scalars(g, d))
+        return tuple(to_scalars(g, d))
 
 
 def structure_constants(s: AffineSurface) -> LieAlgebraPresentation:
@@ -350,9 +295,9 @@ def structure_constants(s: AffineSurface) -> LieAlgebraPresentation:
     ks = killing_jet_space(s)
     n = ks.dim
     ints = _int_jets(ks.basis, ks.system)
-    cols = [_column(ints.ext, k) for k in range(n)]
+    cols = [gauss_column(ints.ext, k) for k in range(n)]
     pairs = list(combinations(range(n), 2))
-    brackets = [_to_scalars(_bracket_int(cols[i], cols[j], ints.second_den), 1)
+    brackets = [to_scalars(_bracket_int(cols[i], cols[j], ints.second_den), 1)
                 for i, j in pairs]
     red, pivots = linalg.rref([ints.basis_t[r] + [b[r] for b in brackets]
                                for r in range(JET_DIM)])
@@ -400,7 +345,7 @@ def _rationalize_root(z: complex, poly: linalg.IntPoly, den: int) -> Scalar | No
 
 def _shifted_kernel(m: GaussMat, s: tuple[int, int]) -> list[linalg.Vec]:
     """Kernel of m - s*I for m and s over Z[i]."""
-    return linalg.nullspace(_scalar_rows(linalg.gauss_shift(m, *s)), n_cols=len(m[0]))
+    return linalg.nullspace(scalar_rows(linalg.gauss_shift(m, *s)), n_cols=len(m[0]))
 
 
 @dataclass
@@ -420,8 +365,8 @@ def grading_check(L: LieAlgebraPresentation, xi: list[Scalar]) -> GradingReport:
     integer tables (``int_ad``), and no eigenvalue is computed.
     """
     n = L.dim
-    _, (x,) = _cleared([xi])
-    s = linalg.semisimple_part(_scalar_rows(L.int_ad(x)))
+    _, cleared = clear_denominators([xi])
+    s = linalg.semisimple_part(scalar_rows(L.int_ad(gauss_row(cleared, 0))))
     images = [[row[j] for row in s] for j in range(n)]      # S e_j
     report = GradingReport(ok=True)
     for i, j in product(range(n), repeat=2):
@@ -448,7 +393,7 @@ def effective(L: LieAlgebraPresentation, elements: list[list[Scalar]]) -> bool:
     values = [L._values_at_p(e)[1] for e in elements]
     det = lambda u, v: [u[0] * v[1] - u[1] * v[0]]
     for u, v in combinations(values, 2):
-        re, im = _gauss(det, u, v)
+        re, im = gauss_bilinear(det, u, v)
         if re[0] or (im is not None and im[0]):
             return True
     return False
@@ -483,49 +428,35 @@ def _unit(n: int, i: int) -> list[Scalar]:
 
 
 def _search_candidates(n: int):
-    """Deterministic candidate stream of primitive integer vectors: basis
-    elements, two-slot integer combinations, then full small-integer
-    combinations up to WITNESS_BUDGET."""
-    yielded = 0
-    seen = set()
+    """Deterministic candidate stream of primitive integer vectors, each
+    given once with a positive leading entry: the basis elements, the
+    two-slot combinations, then the full combinations, every coefficient in
+    -2..2, cut at WITNESS_BUDGET."""
+    coeffs = range(-2, 3)
 
-    def emit(vec):
-        nonlocal yielded
+    def placed(*slots):
+        vec = [0] * n
+        for k, c in slots:
+            vec[k] = c
+        return vec
+
+    stream = chain((placed((i, 1)) for i in range(n)),
+                   (placed((i, ci), (j, cj)) for i, j in combinations(range(n), 2)
+                    for ci, cj in product(coeffs, repeat=2)),
+                   product(coeffs, repeat=n))
+    seen = set()
+    for vec in stream:
         g = gcd(*vec)
         if g == 0:
-            return None
+            continue
+        if next(v for v in vec if v) < 0:
+            g = -g
         ints = tuple(v // g for v in vec)
-        lead = next(v for v in ints if v != 0)
-        if lead < 0:
-            ints = tuple(-v for v in ints)
-        if ints in seen:
-            return None
-        seen.add(ints)
-        yielded += 1
-        return ints
-
-    for i in range(n):
-        vec = [0] * n
-        vec[i] = 1
-        out = emit(vec)
-        if out is not None:
-            yield out
-    for i, j in combinations(range(n), 2):
-        for ci in range(-2, 3):
-            for cj in range(-2, 3):
-                vec = [0] * n
-                vec[i], vec[j] = ci, cj
-                out = emit(vec)
-                if out is not None:
-                    yield out
-                if yielded >= WITNESS_BUDGET:
-                    return
-    for combo in product(range(-2, 3), repeat=n):
-        out = emit(list(combo))
-        if out is not None:
-            yield out
-        if yielded >= WITNESS_BUDGET:
-            return
+        if ints not in seen:
+            seen.add(ints)
+            yield ints
+            if len(seen) == WITNESS_BUDGET:
+                return
 
 
 def _verified_bracket(L, u, v) -> list[Scalar]:
@@ -536,9 +467,9 @@ def _verified_bracket(L, u, v) -> list[Scalar]:
     transposed basis (over den) leaves one rescale by 1 / (den d^2 second_den).
     """
     ints = L.int_jets
-    d, (gu, gv) = _cleared([u, v])
-    x, y = (_gauss(_mat_vec, ints.ext, g) for g in (gu, gv))
-    bracket = _to_scalars(_bracket_int(x, y, ints.second_den), 1)
+    d, cleared = clear_denominators([u, v])
+    x, y = (gauss_bilinear(int_mat_vec, ints.ext, gauss_row(cleared, r)) for r in (0, 1))
+    bracket = to_scalars(_bracket_int(x, y, ints.second_den), 1)
     coeffs = linalg.solve(ints.basis_t, bracket)
     if coeffs is None:
         raise SolveFailure("witness bracket left the jet space")

@@ -3,13 +3,17 @@
 Two matrix formats.  Row reduction works on lists of lists of Scalar,
 directly over the field with exact division: one incremental reduced row
 echelon form (``Echelon``) gives echelon forms, exact ranks, nullspace
-bases and linear solves.  Spectra are fraction-free and work on
-``GaussMat``, a matrix B over the Gaussian integers Z[i] as (real,
-imaginary) int matrices: a matrix A = B/d has its characteristic
-polynomial computed from B's by Faddeev-LeVerrier in Python integers
-(every division there is exact, and ``gauss_mul`` is the one product), and
-a rational root of A's polynomial is tested as a root of B's, which is
-monic over Z[i].  ``semisimple_part`` takes the Jordan-Chevalley
+bases and linear solves.  Spectra are fraction-free and work on the Z[i]
+format: ``GaussMat``, a matrix B over the Gaussian integers Z[i] as (real,
+imaginary) int matrices, and ``GaussVec``, a vector as (real, imaginary)
+int lists.  This module owns that format: ``clear_denominators`` takes
+Scalars into it and ``to_scalars``/``scalar_rows`` take them back, and
+``gauss_bilinear`` is the one rule that extends a Z-bilinear map on int
+lists or int matrices to Z[i] (``gauss_mul`` is it over the integer
+product).  A matrix A = B/d has its characteristic polynomial computed
+from B's by Faddeev-LeVerrier in Python integers (every division there is
+exact), and a rational root of A's polynomial is tested as a root of B's,
+which is monic over Z[i].  ``semisimple_part`` takes the Jordan-Chevalley
 semisimple part of a Scalar matrix exactly, by Newton's iteration on the
 squarefree part of that polynomial, with no eigenvalue computed.  Products
 and row operations skip zero entries, since the matrices met here (ad
@@ -27,9 +31,10 @@ from .scalars import ONE, ZERO, Scalar
 Vec = list[Scalar]
 Mat = list[list[Scalar]]
 IntMat = list[list[int]]
-# A matrix over Z[i] as (real parts, imaginary parts), by rows; the
-# imaginary parts are None for a real matrix.
+# A matrix over Z[i] as (real parts, imaginary parts), by rows, and a vector
+# over Z[i] likewise; the imaginary parts are None when all of them are 0.
 GaussMat = tuple[IntMat, IntMat | None]
+GaussVec = tuple[list[int], list[int] | None]
 # A polynomial over Z[i] as (real parts, imaginary parts) of [c_0, ..., c_n].
 IntPoly = tuple[list[int], list[int]]
 
@@ -133,17 +138,68 @@ def solve(a: Mat, b: Vec) -> Vec | None:
     return x
 
 
-def clear_denominators(a: Mat) -> tuple[int, IntMat, IntMat | None]:
-    """(d, re, im) with a = (re + i*im) / d and d the least common denominator.
+def gauss_row(m: GaussMat, r: int) -> GaussVec:
+    re, im = m
+    return re[r], None if im is None else im[r]
 
-    ``im`` is None when every entry of ``a`` is real.
-    """
+
+def gauss_column(m: GaussMat, k: int) -> GaussVec:
+    re, im = m
+    return [row[k] for row in re], None if im is None else [row[k] for row in im]
+
+
+def clear_denominators(a: Mat) -> tuple[int, GaussMat]:
+    """(d, b) with a = b / d over Z[i] and d the least common denominator;
+    b is real when every entry of ``a`` is."""
     d = lcm(1, *(x.re.denominator for row in a for x in row),
             *(x.im.denominator for row in a for x in row))
     re = [[x.re.numerator * (d // x.re.denominator) for x in row] for row in a]
     if all(x.is_real for row in a for x in row):
-        return d, re, None
-    return d, re, [[x.im.numerator * (d // x.im.denominator) for x in row] for row in a]
+        return d, (re, None)
+    return d, (re, [[x.im.numerator * (d // x.im.denominator) for x in row] for row in a])
+
+
+_F0 = Fraction(0)
+
+
+def to_scalars(g: GaussVec, d: int) -> Vec:
+    """The Scalars g / d."""
+    re, im = g
+    if im is None:
+        return [Scalar(Fraction(x, d), _F0) for x in re]
+    return [Scalar(Fraction(x, d), Fraction(y, d)) for x, y in zip(re, im)]
+
+
+def scalar_rows(m: GaussMat) -> Mat:
+    """An int matrix over Z[i] as a matrix of (integer) Scalars."""
+    return [to_scalars(gauss_row(m, r), 1) for r in range(len(m[0]))]
+
+
+def _plus(a, b, sign: int = 1):
+    """``a + sign * b`` entrywise, for int lists or int matrices."""
+    if a and isinstance(a[0], list):
+        return [_plus(x, y, sign) for x, y in zip(a, b)]
+    return [x + sign * y for x, y in zip(a, b)]
+
+
+def gauss_bilinear(f, a, b):
+    """The Z-bilinear map f on int lists or int matrices, extended to Z[i]
+    on (re, im) pairs: f(ar + i ai, br + i bi) = f(ar, br) - f(ai, bi) +
+    i (f(ar, bi) + f(ai, br)), real when a and b are."""
+    (ar, ai), (br, bi) = a, b
+    re = f(ar, br)
+    if ai is None and bi is None:
+        return re, None
+    if ai is None:
+        return re, f(ar, bi)
+    if bi is None:
+        return re, f(ai, br)
+    return _plus(re, f(ai, bi), -1), _plus(f(ar, bi), f(ai, br))
+
+
+def int_mat_vec(m: IntMat, v: list[int]) -> list[int]:
+    """Integer product ``m @ v``; zero entries of ``m`` are skipped."""
+    return [sum(x * y for x, y in zip(row, v) if x) for row in m]
 
 
 def _int_mul(a: IntMat, m: IntMat) -> IntMat:
@@ -161,15 +217,7 @@ def _int_mul(a: IntMat, m: IntMat) -> IntMat:
 
 def gauss_mul(a: GaussMat, b: GaussMat) -> GaussMat:
     """The product ``a @ b`` over Z[i]; real when both factors are."""
-    (ar, ai), (br, bi) = a, b
-    re = _int_mul(ar, br)
-    if ai is None:
-        return re, None if bi is None else _int_mul(ar, bi)
-    if bi is None:
-        return re, _int_mul(ai, br)
-    ii, ri, ir = _int_mul(ai, bi), _int_mul(ar, bi), _int_mul(ai, br)
-    return ([[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(re, ii)],
-            [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(ri, ir)])
+    return gauss_bilinear(_int_mul, a, b)
 
 
 def gauss_shift(m: GaussMat, sr: int, si: int) -> GaussMat:
@@ -193,19 +241,13 @@ def int_charpoly(re: IntMat, im: IntMat | None = None) -> IntPoly:
     n = len(re)
     cr, ci = [0] * (n + 1), [0] * (n + 1)
     cr[n] = 1
-    mr = [row[:] for row in re]
-    mi = [row[:] for row in im] if im is not None else None
+    m = re, im
     for k in range(1, n + 1):
-        cr[n - k] = -sum(mr[i][i] for i in range(n)) // k
-        if mi is not None:
-            ci[n - k] = -sum(mi[i][i] for i in range(n)) // k
-        if k == n:
-            break
-        for i in range(n):
-            mr[i][i] += cr[n - k]
-            if mi is not None:
-                mi[i][i] += ci[n - k]
-        mr, mi = gauss_mul((re, im), (mr, mi))
+        cr[n - k] = -sum(m[0][i][i] for i in range(n)) // k
+        if m[1] is not None:
+            ci[n - k] = -sum(m[1][i][i] for i in range(n)) // k
+        if k < n:
+            m = gauss_mul((re, im), gauss_shift(m, -cr[n - k], -ci[n - k]))
     return cr, ci
 
 
@@ -288,9 +330,9 @@ def semisimple_part(m: Mat) -> Mat:
     multiplicity of an eigenvalue.
     """
     n = len(m)
-    d, re, im = clear_denominators(m)
+    d, b = clear_denominators(m)
     chi = [Scalar(Fraction(x, d ** (n - k)), Fraction(y, d ** (n - k)))
-           for k, (x, y) in enumerate(zip(*int_charpoly(re, im)))]
+           for k, (x, y) in enumerate(zip(*int_charpoly(*b)))]
     g, h = chi, _derivative(chi)
     while h:
         g, h = h, _poly_divmod(g, h)[1]

@@ -24,6 +24,12 @@ import numpy as np
 
 from .scalars import I, ONE, ZERO, Scalar, as_fraction
 
+# What one parse may build: the largest exponent literal, and the work of one
+# product, counted as term pairs |a| * |b|.  Crossing either is a ParseError,
+# so a short input cannot stall the exact layer.
+MAX_EXPONENT = 10_000
+MAX_PRODUCT_PAIRS = 20_000
+
 
 class ExprError(Exception):
     """Base class for expression errors."""
@@ -147,16 +153,17 @@ class Expr:
 
     def __pow__(self, n: int) -> Expr:
         """Square-and-multiply, with no square past the top bit, so n <= 3
-        costs n products; the canonical form makes the grouping immaterial."""
+        costs n products; the canonical form makes the grouping immaterial.
+        Each product is bounded as the parser's are (``_bounded_product``)."""
         if n < 0:
             return self.inverse_monomial() ** (-n)
         result, base = Expr.const(1), self
         while n:
             if n & 1:
-                result = result * base
+                result = _bounded_product(result, base)
             n >>= 1
             if n:
-                base = base * base
+                base = _bounded_product(base, base)
         return result
 
     def inverse_monomial(self) -> Expr:
@@ -274,6 +281,14 @@ class Expr:
 
 
 _ZERO_EXPR = Expr(())
+
+
+def _bounded_product(a: Expr, b: Expr) -> Expr:
+    """a * b, refused before it starts past MAX_PRODUCT_PAIRS term pairs."""
+    if len(a.terms) * len(b.terms) > MAX_PRODUCT_PAIRS:
+        raise ExprError(f"a product of {len(a.terms)} by {len(b.terms)} terms exceeds "
+                        f"MAX_PRODUCT_PAIRS = {MAX_PRODUCT_PAIRS}")
+    return a * b
 
 
 def compile_exprs(exprs) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -572,25 +587,28 @@ def _parse_atom(ts: _Tokens) -> Expr:
 
 def _parse_factor(ts: _Tokens) -> Expr:
     base = _parse_atom(ts)
-    if ts.peek()[0] == "^":
-        ts.next()
-        pos = ts.peek()[2]
-        n = _parse_int(ts)
-        if n < 0:
-            # Negative powers of x2 have no use here; reject them early.
-            try:
-                return base ** n
-            except DivisionError as exc:
-                raise ParseError(str(exc), pos) from exc
+    if ts.peek()[0] != "^":
+        return base
+    ts.next()
+    pos = ts.peek()[2]
+    n = _parse_int(ts)
+    if abs(n) > MAX_EXPONENT:
+        raise ParseError(f"exponent {n} exceeds MAX_EXPONENT = {MAX_EXPONENT}", pos)
+    try:
         return base ** n
-    return base
+    except ExprError as exc:    # a negative power of a non-monomial, or too large
+        raise ParseError(str(exc), pos) from exc
 
 
 def _parse_term(ts: _Tokens) -> Expr:
     result = _parse_factor(ts)
     while ts.peek()[0] == "*":
-        ts.next()
-        result = result * _parse_factor(ts)
+        pos = ts.next()[2]
+        factor = _parse_factor(ts)
+        try:
+            result = _bounded_product(result, factor)
+        except ExprError as exc:
+            raise ParseError(str(exc), pos) from exc
     while ts.peek()[0] == "/":
         pos = ts.next()[2]
         divisor = _parse_factor(ts)

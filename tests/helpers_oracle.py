@@ -39,7 +39,7 @@ import numpy as np
 import sympy as sp
 
 from affkit import linalg
-from affkit.liealg import _cleared, _rationalize_root, _scalar_rows
+from affkit.liealg import _rationalize_root
 from affkit.scalars import ONE, ZERO, Scalar
 
 X1, X2 = sp.symbols("x1 x2")
@@ -257,14 +257,15 @@ def _deflate(poly, d: int, r: Scalar):
 def _shifted_kernel(m, s: tuple[int, int], power: int) -> list:
     """Kernel of (m - s*I)^power for m and s over Z[i]."""
     shifted = linalg.gauss_shift(m, *s)
-    return linalg.nullspace(_scalar_rows(reduce(linalg.gauss_mul, [shifted] * power)),
+    return linalg.nullspace(linalg.scalar_rows(reduce(linalg.gauss_mul, [shifted] * power)),
                             n_cols=len(m[0]))
 
 
 def _eigenvalues(L, xi: list):
     """(exact roots with multiplicity, leftover numeric roots, (D, M)) for
     ad(xi) = M / D with M over Z[i]."""
-    d, (x,) = _cleared([xi])
+    d, m = linalg.clear_denominators([xi])
+    x = linalg.gauss_row(m, 0)
     den, ad = d * L.den, L.int_ad(x)
     poly = linalg.int_charpoly(*ad)
     numeric = np.roots(linalg.float_coeffs(poly, den))

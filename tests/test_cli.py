@@ -1,14 +1,19 @@
 """CLI contract: JSON output, exit codes, determinism."""
 
+import hashlib
+from itertools import combinations, product
 import json
 from pathlib import Path
+import time
 
 import pytest
 
 import affkit.cli
 import affkit.surface
 from affkit.cli import main
-from affkit.surface import sphere, surface_from_json, surface_to_json, type_a, type_b
+from affkit.surface import (GAMMA_KEYS, sphere, surface_from_json, surface_to_json, type_a,
+                            type_b)
+from affkit.symexpr import MAX_EXPONENT
 
 from conftest import EARLY_STOPS, LATE_CONSTRAINTS
 
@@ -276,6 +281,23 @@ def test_malformed_input_files_exit_two(kind, content, named, files, tmp_path, c
         assert "input error" in err and named in err
 
 
+@pytest.mark.parametrize("symbol, bound", [
+    (f"x1^{MAX_EXPONENT + 1}", "MAX_EXPONENT"),
+    ("sin(x1)^20000", "MAX_EXPONENT"),
+    ("(1+x1+x2)^80", "MAX_PRODUCT_PAIRS"),
+])
+def test_oversized_symbols_exit_two_naming_the_bound(symbol, bound, tmp_path, capsys):
+    # Unbounded, sin(x1)^20000 stalled `tensors` for minutes and
+    # (1+x1+x2)^80 took seconds; x1^10001 at x1 = 1/2 is cheap either way.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"gamma": {"111": symbol}, "basepoint": ["1/2", "0"]}))
+    start = time.perf_counter()
+    code, payload, err = run(capsys, "tensors", str(path), "--ricci")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and payload is None
+    assert "input error" in err and bound in err
+
+
 @pytest.mark.parametrize("gamma, dim", LATE_CONSTRAINTS)
 def test_killing_dim_of_flat_surfaces_with_late_constraints(gamma, dim, tmp_path, capsys):
     path = tmp_path / "surface.json"
@@ -330,6 +352,27 @@ def test_output_matches_recorded_bytes(name, command, tmp_path, capsys):
     assert main(argv) == 0
     want = (GOLDEN / f"{name}.{command}.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == want
+
+
+# Sparse constant symbols: every one-symbol pattern with value 1 and every
+# two-symbol pattern with values (1, 2), (1, -2) and (1, -1), each as Type A
+# and as A/x1.  Stdout recorded before the Gaussian-integer arithmetic moved
+# into `linalg` and the witness search got one candidate stream.
+SPARSE_PATTERNS = ([{key: 1} for key in GAMMA_KEYS]
+                   + [{k1: 1, k2: v} for k1, k2 in combinations(GAMMA_KEYS, 2)
+                      for v in (2, -2, -1)])
+SPARSE_CLASSIFY_SHA256 = "6684f7728014a2e2619f1476ca41a8738cd44df5603ff6d53b71d0b79109f054"
+
+
+def test_classify_matches_recorded_digest_on_sparse_surfaces(tmp_path, capsys):
+    codes, out = [], []
+    for n, (build, gamma) in enumerate(product((type_a, type_b), SPARSE_PATTERNS)):
+        path = tmp_path / f"{n}.json"
+        path.write_text(json.dumps(surface_to_json(build(gamma))))
+        codes.append(main(["classify", str(path)]))
+        out.append(capsys.readouterr().out)
+    assert len(codes) == 184 and codes == [0] * 184
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == SPARSE_CLASSIFY_SHA256
 
 
 # Stdout of `verify-paper`, recorded before ad, spectra and the Killing form

@@ -3,6 +3,7 @@
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from functools import cache
+import hashlib
 from itertools import combinations, product
 
 import pytest
@@ -613,6 +614,17 @@ def test_classify_flat_also_finds_affine_branch(flat_surface):
     # pair and a [X,Y] = Y pair (radial scaling with a translation).
     res = classify(flat_surface)
     assert "TypeA" in res.kinds() and "TypeB" in res.kinds()
+
+
+def test_witness_candidate_stream_is_pinned():
+    # The stream decides which witness each search reports first, so its
+    # order is part of the output: dimensions 2-5 end by themselves, and only
+    # dimension 6 (7448 primitive candidates) is cut at the budget.
+    streams = {n: list(liealg._search_candidates(n)) for n in range(1, 7)}
+    assert [len(streams[n]) for n in range(1, 7)] == [1, 8, 49, 272, 1441, 4000]
+    assert streams[2] == [(1, 0), (0, 1), (1, 1), (2, 1), (2, -1), (1, -1), (1, 2), (1, -2)]
+    assert hashlib.sha256(repr(streams[6]).encode()).hexdigest() == (
+        "77505de965f7d266c11f010e154cd6c726247089805c85edf717e36ec26323f0")
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ def charpoly(a):
     """[c_0, ..., c_n] of det(t*I - A) from ``int_charpoly`` of B = d*A:
     c_k(A) = c_k(B) / d^(n-k)."""
     n = len(a)
-    d, re, im = clear_denominators(a)
+    d, (re, im) = clear_denominators(a)
     cr, ci = int_charpoly(re, im)
     return [Scalar.of(Fraction(cr[k], d ** (n - k)), Fraction(ci[k], d ** (n - k)))
             for k in range(n + 1)]
@@ -198,14 +198,14 @@ def test_charpoly_matches_field_reference(a):
 def test_float_coeffs_round_the_exact_coefficients(a):
     # The np.roots input must equal complex() of each exact coefficient,
     # bit for bit, highest degree first.
-    d, re, im = clear_denominators(a)
+    d, (re, im) = clear_denominators(a)
     assert (float_coeffs(int_charpoly(re, im), d)
             == [complex(c) for c in reversed(charpoly_reference(a))])
 
 
 @given(square_matrices(COMPLEX_ENTRIES, max_n=4))
 def test_clear_denominators_is_exact(a):
-    d, re, im = clear_denominators(a)
+    d, (re, im) = clear_denominators(a)
     assert (im is None) == all(x.is_real for row in a for x in row)
     im = im or [[0] * len(row) for row in re]
     assert all(Scalar.of(Fraction(r, d), Fraction(i, d)) == x
@@ -239,7 +239,7 @@ def test_root_test_agrees_with_field_evaluation(r0, q2, p3, q3, rotate):
     a = _block_diag([[r0]], [[ZERO, two], [ONE, ZERO]], [[ZERO, -two], [ONE, ZERO]],
                     [[Scalar.of(Fraction(1, q2))]])
     ref = charpoly_reference(a)
-    d, re, im = clear_denominators(a)
+    d, (re, im) = clear_denominators(a)
     poly = int_charpoly(re, im)
     scaled = r0 * d
     candidates = [

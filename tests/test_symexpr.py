@@ -13,8 +13,8 @@ from affkit.scalars import Scalar, ONE, ZERO
 from affkit.surface import GAMMA_KEYS, sphere, type_b
 from affkit.symexpr import (
     COS, SEC, SIN, TAN, X1, X2,
-    DivisionError, EvaluationPoleError, Expr, NotExactlyEvaluable,
-    ParseError, Term, compile_exprs, parse,
+    MAX_EXPONENT, MAX_PRODUCT_PAIRS, DivisionError, EvaluationPoleError, Expr,
+    NotExactlyEvaluable, ParseError, Term, compile_exprs, parse,
 )
 
 from helpers_reference import assert_bitwise, compile_exprs_reference
@@ -113,6 +113,23 @@ def test_division_rules():
         parse("x2^-1")         # no negative powers of x2
     with pytest.raises(DivisionError):
         (X1 + X2).inverse_monomial()
+
+
+def test_parser_bounds_sit_at_their_constants():
+    # Each bound is a ParseError at the exponent or at the '*' that crosses
+    # it; everything up to the bound parses.
+    assert parse(f"x1^{MAX_EXPONENT}") == Expr.monomial(ONE, p1=MAX_EXPONENT)
+    for text, pos in ((f"x1^{MAX_EXPONENT + 1}", 3), (f"x1^-{MAX_EXPONENT + 1}", 3)):
+        with pytest.raises(ParseError, match="MAX_EXPONENT") as err:
+            parse(text)
+        assert err.value.pos == pos
+    # (1+x1+x2)^20 has 231 terms, and 231^2 term pairs cross the product bound.
+    assert 231 ** 2 > MAX_PRODUCT_PAIRS > 2 * 231
+    assert len(parse("(1+x1+x2)^20").terms) == 231
+    assert len(parse("(1+x1+x2)^20*(1+x1)").terms) == 252
+    with pytest.raises(ParseError, match="MAX_PRODUCT_PAIRS") as err:
+        parse("(1+x1+x2)^20*(1+x1+x2)^20")
+    assert err.value.pos == 12
 
 
 # ---------------------------------------------------------------------------
