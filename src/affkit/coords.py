@@ -22,7 +22,7 @@ Each builder compiles every field it flows, and the symbols, once (with
 ``numeric.field_fn`` and ``numeric.symbols_fn``), and its legs share them.
 The symbols are pulled back by ``numeric.pullback_gamma_batch``, the same
 17-point fourth-order stencil at h = 1e-3 that checks Killing flows, and
-``Chart.jacobian`` reads that stencil's gradient.
+``Chart.jacobian`` reads the gradient of that stencil, ``numeric.stencil``.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ import numpy as np
 
 from .killing import VectorField, is_killing
 from .liealg import bracket_fields
-from .numeric import (Grid, _stencil, field_fn, flow_batch, geodesic_endpoints,
-                      pullback_gamma_batch, symbols_fn)
+from .numeric import (Grid, field_fn, flow_batch, geodesic_endpoints,
+                      pullback_gamma_batch, stencil, symbols_fn)
 from .surface import AffineSurface
 from .symexpr import Expr
 
@@ -84,7 +84,7 @@ class Chart:
 
     def jacobian(self, q) -> np.ndarray:
         """Finite-difference differential dT at a chart point (2x2), [c, j] = d_j T^c."""
-        _, grad, _ = _stencil(self.forward, np.array([q], dtype=float))
+        _, grad, _ = stencil(self.forward, np.array([q], dtype=float))
         return grad[0].T
 
 
@@ -166,19 +166,10 @@ def normalize_chart(s: AffineSurface, xi: VectorField, *,
     report = {
         "gamma_111_max": float(np.max(np.abs(pulled[:, 0, 0, 0]))),
         "gamma_112_max": float(np.max(np.abs(pulled[:, 0, 0, 1]))),
-        "x2_dependence": _column_spread(pulled, n),
+        # the largest spread of a symbol along an x2 grid line
+        "x2_dependence": float(np.max(np.ptp(pulled.reshape(n, n, 8), axis=1))),
     }
     return _finalize("normalize", forward, grid, report, tol)
-
-
-def _column_spread(pulled: np.ndarray, n: int) -> float:
-    """Max variation of any symbol along the x2 grid direction."""
-    cube = pulled.reshape(n, n, 2, 2, 2)  # [x1 index, x2 index, i, j, k]
-    return float(np.max(cube.max(axis=1) - cube.min(axis=1)))
-
-
-def _total_spread(pulled: np.ndarray) -> float:
-    return float(np.max(pulled.max(axis=0) - pulled.min(axis=0)))
 
 
 def _effective_pair(s: AffineSurface, X: VectorField, Y: VectorField,
@@ -217,7 +208,7 @@ def commuting_chart(s: AffineSurface, X: VectorField, Y: VectorField, *,
     forward = _two_legs(y_leg, 1, fx, step)
     grid = Grid((0.0, 0.0), (half_width, half_width), n)
     pulled = pullback_gamma_batch(s, symbols_fn(s), forward, grid.points())
-    report = {"gamma_spread": _total_spread(pulled)}
+    report = {"gamma_spread": float(np.max(np.ptp(pulled, axis=0)))}
     return _finalize("commuting", forward, grid, report, tol)
 
 
@@ -251,7 +242,7 @@ def type_b_chart(s: AffineSurface, X: VectorField, Y: VectorField, *,
     constants = {f"{i}{j}{k}": float(np.mean(scaled[:, i - 1, j - 1, k - 1]))
                  for i, j, k in product((1, 2), repeat=3)}
     report = {
-        "scaled_gamma_spread": _total_spread(scaled),
+        "scaled_gamma_spread": float(np.max(np.ptp(scaled, axis=0))),
         "constants": constants,
     }
     return _finalize("type-b", forward, grid, report, tol)

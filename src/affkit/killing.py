@@ -19,7 +19,8 @@ basepoint cuts the jet space down until the dimension stabilizes; all of
 this is exact Gaussian-rational arithmetic, so the dimensions (at most 6)
 are exact integers.  ``killing_jet_space`` builds the prolongation once, as
 a :class:`JetSystem`, and its frozen :class:`KillingJetSpace` is what
-carries that system on to the Lie layer.
+carries that system on to the Lie layer.  The module holds no float code:
+:class:`JetField` extends a real jet through ``numeric.jet_transport``.
 """
 
 from __future__ import annotations
@@ -28,13 +29,11 @@ import json
 from dataclasses import dataclass
 from itertools import product
 
-import numpy as np
-
 from . import linalg
-from .numeric import _rk4
+from .numeric import jet_transport
 from .scalars import Scalar
 from .surface import AffineSurface
-from .symexpr import Expr, compile_exprs, parse
+from .symexpr import Expr, parse
 
 JET_DIM = 6
 STABILIZATION_CAP = 12
@@ -46,10 +45,6 @@ class KillingError(Exception):
 
 class NoStabilization(KillingError):
     """The prolongation did not stabilize within the round cap."""
-
-
-class OutsideDomain(KillingError):
-    """A jet extension target lies outside the surface's x1-domain."""
 
 
 @dataclass(frozen=True)
@@ -279,7 +274,7 @@ def killing_jet_space(s: AffineSurface) -> KillingJetSpace:
 
 
 # ---------------------------------------------------------------------------
-# jets of symbolic fields, numeric extension of jets
+# jets of symbolic fields, real jets extended by numeric.jet_transport
 # ---------------------------------------------------------------------------
 
 def jet_of(s: AffineSurface, X: VectorField) -> Jet1:
@@ -292,59 +287,21 @@ def jet_of(s: AffineSurface, X: VectorField) -> Jet1:
 
 
 class JetField:
-    """A real Killing field known only through its 1-jet, evaluated on demand.
-
-    Realness is decided exactly, at construction: a jet entry with a nonzero
-    imaginary part, or a jet system whose compiled M_i evaluator is complex
-    (the dtype verdict of ``compile_exprs``), raises KillingError.
-    """
+    """A real Killing field known only through its 1-jet, extended on demand
+    by ``numeric.jet_transport``, which compiles the jet system once, here.
+    A jet entry with a nonzero imaginary part raises KillingError (decided
+    exactly); a non-real jet system raises ``numeric.NumericError``."""
 
     def __init__(self, s: AffineSurface, jet: Jet1, step: float = 1e-3):
         if not all(x.is_real for x in jet.as_vector()):
             raise KillingError("jet extension needs a real jet")
-        self.surface = s
-        self.jet = jet
-        self.step = step
+        self._jet = [float(x.re) for x in jet.as_vector()]
         system = prolongation_symbolic(s)
-        # Per axis: the nonzero entries of M_i, compiled once, with the
-        # 0/1 matrix (6, nnz) that scatters entry products onto their rows.
-        self._legs = []
-        for m in (system.m1, system.m2):
-            rows, cols = np.nonzero([[not e.is_zero for e in row] for row in m])
-            scatter = np.zeros((JET_DIM, len(rows)))
-            scatter[rows, np.arange(len(rows))] = 1.0
-            entries = compile_exprs([m[r][c] for r, c in zip(rows, cols)])
-            if entries.dtype != float:
-                raise KillingError("jet extension needs a real jet system")
-            self._legs.append((cols, scatter, entries))
+        self._transport = jet_transport(s, (system.m1, system.m2), step)
 
-    def jets_at(self, points) -> np.ndarray:
-        """Extended jets (N, 6) at the points (N, 2), all rows in lockstep.
-
-        The (6, N) state integrates d v / d tau = span * M_i v in unit
-        pseudo-time with ``numeric._rk4``, along x1 from the basepoint, then
-        along x2.  The domain constrains x1 only, so checking the targets
-        covers every path.
-        """
-        s = self.surface
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        lo, hi = s.domain_bounds()
-        if np.any(pts[:, 0] <= lo) or np.any(pts[:, 0] >= hi):
-            raise OutsideDomain(f"jet extension target leaves x1 in ({lo}, {hi})")
-        jet = np.array([float(x.re) for x in self.jet.as_vector()])
-        state = np.repeat(jet[:, None], len(pts), axis=1)
-        base = (float(s.basepoint[0]), float(s.basepoint[1]))
-        for axis, (cols, scatter, entries) in enumerate(self._legs):
-            spans = pts[:, axis] - base[axis]
-            fixed = np.full(len(pts), base[1]) if axis == 0 else pts[:, 0]
-
-            def rhs(tau, v):
-                moving = base[axis] + tau * spans
-                vals = entries(moving, fixed) if axis == 0 else entries(fixed, moving)
-                return spans * (scatter @ (vals * v[cols]))
-
-            state = _rk4(rhs, state, spans, self.step)
-        return state.T
+    def jets_at(self, points):
+        """Jets (N, 6) at the points (N, 2); outside the domain, DomainExit."""
+        return self._transport(self._jet, points)
 
 # ---------------------------------------------------------------------------
 # field files

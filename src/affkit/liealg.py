@@ -343,9 +343,9 @@ def _rationalize_root(z: complex, poly: linalg.IntPoly, den: int) -> Scalar | No
     return None
 
 
-def _shifted_kernel(m: GaussMat, s: tuple[int, int]) -> list[linalg.Vec]:
-    """Kernel of m - s*I for m and s over Z[i]."""
-    return linalg.nullspace(scalar_rows(linalg.gauss_shift(m, *s)), n_cols=len(m[0]))
+def _shifted_kernel(m: GaussMat, s: int) -> list[linalg.Vec]:
+    """Kernel of m - s*I for m over Z[i] and an integer s."""
+    return linalg.nullspace(scalar_rows(linalg.gauss_shift(m, s, 0)), n_cols=len(m[0]))
 
 
 @dataclass
@@ -481,7 +481,7 @@ def _type_a_at(L, ints, ad: GaussMat) -> Witness | None:
     """Commuting effective pairs among the integer candidate x and the
     kernel of ad(x), taken from ad = den * ad(x), which has the same kernel."""
     x = [Scalar.of(v) for v in ints]
-    pool = [x] + _shifted_kernel(ad, (0, 0))
+    pool = [x] + _shifted_kernel(ad, 0)
     for u, v in combinations(pool, 2):
         # [x, v] = ad(x) v vanishes on the kernel; only kernel pairs can fail.
         if u is not x and not all(e.is_zero for e in L.bracket_coeffs(u, v)):
@@ -510,7 +510,7 @@ def _type_b_at(L, ints, ad: GaussMat, diagnostics) -> Witness | None:
                 f"skipped non-rational candidate eigenvalue {z.real:.6g}")
             continue
         x = x or [Scalar.of(v) for v in ints]
-        for y in _shifted_kernel(ad, (int(lam.re * den), 0)):
+        for y in _shifted_kernel(ad, int(lam.re * den)):
             x_scaled = [xi / lam for xi in x]
             if not effective(L, [x_scaled, y]):
                 continue

@@ -221,10 +221,8 @@ def gauss_mul(a: GaussMat, b: GaussMat) -> GaussMat:
 
 
 def gauss_shift(m: GaussMat, sr: int, si: int) -> GaussMat:
-    """``m - s*I`` over Z[i] for s = sr + i*si; real when m and s are."""
+    """``m - s*I`` over Z[i] for s = sr + i*si; a real m takes a real s."""
     re, im = m
-    if im is None and si:
-        im = [[0] * len(row) for row in re]
     shift = lambda part, v: [[x - v if i == j else x for j, x in enumerate(row)]
                              for i, row in enumerate(part)]
     return shift(re, sr), None if im is None else shift(im, si)

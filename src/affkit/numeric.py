@@ -1,4 +1,4 @@
-"""Floating-point oracles: RK4 flows, geodesics, grid residuals.
+"""Floating-point oracles: RK4 flows, geodesics, jet transport, grid residuals.
 
 These routines deliberately avoid the symbolic layer except to evaluate
 expressions pointwise, so they can serve as independent checks of the
@@ -7,15 +7,16 @@ through its time-t flow reproduces the Christoffel symbols, and iff the
 finite-difference residuals of the Killing equations vanish on a grid.
 
 Every derivative comes from one 17-point fourth-order stencil at
-h = 1e-3 (``_stencil``), whose rounding floor (~1e-9) sits well below
+h = 1e-3 (``stencil``), whose rounding floor (~1e-9) sits well below
 every report threshold: the pullback of the symbols through flows and
 chart maps (``pullback_gamma_batch``) and every derivative in
-``fd_residuals``.  Every integration (flows, geodesics, jet extension,
+``fd_residuals``.  Every integration (flows, geodesics, jet transport,
 chart legs) is one call of the fixed-step RK4 loop ``_rk4``, which alone
 sets the step count from the spans of its batch.  Its stages run in reused
 buffers, in the textbook loop's operation order, so every result is
 bit-identical to that loop's.  Fields and symbols are compiled only by
-``field_fn`` and ``symbols_fn``; ``flow_batch``, ``geodesic_endpoints`` and
+``field_fn`` and ``symbols_fn``, and a jet system's M1, M2 only by
+``jet_transport``; ``flow_batch``, ``geodesic_endpoints`` and
 ``pullback_gamma_batch`` take those evaluators, so a caller compiles each
 once and shares it.
 """
@@ -63,7 +64,7 @@ class Grid:
 def default_grid(s: AffineSurface, n: int = 5, half_width: float = 0.2,
                  center: tuple[float, float] | None = None) -> Grid:
     """Grid around the basepoint, shrunk near the domain boundary so that
-    the reach of ``_stencil`` (2 * FD_STENCIL) stays inside the domain."""
+    the reach of ``stencil`` (2 * FD_STENCIL) stays inside the domain."""
     c = center or (float(s.basepoint[0]), float(s.basepoint[1]))
     lo, hi = s.domain_bounds()
     room = min(c[0] - lo, hi - c[0]) - 2 * FD_STENCIL
@@ -223,6 +224,42 @@ def geodesic_endpoints(s: AffineSurface, symbols, p0: np.ndarray, v0: np.ndarray
     return out
 
 
+def jet_transport(s: AffineSurface, matrices, step: float = 1e-3):
+    """Transport (jet (n,), points (N, 2)) -> jets (N, n) of the linear system
+    d_i v = M_i(x) v from the basepoint, for ``matrices`` M1, M2 (n x n
+    ``Expr``), whose nonzero entries must be real (NumericError).  All rows
+    run in lockstep: the (n, N) state integrates d v / d tau = span * M_i v
+    with ``_rk4``, along x1, then along x2.  The domain constrains x1 only,
+    so checking the targets (DomainExit) covers every path."""
+    legs = []   # per axis: M_i's nonzero entries, compiled, and their (n, nnz) scatter
+    for m in matrices:
+        rows, cols = np.nonzero([[not e.is_zero for e in row] for row in m])
+        scatter = np.zeros((len(m), len(rows)))
+        scatter[rows, np.arange(len(rows))] = 1.0
+        entries = _real_array_fn([m[r][c] for r, c in zip(rows, cols)],
+                                 "jet extension needs a real jet system")
+        legs.append((cols, scatter, entries))
+    base = (float(s.basepoint[0]), float(s.basepoint[1]))
+
+    def transport(jet, points) -> np.ndarray:
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        _check_domain(s, pts)
+        state = np.repeat(np.asarray(jet, dtype=float)[:, None], len(pts), axis=1)
+        for axis, (cols, scatter, entries) in enumerate(legs):
+            spans = pts[:, axis] - base[axis]
+            fixed = np.full(len(pts), base[1]) if axis == 0 else pts[:, 0]
+
+            def rhs(tau, v):
+                moving = base[axis] + tau * spans
+                vals = entries(moving, fixed) if axis == 0 else entries(fixed, moving)
+                return spans * (scatter @ (vals * v[cols]))
+
+            state = _rk4(rhs, state, spans, step)
+        return state.T
+
+    return transport
+
+
 # ---------------------------------------------------------------------------
 # the fourth-order stencil and the pullback of the symbols through a map
 # ---------------------------------------------------------------------------
@@ -237,7 +274,7 @@ _W1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0])     # times 1 / (12 h)
 _W2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0])  # times 1 / (12 h^2)
 
 
-def _stencil(f, pts: np.ndarray):
+def stencil(f, pts: np.ndarray):
     """Value (M, m), gradient (M, 2, m) and Hessian (M, 2, 2, m) of a map.
 
     ``f`` maps stacked points (K, 2) -> (K, m) and is called once on all
@@ -272,7 +309,7 @@ def pullback_gamma_batch(s: AffineSurface, symbols, transport, qs: np.ndarray) -
         _check_domain(s, out)
         return out
 
-    image, d, dd = _stencil(mapped, qs)   # d[n, i, c] = d_i T^c
+    image, d, dd = stencil(mapped, qs)   # d[n, i, c] = d_i T^c
     if np.min(np.abs(np.linalg.det(d))) < 1e-6:
         raise SingularMap("map Jacobian is singular on the grid")
     jinv = np.linalg.inv(d.transpose(0, 2, 1))
@@ -293,9 +330,9 @@ def flow_preserves_connection(s: AffineSurface, X, t: float,
     pts = (grid or default_grid(s)).points()
     symbols, f = symbols_fn(s), field_fn(X)
 
-    def transport(stencil):
-        _check_domain(s, stencil)
-        return flow_batch(f, stencil, t, step)
+    def transport(q):
+        _check_domain(s, q)
+        return flow_batch(f, q, t, step)
 
     pulled = pullback_gamma_batch(s, symbols, transport, pts)
     return float(np.max(np.abs(pulled - _gamma_at(symbols, pts))))
@@ -308,7 +345,7 @@ def flow_preserves_connection(s: AffineSurface, X, t: float,
 def fd_residuals(s: AffineSurface, field, grid: Grid | None = None) -> float:
     """Max |K_ij^k| over the grid by finite differences.
 
-    One ``_stencil`` call differentiates the symbols and the field together.
+    One ``stencil`` call differentiates the symbols and the field together.
     A symbolic field takes its first and second derivatives from the
     stencil's gradient and Hessian.  A jet-extended field (anything exposing
     ``jets_at``) carries its first derivatives in the jet, so they are read
@@ -327,7 +364,7 @@ def fd_residuals(s: AffineSurface, field, grid: Grid | None = None) -> float:
             _check_domain(s, q)
             return field_rows(q[:, 0], q[:, 1]).T
 
-    vals, grad, hess = _stencil(
+    vals, grad, hess = stencil(
         lambda q: np.hstack([symbols(q[:, 0], q[:, 1]).T, columns(q)]), pts)
     g0 = vals[:, :8].reshape(-1, 2, 2, 2)
     dg = grad[:, :, :8].reshape(-1, 2, 2, 2, 2)  # [n, l, i, j, k] = d_l G_ij^k

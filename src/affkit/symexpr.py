@@ -24,9 +24,9 @@ import numpy as np
 
 from .scalars import I, ONE, ZERO, Scalar, as_fraction
 
-# What one parse may build: the largest exponent literal, and the work of one
-# product, counted as term pairs |a| * |b|.  Crossing either is a ParseError,
-# so a short input cannot stall the exact layer.
+# What one parse may build: the largest exponent, in a literal and in each
+# term's |p1|, p2 and |c|, and the work of one product, as term pairs |a| * |b|.
+# Crossing either is a ParseError, so a short input cannot stall the exact layer.
 MAX_EXPONENT = 10_000
 MAX_PRODUCT_PAIRS = 20_000
 
@@ -502,13 +502,20 @@ class _Tokens:
         return tok
 
 
+def _int_literal(tok) -> int:
+    """An integer token's value; past Python's 4 300-digit limit, a ParseError."""
+    try:
+        return int(tok[1])
+    except ValueError as exc:
+        raise ParseError(f"unreadable integer literal of length {len(tok[1])}", tok[2]) from exc
+
+
 def _parse_int(ts: _Tokens) -> int:
     sign = 1
     if ts.peek()[0] == "-":
         ts.next()
         sign = -1
-    tok = ts.expect("int", "an integer")
-    return sign * int(tok[1])
+    return sign * _int_literal(ts.expect("int", "an integer"))
 
 
 def _parse_rational(ts: _Tokens) -> Fraction:
@@ -516,14 +523,14 @@ def _parse_rational(ts: _Tokens) -> Fraction:
     if ts.peek()[0] == "-":
         ts.next()
         sign = -1
-    num = ts.expect("int", "a number")
-    value = Fraction(int(num[1]))
+    value = Fraction(_int_literal(ts.expect("int", "a number")))
     if ts.peek()[0] == "/" and ts.peek(1)[0] == "int":
         ts.next()
-        den = ts.next()
-        if int(den[1]) == 0:
-            raise ParseError("zero denominator", den[2])
-        value /= int(den[1])
+        tok = ts.next()
+        den = _int_literal(tok)
+        if den == 0:
+            raise ParseError("zero denominator", tok[2])
+        value /= den
     return sign * value
 
 
@@ -595,9 +602,16 @@ def _parse_factor(ts: _Tokens) -> Expr:
     if abs(n) > MAX_EXPONENT:
         raise ParseError(f"exponent {n} exceeds MAX_EXPONENT = {MAX_EXPONENT}", pos)
     try:
-        return base ** n
+        return _bounded_degree(base ** n)
     except ExprError as exc:    # a negative power of a non-monomial, or too large
         raise ParseError(str(exc), pos) from exc
+
+
+def _bounded_degree(e: Expr) -> Expr:
+    """e, refused when a term's |p1|, p2 or |c| exceeds MAX_EXPONENT."""
+    if any(max(abs(t.p1), t.p2, abs(t.c)) > MAX_EXPONENT for t in e.terms):
+        raise ExprError(f"a power of x1, x2 or cos(x1) exceeds MAX_EXPONENT = {MAX_EXPONENT}")
+    return e
 
 
 def _parse_term(ts: _Tokens) -> Expr:
@@ -606,15 +620,15 @@ def _parse_term(ts: _Tokens) -> Expr:
         pos = ts.next()[2]
         factor = _parse_factor(ts)
         try:
-            result = _bounded_product(result, factor)
+            result = _bounded_degree(_bounded_product(result, factor))
         except ExprError as exc:
             raise ParseError(str(exc), pos) from exc
     while ts.peek()[0] == "/":
         pos = ts.next()[2]
         divisor = _parse_factor(ts)
         try:
-            result = result / divisor
-        except DivisionError as exc:
+            result = _bounded_degree(result / divisor)
+        except ExprError as exc:
             raise ParseError(str(exc), pos) from exc
     return result
 

@@ -256,6 +256,8 @@ def _deflate(poly, d: int, r: Scalar):
 
 def _shifted_kernel(m, s: tuple[int, int], power: int) -> list:
     """Kernel of (m - s*I)^power for m and s over Z[i]."""
+    if m[1] is None and s[1]:   # a real m shifted by a non-real s
+        m = (m[0], [[0] * len(row) for row in m[0]])
     shifted = linalg.gauss_shift(m, *s)
     return linalg.nullspace(linalg.scalar_rows(reduce(linalg.gauss_mul, [shifted] * power)),
                             n_cols=len(m[0]))

@@ -163,6 +163,13 @@ def test_chart_normalize(files, capsys):
     assert code == 0
     assert payload["pass"] is True
     assert payload["max_deviations"]["gamma_111_max"] < 1e-6
+    # The same chart against a tolerance no float meets fails verification.
+    code, payload, _ = run(capsys, "chart", files["sphere"], "--mode", "normalize",
+                           "--field", files["d2"], "--tol", "1e-300")
+    assert code == 1
+    assert payload["mode"] == "normalize" and payload["pass"] is False
+    assert payload["report"]["pass"] is False and payload["report"]["tol"] == 1e-300
+    assert payload["report"]["gamma_111_max"] > 1e-300
 
 
 def test_chart_commuting_flat(files, capsys):
@@ -244,12 +251,20 @@ def test_chart_wrong_field_count_exits_two(mode, fields, files, capsys):
     assert f"{mode} mode takes" in err
 
 
-def test_input_errors_exit_two(files, capsys):
+def test_input_errors_exit_two(files, tmp_path, capsys):
     code, _, err = run(capsys, "tensors", files["not_json"], "--ricci")
     assert code == 2
     code, _, err = run(capsys, "tensors", files["broken"], "--ricci")
     assert code == 2
     assert "Gamma_111" in err
+    garbage = tmp_path / "garbage.json"
+    garbage.write_text("{gamma: 111", encoding="utf-8")
+    code, payload, err = run(capsys, "tensors", str(garbage), "--ricci")
+    assert code == 2 and payload is None
+    assert "not valid JSON" in err
+    code, payload, err = run(capsys, "tensors", files["sphere"])
+    assert code == 2 and payload is None
+    assert "no tensor requested" in err
 
 
 @pytest.mark.parametrize("kind, content, named", [
@@ -285,10 +300,14 @@ def test_malformed_input_files_exit_two(kind, content, named, files, tmp_path, c
     (f"x1^{MAX_EXPONENT + 1}", "MAX_EXPONENT"),
     ("sin(x1)^20000", "MAX_EXPONENT"),
     ("(1+x1+x2)^80", "MAX_PRODUCT_PAIRS"),
+    pytest.param("*".join(["x1^10000"] * 400), "MAX_EXPONENT", id="x1^10000-chain"),
+    pytest.param("1" * 5000, "integer literal", id="5000-digit-literal"),
 ])
 def test_oversized_symbols_exit_two_naming_the_bound(symbol, bound, tmp_path, capsys):
     # Unbounded, sin(x1)^20000 stalled `tensors` for minutes and
     # (1+x1+x2)^80 took seconds; x1^10001 at x1 = 1/2 is cheap either way.
+    # A chain of 400 factors x1^10000 built x1^4000000 term by term; the
+    # 5000-digit literal raised Python's ValueError past the parser.
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"gamma": {"111": symbol}, "basepoint": ["1/2", "0"]}))
     start = time.perf_counter()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import affkit.coords
-import affkit.killing
 import affkit.numeric
 from affkit.coords import (
     Chart, ChartError, ChartVerificationError, NotCommuting, NotEffective,
@@ -282,9 +281,9 @@ def test_each_builder_and_check_compiles_each_expression_list_once(
     # one evaluator per field.  Every flow leg of a chart is one call of the
     # public ``numeric.flow_batch``.
     calls, flows = [], []
-    for mod in (affkit.numeric, affkit.killing):
-        monkeypatch.setattr(mod, "compile_exprs",
-                            lambda exprs, compile=mod.compile_exprs: calls.append(exprs) or compile(exprs))
+    monkeypatch.setattr(affkit.numeric, "compile_exprs",
+                        lambda exprs, compile=affkit.numeric.compile_exprs:
+                        calls.append(exprs) or compile(exprs))
     monkeypatch.setattr(affkit.coords, "flow_batch",
                         lambda *args, flow=affkit.coords.flow_batch: flows.append(args) or flow(*args))
 

@@ -172,16 +172,12 @@ def test_private_imports_are_detected():
 
 
 def test_modules_import_no_private_names_of_each_other():
-    # The numeric boundary is public: flows, geodesics and pullbacks take the
-    # evaluators of ``field_fn`` and ``symbols_fn``.  Only the integrator,
-    # which the jet extension runs on its own right-hand side, and the
-    # stencil, which ``Chart.jacobian`` reads, cross a module boundary.
+    # Every module boundary is public: flows, geodesics, pullbacks and jet
+    # transport take compiled evaluators or build their own in ``numeric``,
+    # and ``Chart.jacobian`` reads the public ``numeric.stencil``.
     found = {p.name: private_imports(p.read_text(encoding="utf-8"))
              for p in sorted(SRC.glob("*.py"))}
-    assert "coords.py" in found
-    allowed = {"killing.py": ["numeric._rk4"], "coords.py": ["numeric._stencil"]}
-    found = {name: [use for use in uses if use.split(" (")[0] not in allowed.get(name, [])]
-             for name, uses in found.items()}
+    assert "coords.py" in found and "killing.py" in found
     assert {name: uses for name, uses in found.items() if uses} == {}
 
 
@@ -251,3 +247,8 @@ def test_liealg_uses_numpy_only_to_propose_type_b_eigenvalues():
     # Every other branch is decided and certified in exact arithmetic.
     found = numpy_uses((SRC / "liealg.py").read_text(encoding="utf-8"))
     assert {use.split(" (")[0] for use in found} <= {"_type_b_at"}
+
+
+def test_killing_holds_no_float_code():
+    # The jet solver is exact; jet extension lives in ``numeric.jet_transport``.
+    assert numpy_uses((SRC / "killing.py").read_text(encoding="utf-8")) == []

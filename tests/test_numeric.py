@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
-import affkit.killing
 import affkit.numeric
 from affkit.coords import commuting_chart, normalize_chart, type_b_chart
 from affkit.killing import Jet1, JetField, VectorField, jet_of, killing_jet_space, residuals
 from affkit.numeric import (
-    FD_STENCIL, DomainExit, Grid, NumericError, _rk4, _stencil, default_grid, fd_residuals,
-    field_fn, flow, flow_batch, flow_preserves_connection, geodesic_endpoints, symbols_fn,
+    FD_STENCIL, DomainExit, Grid, NumericError, _rk4, default_grid, fd_residuals,
+    field_fn, flow, flow_batch, flow_preserves_connection, geodesic_endpoints, stencil,
+    symbols_fn,
 )
 from affkit.scalars import Scalar
 from affkit.surface import surface_from_json, type_a, type_b
@@ -106,12 +106,11 @@ def test_rk4_writes_only_its_own_buffers():
 
 
 def on_reference_kernel(monkeypatch, run):
-    """``run()`` with numeric and killing on the reference RK4 loop and
-    evaluator (``helpers_reference``)."""
+    """``run()`` with numeric on the reference RK4 loop and evaluator
+    (``helpers_reference``)."""
     with monkeypatch.context() as m:
-        for mod in (affkit.numeric, affkit.killing):
-            m.setattr(mod, "_rk4", rk4_reference)
-            m.setattr(mod, "compile_exprs", compile_exprs_reference)
+        m.setattr(affkit.numeric, "_rk4", rk4_reference)
+        m.setattr(affkit.numeric, "compile_exprs", compile_exprs_reference)
         return run()
 
 
@@ -240,7 +239,7 @@ STENCIL_PTS = np.array([[0.0, 0.0], [0.3, -0.2], [-0.45, 0.4], [0.5, 0.5]])
 
 
 def _closed_form(maps):
-    """Stack per-component (f, d1 f, d2 f, d11 f, d12 f, d22 f) like _stencil."""
+    """Stack per-component (f, d1 f, d2 f, d11 f, d12 f, d22 f) like stencil."""
     vals = np.stack([m[0] for m in maps], axis=-1)
     grad = np.stack([np.stack(m[1:3], axis=-1) for m in maps], axis=-1)
     hess = np.stack([np.stack([np.stack(m[3:5], axis=-1), np.stack(m[4:6], axis=-1)],
@@ -283,7 +282,7 @@ def _transcendental_derivs(x, y):
 
 
 def test_stencil_is_exact_on_quartic_polynomials():
-    val, grad, hess = _stencil(_polynomial, STENCIL_PTS)
+    val, grad, hess = stencil(_polynomial, STENCIL_PTS)
     want_val, want_grad, want_hess = _polynomial_derivs(*STENCIL_PTS.T)
     # Only the rounding of values of size <= 4, divided by 12 h and 12 h^2,
     # is left; a second-order stencil would be off by about h^2 f_xxxx / 12,
@@ -296,7 +295,7 @@ def test_stencil_is_exact_on_quartic_polynomials():
 
 
 def test_stencil_matches_closed_form_derivatives_of_trig_exp_map():
-    val, grad, hess = _stencil(_transcendental, STENCIL_PTS)
+    val, grad, hess = stencil(_transcendental, STENCIL_PTS)
     want_val, want_grad, want_hess = _transcendental_derivs(*STENCIL_PTS.T)
     assert np.array_equal(val, want_val)
     assert np.max(np.abs(grad - want_grad)) < 1e-8

@@ -1,6 +1,7 @@
 """Tests for the exact expression kernel: parsing, arithmetic, calculus."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -130,6 +131,29 @@ def test_parser_bounds_sit_at_their_constants():
     with pytest.raises(ParseError, match="MAX_PRODUCT_PAIRS") as err:
         parse("(1+x1+x2)^20*(1+x1+x2)^20")
     assert err.value.pos == 12
+    # Every term a product, power or quotient builds keeps |p1|, p2 and |c|
+    # within MAX_EXPONENT; the error sits at the '*', exponent or '/'.
+    n = MAX_EXPONENT
+    assert parse(f"x1^{n // 2}*x1^{n // 2}") == Expr.monomial(ONE, p1=n)
+    assert parse(f"x2^{n}*cos(x1)^-{n}/x1^{n}") == Expr.monomial(ONE, p1=-n, p2=n, c=-n)
+    for text, pos in ((f"x1^{n}*x1", 8), (f"x2^{n // 2}*x2^{n // 2}*x2", 15),
+                      (f"(cos(x1)^2)^{n // 2 + 1}", 12), (f"1/x1^{n}/x1", 10),
+                      (f"sec(x1)^{n}/cos(x1)", 13)):
+        with pytest.raises(ParseError, match="MAX_EXPONENT") as err:
+            parse(text)
+        assert err.value.pos == pos, text
+
+
+def test_integer_literals_past_the_digit_limit_are_parse_errors():
+    # Python refuses to read an int of more than 4300 digits; the parser
+    # reports the literal instead of leaking that ValueError.
+    limit = sys.get_int_max_str_digits()
+    assert parse("7" * limit) == Expr.const(int("7" * limit))
+    for text, pos in (("1" * 5000, 0), ("x1 + 1/" + "3" * (limit + 1), 7),
+                      ("x1^" + "2" * 5000, 3), ("exp(" + "1" * 5000 + "*x2)", 4)):
+        with pytest.raises(ParseError, match="integer literal of length") as err:
+            parse(text)
+        assert err.value.pos == pos
 
 
 # ---------------------------------------------------------------------------
