@@ -34,8 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .killing import VectorField, is_killing
-from .liealg import bracket_fields
+from .killing import VectorField, bracket_fields, is_killing
 from .numeric import (Grid, field_fn, flow_batch, geodesic_endpoints,
                       pullback_gamma_batch, stencil, symbols_fn)
 from .surface import AffineSurface

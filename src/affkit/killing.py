@@ -56,6 +56,18 @@ class VectorField:
         return self.a1 if k == 1 else self.a2
 
 
+def bracket_fields(X: VectorField, Y: VectorField) -> VectorField:
+    """[X, Y]^k = X^l d_l Y^k - Y^l d_l X^k, symbolically."""
+    comps = []
+    for k in (1, 2):
+        e = Expr.zero()
+        for l in (1, 2):
+            e = e + X.component(l) * Y.component(k).diff(f"x{l}")
+            e = e - Y.component(l) * X.component(k).diff(f"x{l}")
+        comps.append(e)
+    return VectorField(comps[0], comps[1])
+
+
 @dataclass(frozen=True)
 class Jet1:
     """A field value plus first derivatives at the basepoint."""

@@ -20,9 +20,11 @@ and through its one extension rule, ``gauss_bilinear``.  One integer
 bracket kernel serves ``structure_constants``, ``bracket_jets`` and the
 witness check.  Every entry point takes just the surface and solves its jets once:
 ``structure_constants`` reads the basis jets' second derivatives off the
-``killing.JetSystem`` that ``killing_jet_space`` returns, each over one
-common denominator, and ``classify`` keeps that presentation as its
-result's ``algebra``.  A presentation is frozen, and den * ad(e_i) is
+``killing.JetSystem`` that ``killing_jet_space`` returns, and ``classify``
+keeps that presentation as its result's ``algebra``.  Each jet is extended
+by its second derivatives and the whole extended matrix is cleared over
+one denominator D (``IntJets.den``), so every bracket of two extended jets
+lies over D^2.  A presentation is frozen, and den * ad(e_i) is
 derived once, when it is built, so no table can go stale.  Effectivity is
 a 2 x 2 determinant in Z[i].  Every ad comes from the presentation's Z[i]
 tables (``int_ad``): the witness searches work on den * ad(x) in Python
@@ -45,11 +47,9 @@ import numpy as np
 from . import linalg
 from .linalg import (GaussMat, GaussVec, clear_denominators, gauss_bilinear, gauss_column,
                      gauss_row, int_mat_vec, scalar_rows, to_scalars)
-from .killing import (JET_DIM, Jet1, JetSystem, VectorField, killing_jet_space,
-                      prolongation_symbolic)
+from .killing import JET_DIM, Jet1, JetSystem, killing_jet_space, prolongation_symbolic
 from .scalars import ONE, ZERO, Scalar
 from .surface import AffineSurface
-from .symexpr import Expr
 
 # Witness candidates, one stream shared by the TypeA and TypeB searches; it
 # ends by itself in dimensions 2-5 (8, 49, 272 and 1441 candidates), so only
@@ -77,70 +77,36 @@ class ClassificationInconclusive(LieAlgError):
 # brackets
 # ---------------------------------------------------------------------------
 
-def bracket_fields(X: VectorField, Y: VectorField) -> VectorField:
-    """[X, Y]^k = X^l d_l Y^k - Y^l d_l X^k, symbolically."""
-    comps = []
-    for k in (1, 2):
-        e = Expr.zero()
-        for l in (1, 2):
-            e = e + X.component(l) * Y.component(k).diff(f"x{l}")
-            e = e - Y.component(l) * X.component(k).diff(f"x{l}")
-        comps.append(e)
-    return VectorField(comps[0], comps[1])
-
-
-# An extended jet: the six jet entries of a field, over a denominator D, then
-# its eight second derivatives dd_ij a^k at the basepoint, over D * d_second,
-# in this table's key order; ``JetSystem.second`` is read by key.
+# An extended jet: the six jet entries of a field, then its eight second
+# derivatives dd_ij a^k at the basepoint, in this table's key order;
+# ``JetSystem.second`` is read by key.
 _SECOND = {key: JET_DIM + n for n, key in enumerate(product((1, 2), repeat=3))}
 
 
-def _bracket_terms() -> list[tuple[int, int, int, bool]]:
-    """(out, a, b, first) with [X, Y][out] += x[a] y[b] - x[b] y[a]: the
-    jet of [X, Y]^k = X^l d_l Y^k - Y^l d_l X^k and of its first derivatives,
-    d_m [X, Y]^k = d_m X^l d_l Y^k + X^l d_m d_l Y^k - (X <-> Y).  ``first``
-    marks products of two jet entries (both over D), the others pair a jet
-    entry with a second derivative (over D * d_second)."""
+def _bracket_terms() -> list[tuple[int, int, int]]:
+    """(out, a, b) with [X, Y][out] += x[a] y[b] - x[b] y[a]: the jet of
+    [X, Y]^k = X^l d_l Y^k - Y^l d_l X^k and of its first derivatives,
+    d_m [X, Y]^k = d_m X^l d_l Y^k + X^l d_m d_l Y^k - (X <-> Y)."""
     b = lambda k, i: 2 * k + i - 1          # index of d_i a^k in the jet
     terms = []
     for k, l in product((1, 2), repeat=2):
-        terms.append((k - 1, l - 1, b(k, l), True))
+        terms.append((k - 1, l - 1, b(k, l)))
         for m in (1, 2):
-            terms.append((b(k, m), b(l, m), b(k, l), True))
-            terms.append((b(k, m), l - 1, _SECOND[(m, l, k)], False))
+            terms.append((b(k, m), b(l, m), b(k, l)))
+            terms.append((b(k, m), l - 1, _SECOND[(m, l, k)]))
     return [t for t in terms if t[1] != t[2]]
 
 
 _BRACKET_TERMS = _bracket_terms()
 
 
-def _bracket_kernel(x: list[int], y: list[int], second_den: int) -> list[int]:
+def _bracket_kernel(x: list[int], y: list[int]) -> list[int]:
     """Jet of [X, Y] from two real extended jets over D: an integer vector
-    over D^2 * second_den."""
-    first, second = [0] * JET_DIM, [0] * JET_DIM
-    for out, a, b, is_first in _BRACKET_TERMS:
-        t = x[a] * y[b] - x[b] * y[a]
-        if t:
-            if is_first:
-                first[out] += t
-            else:
-                second[out] += t
-    return [second_den * f + s for f, s in zip(first, second)]
-
-
-def _extend(jet: GaussVec, second: GaussMat) -> GaussVec:
-    """Extended jet of a jet vector over D: append S . jet, over D * d_second."""
-    dd = gauss_bilinear(int_mat_vec, second, jet)
-    if jet[1] is None and dd[1] is None:
-        return jet[0] + dd[0], None
-    zero = [0] * JET_DIM
-    return jet[0] + dd[0], (jet[1] or zero) + (dd[1] or zero)
-
-
-def _bracket_int(x: GaussVec, y: GaussVec, second_den: int) -> GaussVec:
-    """The one jet bracket: Z[i] extended jets over D in, jet over
-    D^2 * second_den out."""
-    return gauss_bilinear(lambda u, v: _bracket_kernel(u, v, second_den), x, y)
+    over D^2."""
+    out = [0] * JET_DIM
+    for o, a, b in _BRACKET_TERMS:
+        out[o] += x[a] * y[b] - x[b] * y[a]
+    return out
 
 
 def bracket_jets(s: AffineSurface, vx: Jet1, vy: Jet1) -> Jet1:
@@ -148,12 +114,12 @@ def bracket_jets(s: AffineSurface, vx: Jet1, vy: Jet1) -> Jet1:
 
     [X, Y]^k = X^l d_l Y^k - Y^l d_l X^k, differentiated once with the
     second derivatives of the surface's jet system.  The bracket runs over
-    Z[i] on the two jets extended as in ``IntJets``, and is scaled back
-    once.
+    Z[i] on the two jets extended as in ``IntJets``, over den, and lies
+    over den^2.
     """
     ints = _int_jets([vx, vy], prolongation_symbolic(s))
-    br = _bracket_int(gauss_column(ints.ext, 0), gauss_column(ints.ext, 1), ints.second_den)
-    return Jet1.from_vector(to_scalars(br, ints.den ** 2 * ints.second_den))
+    br = gauss_bilinear(_bracket_kernel, gauss_column(ints.ext, 0), gauss_column(ints.ext, 1))
+    return Jet1.from_vector(to_scalars(br, ints.den ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -161,35 +127,43 @@ def bracket_jets(s: AffineSurface, vx: Jet1, vy: Jet1) -> Jet1:
 # ---------------------------------------------------------------------------
 
 class IntJets(NamedTuple):
-    """Jets over Z[i]: a presentation's basis, derived once by
-    ``structure_constants``, or the pair that ``bracket_jets`` brackets.
+    """Extended jets over Z[i], all over one denominator ``den``: a
+    presentation's basis, derived once by ``structure_constants``, or the
+    pair that ``bracket_jets`` brackets.
 
-    Column k of ``ext`` is jet k times ``den`` (rows 0-5), followed by
-    its second derivatives times den * second_den (rows 6-13).  Rows 0-5
-    are the transposed basis, whose rows 0 and 1 evaluate the basis fields
-    at P; ``basis_t`` holds those six rows as integer Scalars, the matrix
-    that bracket coefficients are solved against.
+    Column k of ``ext`` is den times jet k (rows 0-5), followed by den
+    times its second derivatives (rows 6-13), so the bracket of two columns
+    lies over den^2.  Rows 0-5 are the transposed basis that bracket
+    coefficients are solved against; its rows 0 and 1 evaluate the basis
+    fields at P.
     """
 
     den: int
-    second_den: int
     ext: GaussMat
-    basis_t: linalg.Mat
 
 
 def _int_jets(jets, system: JetSystem) -> IntJets:
-    """The jets over Z[i], extended by the second derivatives
-    ``system.second``, cleared as S / second_den."""
-    d, jet_ints = clear_denominators([j.as_vector() for j in jets])
-    second_den, second = clear_denominators([system.second[key] for key in _SECOND])
-    cols = [_extend(gauss_row(jet_ints, r), second) for r in range(len(jets))]
-    rows = range(JET_DIM + len(_SECOND))
-    ext_re = [[col[0][r] for col in cols] for r in rows]
-    ext_im = None
-    if any(col[1] is not None for col in cols):
-        ext_im = [[0 if col[1] is None else col[1][r] for col in cols] for r in rows]
-    basis_t = scalar_rows((ext_re[:JET_DIM], None if ext_im is None else ext_im[:JET_DIM]))
-    return IntJets(d, second_den, (ext_re, ext_im), basis_t)
+    """The jets extended by their second derivatives ``system.second . jet``
+    in ``_SECOND`` order, the 14 x n matrix cleared once.  The products run
+    over each jet's nonzero entries only, as basis jets are mostly zero."""
+    cols = [j.as_vector() for j in jets]
+    support = [[(r, x) for r, x in enumerate(col) if not x.is_zero] for col in cols]
+    ext = [[col[r] for col in cols] for r in range(JET_DIM)]
+    for key in _SECOND:
+        row = system.second[key]
+        ext.append([sum((row[r] * x for r, x in nz if not row[r].is_zero), ZERO)
+                    for nz in support])
+    return IntJets(*clear_denominators(ext))
+
+
+def _leading_rows(m: GaussMat, k: int) -> GaussMat:
+    re, im = m
+    return re[:k], None if im is None else im[:k]
+
+
+def _basis_t(ints: IntJets) -> linalg.Mat:
+    """The transposed basis over den, as integer Scalars: rows 0-5 of ``ext``."""
+    return scalar_rows(_leading_rows(ints.ext, JET_DIM))
 
 
 @dataclass(frozen=True)
@@ -273,8 +247,7 @@ class LieAlgebraPresentation:
     def _values_at_p(self, coeffs: list[Scalar]) -> tuple[int, GaussVec]:
         """(d, g): the field with these coefficients has value g / d at P."""
         d, cleared = clear_denominators([coeffs])
-        ext = self.int_jets.ext
-        rows = (ext[0][:2], None if ext[1] is None else ext[1][:2])
+        rows = _leading_rows(self.int_jets.ext, 2)
         return d * self.int_jets.den, gauss_bilinear(int_mat_vec, rows, gauss_row(cleared, 0))
 
     def evaluate(self, coeffs: list[Scalar]) -> tuple[Scalar, Scalar]:
@@ -288,30 +261,29 @@ def structure_constants(s: AffineSurface) -> LieAlgebraPresentation:
     All n(n-1)/2 bracket jets come from the integer bracket kernel, and are
     expressed in the basis by one reduction of the 6 x (n + n(n-1)/2)
     matrix [basis | brackets] over integer entries; the basis is
-    independent, so each solution is unique.  The brackets lie over
-    den^2 * second_den and the basis over den, so one rescale by
-    1 / (den * second_den) gives the constants.
+    independent, so each solution is unique.  The extended basis jets share
+    one denominator den (``IntJets``), so the brackets lie over den^2 and
+    the basis over den, and one rescale by 1 / den gives the constants.
     """
     ks = killing_jet_space(s)
     n = ks.dim
     ints = _int_jets(ks.basis, ks.system)
     cols = [gauss_column(ints.ext, k) for k in range(n)]
     pairs = list(combinations(range(n), 2))
-    brackets = [to_scalars(_bracket_int(cols[i], cols[j], ints.second_den), 1)
+    brackets = [to_scalars(gauss_bilinear(_bracket_kernel, cols[i], cols[j]), 1)
                 for i, j in pairs]
-    red, pivots = linalg.rref([ints.basis_t[r] + [b[r] for b in brackets]
-                               for r in range(JET_DIM)])
+    basis_t = _basis_t(ints)
+    red, pivots = linalg.rref([basis_t[r] + [b[r] for b in brackets] for r in range(JET_DIM)])
     # The first bracket outside the span is the first column pivoted past n.
     escaped = next((p for p in pivots if p >= n), None)
     if escaped is not None:
         i, j = pairs[escaped - n]
         raise SolveFailure(f"bracket of basis jets {i},{j} left the jet space")
-    scale = ints.den * ints.second_den
     c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
     for col, (i, j) in enumerate(pairs, start=n):
         for r, k in enumerate(pivots):
             if not red[r][col].is_zero:
-                c[i][j][k] = red[r][col] / scale
+                c[i][j][k] = red[r][col] / ints.den
                 c[j][i][k] = -c[i][j][k]
     return LieAlgebraPresentation(n, c, ks.basis, ints)
 
@@ -462,18 +434,19 @@ def _search_candidates(n: int):
 def _verified_bracket(L, u, v) -> list[Scalar]:
     """Bracket computed straight from the jets, as basis coefficients.
 
-    u and v share a denominator d; their extended jets lie over den * d, so
-    the bracket lies over (den * d)^2 * second_den, and solving against the
-    transposed basis (over den) leaves one rescale by 1 / (den d^2 second_den).
+    u and v share a denominator d; their extended jets lie over den * d, the
+    presentation's one jet denominator times d, so the bracket lies over
+    (den * d)^2, and solving against the transposed basis (over den) leaves
+    one rescale by 1 / (den d^2).
     """
     ints = L.int_jets
     d, cleared = clear_denominators([u, v])
     x, y = (gauss_bilinear(int_mat_vec, ints.ext, gauss_row(cleared, r)) for r in (0, 1))
-    bracket = to_scalars(_bracket_int(x, y, ints.second_den), 1)
-    coeffs = linalg.solve(ints.basis_t, bracket)
+    bracket = to_scalars(gauss_bilinear(_bracket_kernel, x, y), 1)
+    coeffs = linalg.solve(_basis_t(ints), bracket)
     if coeffs is None:
         raise SolveFailure("witness bracket left the jet space")
-    scale = ints.den * d * d * ints.second_den
+    scale = ints.den * d * d
     return [x / scale for x in coeffs]
 
 

@@ -25,10 +25,13 @@ import numpy as np
 from .scalars import I, ONE, ZERO, Scalar, as_fraction
 
 # What one parse may build: the largest exponent, in a literal and in each
-# term's |p1|, p2 and |c|, and the work of one product, as term pairs |a| * |b|.
-# Crossing either is a ParseError, so a short input cannot stall the exact layer.
+# term's |p1|, p2 and |c|, the work of one product, as term pairs |a| * |b|,
+# and the depth of nested parentheses and unary minuses (at most 2 in the
+# tests and benchmark pools).  Crossing any is a ParseError, so a short input
+# can neither stall the exact layer nor exhaust the parser's stack.
 MAX_EXPONENT = 10_000
 MAX_PRODUCT_PAIRS = 20_000
+MAX_NESTING = 100
 
 
 class ExprError(Exception):
@@ -439,7 +442,7 @@ def _term_text(t: Term) -> tuple[int, str]:
 # parser
 #
 # expr   := term (("+"|"-") term)*
-# term   := factor ("*" factor)* ("/" factor)*
+# term   := factor (("*"|"/") factor)*
 # factor := atom ("^" int)?
 # atom   := rational | "i" | "x1" | "x2" | "sin(x1)" | "cos(x1)" | "tan(x1)"
 #         | "sec(x1)" | "exp(" coef "*x2" ")" | "(" expr ")" | "-" factor
@@ -484,6 +487,7 @@ class _Tokens:
             raise ParseError(f"unexpected character {ch!r}", pos)
         self.toks.append(("eof", "", n))
         self.i = 0
+        self.depth = 0
 
     def peek(self, ahead=0):
         j = min(self.i + ahead, len(self.toks) - 1)
@@ -552,14 +556,24 @@ def _parse_coef(ts: _Tokens) -> Scalar:
     return Scalar(first, Fraction(0))
 
 
+def _nested(ts: _Tokens, pos: int, parse_inner) -> Expr:
+    """parse_inner(ts) one level deeper; past MAX_NESTING levels, a ParseError."""
+    if ts.depth == MAX_NESTING:
+        raise ParseError(f"nesting exceeds MAX_NESTING = {MAX_NESTING}", pos)
+    ts.depth += 1
+    e = parse_inner(ts)
+    ts.depth -= 1
+    return e
+
+
 def _parse_atom(ts: _Tokens) -> Expr:
     kind, value, pos = ts.peek()
     if kind == "-":
         ts.next()
-        return -_parse_factor(ts)
+        return -_nested(ts, pos, _parse_factor)
     if kind == "(":
         ts.next()
-        e = _parse_expr(ts)
+        e = _nested(ts, pos, _parse_expr)
         ts.expect(")", "')'")
         return e
     if kind == "int":
@@ -616,18 +630,12 @@ def _bounded_degree(e: Expr) -> Expr:
 
 def _parse_term(ts: _Tokens) -> Expr:
     result = _parse_factor(ts)
-    while ts.peek()[0] == "*":
-        pos = ts.next()[2]
-        factor = _parse_factor(ts)
+    while ts.peek()[0] in ("*", "/"):
+        op, _, pos = ts.next()
+        rhs = _parse_factor(ts)
         try:
-            result = _bounded_degree(_bounded_product(result, factor))
-        except ExprError as exc:
-            raise ParseError(str(exc), pos) from exc
-    while ts.peek()[0] == "/":
-        pos = ts.next()[2]
-        divisor = _parse_factor(ts)
-        try:
-            result = _bounded_degree(result / divisor)
+            result = _bounded_degree(_bounded_product(result, rhs) if op == "*"
+                                     else result / rhs)
         except ExprError as exc:
             raise ParseError(str(exc), pos) from exc
     return result
@@ -646,8 +654,8 @@ def parse(text: str) -> Expr:
     """Parse an expression string to canonical form.
 
     The grammar covers rationals, i, x1, x2, sin/cos/tan/sec of x1,
-    exp(coef*x2), grouping, ^ powers and the usual +-*/.  Division is legal
-    only by monomials +-x1^m*cos(x1)^c.
+    exp(coef*x2), grouping, ^ powers and the usual +-*/, with * and / read
+    left to right.  Division is legal only by monomials +-x1^m*cos(x1)^c.
     """
     ts = _Tokens(text)
     e = _parse_expr(ts)

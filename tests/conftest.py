@@ -1,5 +1,6 @@
 """Shared fixtures: model surfaces and their known Killing fields."""
 
+from itertools import combinations
 import os
 import random
 
@@ -32,6 +33,12 @@ LATE_CONSTRAINTS = [({"211": "x2^4"}, 3), ({"121": "x1^5"}, 2),
 # stops at dimension 4 (history [4, 4, 4]), while the degree-8 series
 # oracle gives these dimensions.
 EARLY_STOPS = [({"122": "1", "211": "x2^5"}, 1), ({"221": "x1", "211": "x2^6"}, 3)]
+
+# Sparse constant symbols: every one-symbol pattern with value 1 and every
+# two-symbol pattern with values (1, 2), (1, -2) and (1, -1).
+SPARSE_PATTERNS = ([{key: 1} for key in GAMMA_KEYS]
+                   + [{k1: 1, k2: v} for k1, k2 in combinations(GAMMA_KEYS, 2)
+                      for v in (2, -2, -1)])
 
 
 @pytest.fixture

@@ -1,7 +1,7 @@
 """CLI contract: JSON output, exit codes, determinism."""
 
 import hashlib
-from itertools import combinations, product
+from itertools import product
 import json
 from pathlib import Path
 import time
@@ -11,11 +11,11 @@ import pytest
 import affkit.cli
 import affkit.surface
 from affkit.cli import main
-from affkit.surface import (GAMMA_KEYS, sphere, surface_from_json, surface_to_json, type_a,
+from affkit.surface import (sphere, surface_from_json, surface_to_json, type_a,
                             type_b)
 from affkit.symexpr import MAX_EXPONENT
 
-from conftest import EARLY_STOPS, LATE_CONSTRAINTS
+from conftest import EARLY_STOPS, LATE_CONSTRAINTS, SPARSE_PATTERNS
 
 # Stdout of `classify` and `killing --basis` recorded before the exact core
 # skipped zeros and real-only work; exact answers must not change by a byte.
@@ -302,12 +302,15 @@ def test_malformed_input_files_exit_two(kind, content, named, files, tmp_path, c
     ("(1+x1+x2)^80", "MAX_PRODUCT_PAIRS"),
     pytest.param("*".join(["x1^10000"] * 400), "MAX_EXPONENT", id="x1^10000-chain"),
     pytest.param("1" * 5000, "integer literal", id="5000-digit-literal"),
+    pytest.param("(" * 300 + "x1" + ")" * 300, "MAX_NESTING", id="300-parentheses"),
+    pytest.param("-" * 3000 + "x1", "MAX_NESTING", id="3000-minuses"),
 ])
 def test_oversized_symbols_exit_two_naming_the_bound(symbol, bound, tmp_path, capsys):
     # Unbounded, sin(x1)^20000 stalled `tensors` for minutes and
     # (1+x1+x2)^80 took seconds; x1^10001 at x1 = 1/2 is cheap either way.
     # A chain of 400 factors x1^10000 built x1^4000000 term by term; the
-    # 5000-digit literal raised Python's ValueError past the parser.
+    # 5000-digit literal raised Python's ValueError past the parser, and
+    # deep nesting a RecursionError (exit 1).
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"gamma": {"111": symbol}, "basepoint": ["1/2", "0"]}))
     start = time.perf_counter()
@@ -373,13 +376,9 @@ def test_output_matches_recorded_bytes(name, command, tmp_path, capsys):
     assert capsys.readouterr().out == want
 
 
-# Sparse constant symbols: every one-symbol pattern with value 1 and every
-# two-symbol pattern with values (1, 2), (1, -2) and (1, -1), each as Type A
-# and as A/x1.  Stdout recorded before the Gaussian-integer arithmetic moved
-# into `linalg` and the witness search got one candidate stream.
-SPARSE_PATTERNS = ([{key: 1} for key in GAMMA_KEYS]
-                   + [{k1: 1, k2: v} for k1, k2 in combinations(GAMMA_KEYS, 2)
-                      for v in (2, -2, -1)])
+# `SPARSE_PATTERNS`, each as Type A and as A/x1.  Stdout recorded before the
+# Gaussian-integer arithmetic moved into `linalg` and the witness search got
+# one candidate stream.
 SPARSE_CLASSIFY_SHA256 = "6684f7728014a2e2619f1476ca41a8738cd44df5603ff6d53b71d0b79109f054"
 
 

@@ -11,19 +11,19 @@ from hypothesis import example, given
 import hypothesis.strategies as st
 
 import affkit.liealg as liealg
-from affkit.killing import Jet1, VectorField, jet_of, killing_jet_space, prolongation_symbolic
+from affkit.killing import (Jet1, VectorField, bracket_fields, jet_of, killing_jet_space,
+                            prolongation_symbolic)
 from affkit.liealg import (
-    IntJets, LieAlgebraPresentation, NotHomogeneousCandidate, SolveFailure,
-    bracket_fields, bracket_jets, classify, effective, grading_check, jacobi_residual,
-    structure_constants,
+    IntJets, LieAlgebraPresentation, NotHomogeneousCandidate, SolveFailure, bracket_jets,
+    classify, effective, grading_check, jacobi_residual, structure_constants,
 )
 from affkit.linalg import rank, solve
 from affkit.scalars import I, ONE, ZERO, Scalar
-from affkit.surface import (GAMMA_KEYS, make_surface, nabla_ricci, ricci, sphere, torsion,
-                            type_a, type_b)
+from affkit.surface import (GAMMA_KEYS, make_surface, nabla_ricci, ricci, sphere,
+                            surface_from_json, torsion, type_a, type_b)
 from affkit.symexpr import Expr, parse
 
-from conftest import D1, D2, random_type_a
+from conftest import D1, D2, SPARSE_PATTERNS, random_type_a
 from helpers_oracle import ad_reference, bracket_reference, grading_reference, mat_mul_reference
 
 
@@ -37,8 +37,7 @@ def presentation_from_table(dim, table):
             c[i][j][k] = sc
             c[j][i][k] = -sc
     jets = [Jet1(*([ZERO] * 6)) for _ in range(dim)]
-    zero_jets = IntJets(1, 1, ([[0] * dim for _ in range(14)], None),
-                        [[ZERO] * dim for _ in range(6)])
+    zero_jets = IntJets(1, ([[0] * dim for _ in range(14)], None))
     return LieAlgebraPresentation(dim, c, jets, zero_jets)
 
 
@@ -231,6 +230,23 @@ def test_structure_constants_read_second_derivatives_by_key(s, monkeypatch):
     flipped = replace(ks, system=replace(ks.system, second=second))
     monkeypatch.setattr(liealg, "killing_jet_space", lambda _: flipped)
     assert structure_constants(s).c == want
+
+
+# str(L.c) and L.den over the sparse surfaces of the CLI digest test (Type A,
+# then A/x1), the sphere and {112: i, 222: -2}; recorded while the extended
+# jets still carried a second denominator for their second derivatives.
+STRUCTURE_CONSTANTS_SHA256 = "76a6e15f8b769d32e1ceee4d91772016fb8c97d62db68506c416579378c56472"
+
+
+def test_structure_constants_match_recorded_digest():
+    surfaces = [build(gamma) for build, gamma in product((type_a, type_b), SPARSE_PATTERNS)]
+    surfaces += [sphere(), surface_from_json({"gamma": {"112": "i", "222": "-2"}})]
+    digest = hashlib.sha256()
+    for s in surfaces:
+        L = structure_constants(s)
+        digest.update(f"{L.c}|{L.den}\n".encode())
+    assert len(surfaces) == 186
+    assert digest.hexdigest() == STRUCTURE_CONSTANTS_SHA256
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from affkit.scalars import Scalar, ONE, ZERO
 from affkit.surface import GAMMA_KEYS, sphere, type_b
 from affkit.symexpr import (
     COS, SEC, SIN, TAN, X1, X2,
-    MAX_EXPONENT, MAX_PRODUCT_PAIRS, DivisionError, EvaluationPoleError, Expr,
+    MAX_EXPONENT, MAX_NESTING, MAX_PRODUCT_PAIRS, DivisionError, EvaluationPoleError, Expr,
     NotExactlyEvaluable, ParseError, Term, compile_exprs, parse,
 )
 
@@ -114,6 +114,9 @@ def test_division_rules():
         parse("x2^-1")         # no negative powers of x2
     with pytest.raises(DivisionError):
         (X1 + X2).inverse_monomial()
+    # * and / are read left to right, so a product may follow a quotient.
+    assert parse("x1/x1*x2") == X2
+    assert parse("sin(x1)/cos(x1)*x2") == TAN * X2
 
 
 def test_parser_bounds_sit_at_their_constants():
@@ -492,3 +495,16 @@ def test_parser_rejects_garbage_gracefully(text):
         parse(text)
     except ParseError:
         pass
+
+
+def test_parser_refuses_nesting_past_its_bound():
+    # Each parenthesis and unary minus is one level; past MAX_NESTING the
+    # parser stops at that token instead of exhausting Python's stack.
+    n = MAX_NESTING
+    assert parse("(" * n + "x1" + ")" * n) == X1
+    assert parse("-" * n + "x1") == X1 * (-1) ** n
+    for text in ("(" * 300 + "x1" + ")" * 300, "-" * 3000 + "x1",
+                 "(" * n + "-x1" + ")" * n, "-(" * (n // 2) + "-x1" + ")" * (n // 2)):
+        with pytest.raises(ParseError, match="MAX_NESTING") as err:
+            parse(text)
+        assert err.value.pos == n
