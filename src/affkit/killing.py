@@ -89,6 +89,9 @@ class Jet1:
 
 @dataclass(frozen=True)
 class KillingJetSpace:
+    """``basis`` is ``linalg.Echelon``'s canonical nullspace basis: jet k is
+    1 at its free column, its last nonzero entry, where every other jet is 0."""
+
     basis: list[Jet1]
     constraint_history: list[int]
     system: JetSystem
@@ -336,4 +339,7 @@ def field_from_json(data) -> VectorField:
 
 def load_field(path) -> VectorField:
     with open(path, encoding="utf-8") as fh:
-        return field_from_json(json.load(fh))
+        try:
+            return field_from_json(json.load(fh))
+        except RecursionError:
+            raise KillingError("field file JSON is nested too deeply to read") from None

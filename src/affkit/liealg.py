@@ -24,13 +24,16 @@ witness check.  Every entry point takes just the surface and solves its jets onc
 keeps that presentation as its result's ``algebra``.  Each jet is extended
 by its second derivatives and the whole extended matrix is cleared over
 one denominator D (``IntJets.den``), so every bracket of two extended jets
-lies over D^2.  A presentation is frozen, and den * ad(e_i) is
-derived once, when it is built, so no table can go stale.  Effectivity is
-a 2 x 2 determinant in Z[i].  Every ad comes from the presentation's Z[i]
-tables (``int_ad``): the witness searches work on den * ad(x) in Python
-integers, and the grading check tests whether the semisimple part of
-den * ad(xi), exact over Q(i), is a derivation, with no eigenvalue
-computed.  The Killing form is read off the structure constants directly.
+lies over D^2.  The basis is ``Echelon.nullspace()``'s canonical one, so
+a bracket's coordinates are read off its entries at the basis' free
+columns and checked in integers, with no solve.  A presentation is frozen,
+and den * ad(e_i) is derived once, when it is built, so no table can go
+stale.  Effectivity is a 2 x 2 determinant in Z[i].  Every ad comes from
+the presentation's Z[i] tables (``int_ad``): the witness searches work on
+den * ad(x) in Python integers, and the grading check tests whether the
+semisimple part of den * ad(xi), exact over Q(i), is a derivation, with
+no eigenvalue computed.  The Killing form is read off the structure
+constants directly.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ class LieAlgError(Exception):
 
 
 class SolveFailure(LieAlgError):
-    """A bracket jet left the span of the basis (solver inconsistency)."""
+    """A bracket jet left the span of the basis (the jet space is not closed)."""
 
 
 class NotHomogeneousCandidate(LieAlgError):
@@ -133,9 +136,9 @@ class IntJets(NamedTuple):
 
     Column k of ``ext`` is den times jet k (rows 0-5), followed by den
     times its second derivatives (rows 6-13), so the bracket of two columns
-    lies over den^2.  Rows 0-5 are the transposed basis that bracket
-    coefficients are solved against; its rows 0 and 1 evaluate the basis
-    fields at P.
+    lies over den^2.  Rows 0-5 are the transposed basis: a bracket's
+    coordinates are read off at its free columns (``_read_off``), and its
+    rows 0 and 1 evaluate the basis fields at P.
     """
 
     den: int
@@ -161,9 +164,20 @@ def _leading_rows(m: GaussMat, k: int) -> GaussMat:
     return re[:k], None if im is None else im[:k]
 
 
-def _basis_t(ints: IntJets) -> linalg.Mat:
-    """The transposed basis over den, as integer Scalars: rows 0-5 of ``ext``."""
-    return scalar_rows(_leading_rows(ints.ext, JET_DIM))
+def _read_off(ints: IntJets, b: GaussVec) -> GaussVec | None:
+    """Coordinates x of the jet b in the basis, over b's own denominator:
+    den * b = ext[0:6] . x, or None when b leaves the span.
+
+    The basis is ``Echelon.nullspace()``'s canonical one: jet k is 1 at its
+    free column f_k, its last nonzero entry, and every other jet is 0
+    there, so a jet in the span has coordinates b[f_k]."""
+    rows = _leading_rows(ints.ext, JET_DIM)
+    re = rows[0]
+    free = [max(r for r in range(JET_DIM) if re[r][k]) for k in range(len(re[0]))]
+    x = tuple(None if part is None else [part[f] for f in free] for part in b)
+    flat = lambda g: g[0] + (g[1] or [0] * JET_DIM)
+    inside = flat(gauss_bilinear(int_mat_vec, rows, x)) == [ints.den * y for y in flat(b)]
+    return x if inside else None
 
 
 @dataclass(frozen=True)
@@ -258,47 +272,31 @@ class LieAlgebraPresentation:
 def structure_constants(s: AffineSurface) -> LieAlgebraPresentation:
     """Exact structure constants of the Killing algebra in the jet basis.
 
-    All n(n-1)/2 bracket jets come from the integer bracket kernel, and are
-    expressed in the basis by one reduction of the 6 x (n + n(n-1)/2)
-    matrix [basis | brackets] over integer entries; the basis is
-    independent, so each solution is unique.  The extended basis jets share
-    one denominator den (``IntJets``), so the brackets lie over den^2 and
-    the basis over den, and one rescale by 1 / den gives the constants.
+    Each of the n(n-1)/2 bracket jets comes from the integer bracket kernel
+    over den^2 (``IntJets``), and its coordinates in the canonical basis
+    are read off at the basis' free columns (``_read_off``), checked in
+    integers, then rescaled by 1 / den^2.
     """
     ks = killing_jet_space(s)
     n = ks.dim
     ints = _int_jets(ks.basis, ks.system)
     cols = [gauss_column(ints.ext, k) for k in range(n)]
-    pairs = list(combinations(range(n), 2))
-    brackets = [to_scalars(gauss_bilinear(_bracket_kernel, cols[i], cols[j]), 1)
-                for i, j in pairs]
-    basis_t = _basis_t(ints)
-    red, pivots = linalg.rref([basis_t[r] + [b[r] for b in brackets] for r in range(JET_DIM)])
-    # The first bracket outside the span is the first column pivoted past n.
-    escaped = next((p for p in pivots if p >= n), None)
-    if escaped is not None:
-        i, j = pairs[escaped - n]
-        raise SolveFailure(f"bracket of basis jets {i},{j} left the jet space")
     c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for col, (i, j) in enumerate(pairs, start=n):
-        for r, k in enumerate(pivots):
-            if not red[r][col].is_zero:
-                c[i][j][k] = red[r][col] / ints.den
-                c[j][i][k] = -c[i][j][k]
+    for i, j in combinations(range(n), 2):
+        x = _read_off(ints, gauss_bilinear(_bracket_kernel, cols[i], cols[j]))
+        if x is None:
+            raise SolveFailure(f"bracket of basis jets {i},{j} left the jet space")
+        c[i][j] = to_scalars(x, ints.den ** 2)
+        c[j][i] = [-y for y in c[i][j]]
     return LieAlgebraPresentation(n, c, ks.basis, ints)
 
 
 def jacobi_residual(L: LieAlgebraPresentation) -> list[Scalar]:
     """All cyclic-sum components; zero list for a genuine Lie algebra."""
-    out = []
-    n = L.dim
-    basis = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    for i, j, k in combinations(range(n), 3):
-        term = L.bracket_coeffs(basis[i], L.bracket_coeffs(basis[j], basis[k]))
-        t2 = L.bracket_coeffs(basis[j], L.bracket_coeffs(basis[k], basis[i]))
-        t3 = L.bracket_coeffs(basis[k], L.bracket_coeffs(basis[i], basis[j]))
-        out.extend(a + b + c for a, b, c in zip(term, t2, t3))
-    return out
+    e, br = [_unit(L.dim, i) for i in range(L.dim)], L.bracket_coeffs
+    return [a + b + c for i, j, k in combinations(range(L.dim), 3)
+            for a, b, c in zip(br(e[i], br(e[j], e[k])), br(e[j], br(e[k], e[i])),
+                               br(e[k], br(e[i], e[j])))]
 
 
 # ---------------------------------------------------------------------------
@@ -436,18 +434,16 @@ def _verified_bracket(L, u, v) -> list[Scalar]:
 
     u and v share a denominator d; their extended jets lie over den * d, the
     presentation's one jet denominator times d, so the bracket lies over
-    (den * d)^2, and solving against the transposed basis (over den) leaves
-    one rescale by 1 / (den d^2).
+    (den * d)^2, and its coordinates read off the basis (``_read_off``)
+    are rescaled by 1 / (den * d)^2.
     """
     ints = L.int_jets
     d, cleared = clear_denominators([u, v])
     x, y = (gauss_bilinear(int_mat_vec, ints.ext, gauss_row(cleared, r)) for r in (0, 1))
-    bracket = to_scalars(gauss_bilinear(_bracket_kernel, x, y), 1)
-    coeffs = linalg.solve(_basis_t(ints), bracket)
-    if coeffs is None:
+    coords = _read_off(ints, gauss_bilinear(_bracket_kernel, x, y))
+    if coords is None:
         raise SolveFailure("witness bracket left the jet space")
-    scale = ints.den * d * d
-    return [x / scale for x in coeffs]
+    return to_scalars(coords, (ints.den * d) ** 2)
 
 
 def _type_a_at(L, ints, ad: GaussMat) -> Witness | None:
@@ -473,8 +469,13 @@ def _type_b_at(L, ints, ad: GaussMat, diagnostics) -> Witness | None:
     are the kernel of the integer matrix den * ad(x) - den * lam."""
     n, den = L.dim, L.den
     poly = linalg.int_charpoly(*ad)
+    try:
+        coeffs = linalg.float_coeffs(poly, den)
+    except OverflowError:
+        diagnostics.append(f"skipped candidate {list(ints)}: its charpoly overflows a float")
+        return None
     x = None
-    for z in np.roots(linalg.float_coeffs(poly, den)):
+    for z in np.roots(coeffs):
         if abs(z) < 1e-9 or abs(z.imag) > 1e-9:
             continue
         lam = _rationalize_root(z.real, poly, den)

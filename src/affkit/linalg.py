@@ -41,8 +41,8 @@ IntPoly = tuple[list[int], list[int]]
 
 class Echelon:
     """Reduced row echelon form of a growing row set, kept up to date row by
-    row: the one Gaussian elimination behind ``rref``, ``rank``,
-    ``nullspace`` and ``solve``.
+    row: the one Gaussian elimination behind ``rank``, ``nullspace`` and
+    ``solve``.
 
     ``rows`` are sorted by their pivot columns ``pivots``; each row is 1 at
     its pivot and every other row is 0 there.  The form is unique, so it
@@ -97,16 +97,6 @@ def _reduced(rows: Mat, n_cols: int) -> Echelon:
     for row in rows:
         form.add(row)
     return form
-
-
-def rref(rows: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form, padded with zero rows to ``len(rows)``,
-    and its pivot columns (exact)."""
-    if not rows:
-        return [], []
-    n_cols = len(rows[0])
-    form = _reduced(rows, n_cols)
-    return form.rows + [[ZERO] * n_cols for _ in range(len(rows) - form.rank)], form.pivots
 
 
 def rank(rows: Mat) -> int:

@@ -236,4 +236,7 @@ def surface_from_json(data) -> AffineSurface:
 
 def load_surface(path) -> AffineSurface:
     with open(path, encoding="utf-8") as fh:
-        return surface_from_json(json.load(fh))
+        try:
+            return surface_from_json(json.load(fh))
+        except RecursionError:
+            raise SurfaceError("surface file JSON is nested too deeply to read") from None

@@ -320,6 +320,50 @@ def test_oversized_symbols_exit_two_naming_the_bound(symbol, bound, tmp_path, ca
     assert "input error" in err and bound in err
 
 
+def test_classify_skips_type_b_proposals_that_overflow_a_float(tmp_path, capsys):
+    # 9^400 makes the characteristic coefficients too large for np.roots'
+    # float input; those candidates propose no eigenvalue (they raised an
+    # OverflowError, exit 1), and the exact searches still find both pairs.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"gamma": {"111": "9^400"}}))
+    code, payload, _ = run(capsys, "classify", str(path))
+    assert code == 0 and payload["dim"] == 6
+    assert [b["kind"] for b in payload["branches"]] == ["TypeA", "TypeB"]
+    assert payload["diagnostics"][0] == (
+        "skipped candidate [1, 0, 0, 0, 0, 0]: its charpoly overflows a float")
+    assert len(payload["diagnostics"]) == 31
+    assert all(d.endswith("overflows a float") for d in payload["diagnostics"])
+
+
+def test_classify_on_a_symbol_past_the_print_limit_is_an_input_error(tmp_path, capsys):
+    # 9^5000 has 4 772 digits, past Python's integer print limit.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"gamma": {"111": "9^5000"}}))
+    code, _, err = run(capsys, "classify", str(path))
+    assert code not in (0, 1) and "Traceback" not in err
+    assert "input error" in err
+
+
+DEEP = 100_000
+
+
+@pytest.mark.parametrize("argv", [
+    ("tensors", "{deep}", "--ricci"), ("killing", "{deep}", "--dim"), ("classify", "{deep}"),
+    ("killing", "{flat}", "--check", "{deep_field}"),
+], ids=["tensors", "killing", "classify", "killing-check"])
+def test_deeply_nested_json_exits_two(argv, files, tmp_path, capsys):
+    # json's decoder raised RecursionError here (exit 1).
+    nested = "[" * DEEP + "]" * DEEP
+    paths = {"flat": files["flat"]}
+    for name, text in (("deep", f'{{"gamma": {{"111": {nested}}}}}'),
+                       ("deep_field", f'{{"a1": {nested}}}')):
+        (tmp_path / f"{name}.json").write_text(text, encoding="utf-8")
+        paths[name] = str(tmp_path / f"{name}.json")
+    code, payload, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2 and payload is None
+    assert "input error" in err and "nested too deeply" in err
+
+
 @pytest.mark.parametrize("gamma, dim", LATE_CONSTRAINTS)
 def test_killing_dim_of_flat_surfaces_with_late_constraints(gamma, dim, tmp_path, capsys):
     path = tmp_path / "surface.json"

@@ -17,7 +17,7 @@ from affkit.liealg import (
     IntJets, LieAlgebraPresentation, NotHomogeneousCandidate, SolveFailure, bracket_jets,
     classify, effective, grading_check, jacobi_residual, structure_constants,
 )
-from affkit.linalg import rank, solve
+from affkit.linalg import gauss_bilinear, gauss_column, rank, solve, to_scalars
 from affkit.scalars import I, ONE, ZERO, Scalar
 from affkit.surface import (GAMMA_KEYS, make_surface, nabla_ricci, ricci, sphere,
                             surface_from_json, torsion, type_a, type_b)
@@ -238,15 +238,49 @@ def test_structure_constants_read_second_derivatives_by_key(s, monkeypatch):
 STRUCTURE_CONSTANTS_SHA256 = "76a6e15f8b769d32e1ceee4d91772016fb8c97d62db68506c416579378c56472"
 
 
-def test_structure_constants_match_recorded_digest():
+@cache
+def digest_algebras():
     surfaces = [build(gamma) for build, gamma in product((type_a, type_b), SPARSE_PATTERNS)]
     surfaces += [sphere(), surface_from_json({"gamma": {"112": "i", "222": "-2"}})]
+    return [structure_constants(s) for s in surfaces]
+
+
+def test_structure_constants_match_recorded_digest():
     digest = hashlib.sha256()
-    for s in surfaces:
-        L = structure_constants(s)
+    for L in digest_algebras():
         digest.update(f"{L.c}|{L.den}\n".encode())
-    assert len(surfaces) == 186
+    assert len(digest_algebras()) == 186
     assert digest.hexdigest() == STRUCTURE_CONSTANTS_SHA256
+
+
+def test_jet_basis_is_canonical_at_its_last_entries():
+    # The readout of bracket coordinates relies on it: basis jet k is 1 at
+    # its last nonzero entry f_k, and every other basis jet is 0 there.
+    for L in digest_algebras():
+        jets = [jet.as_vector() for jet in L.jets]
+        for k, jet in enumerate(jets):
+            f = max(r for r, x in enumerate(jet) if not x.is_zero)
+            assert jet[f] == ONE
+            assert all(other[f].is_zero for m, other in enumerate(jets) if m != k)
+
+
+def test_read_off_constants_match_a_solve_against_the_basis():
+    for L in digest_algebras():
+        cols = [[jet.as_vector()[r] for jet in L.jets] for r in range(6)]
+        ext = [gauss_column(L.int_jets.ext, k) for k in range(L.dim)]
+        for i, j in combinations(range(L.dim), 2):
+            bracket = gauss_bilinear(liealg._bracket_kernel, ext[i], ext[j])
+            assert solve(cols, to_scalars(bracket, L.int_jets.den ** 2)) == list(L.c[i][j])
+
+
+def test_witness_bracket_names_a_cut_basis(flat_surface):
+    # As for the constants: without x2 d2, [x2 d1, x1 d2] leaves the span.
+    L, unit = structure_constants(flat_surface), liealg._unit
+    assert liealg._verified_bracket(L, unit(6, 3), unit(6, 4)) == list(L.c[3][4])
+    re, im = L.int_jets.ext
+    cut = replace(L, int_jets=IntJets(L.int_jets.den, ([row[:5] for row in re], im)))
+    with pytest.raises(SolveFailure, match="witness bracket left the jet space"):
+        liealg._verified_bracket(cut, unit(5, 3), unit(5, 4))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import sympy as sp
 
 from affkit.linalg import (
     Echelon, clear_denominators, float_coeffs, gauss_mul, int_charpoly, is_root, nullspace,
-    rank, rref, semisimple_part, solve,
+    rank, semisimple_part, solve,
 )
 from affkit.scalars import ONE, ZERO, Scalar
 
@@ -55,9 +55,6 @@ def charpoly(a):
 
 
 def test_rref_and_rank():
-    m, pivots = rref(M([[1, 2], [2, 4]]))
-    assert pivots == [0]
-    assert m[1] == [ZERO, ZERO]
     assert rank(M([[1, 2], [3, 4]])) == 2
 
 
@@ -76,7 +73,6 @@ def ranked_rows(draw):
 @given(ranked_rows())
 def test_echelon_matches_column_major_reference(rows):
     want = rref_reference(rows)
-    assert rref(rows) == want
     assert rank(rows) == len(want[1])
     # Row by row: the rank of every prefix, and the same unique form.
     form = Echelon(6)

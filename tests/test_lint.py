@@ -27,21 +27,26 @@ def unused_imports(source: str) -> list[str]:
                   if name not in used)
 
 
+def referenced_names(source: str) -> set[str]:
+    """Every name, attribute and ``from``-imported name a module mentions."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
 def unused_private_defs(sources: dict[str, str]) -> list[str]:
     """Module-level ``_name`` functions and classes that no module references."""
-    defined, referenced = [], set()
-    for name, source in sources.items():
-        tree = ast.parse(source)
-        defined += [(name, node.name, node.lineno) for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name.startswith("_")]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                referenced.update(alias.name for alias in node.names)
+    defined = [(name, node.name, node.lineno) for name, source in sources.items()
+               for node in ast.parse(source).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_")]
+    referenced = set().union(*map(referenced_names, sources.values()))
     return [f"{name}: {fn} (line {line})" for name, fn, line in defined
             if fn not in referenced]
 
@@ -247,6 +252,18 @@ def test_liealg_uses_numpy_only_to_propose_type_b_eigenvalues():
     # Every other branch is decided and certified in exact arithmetic.
     found = numpy_uses((SRC / "liealg.py").read_text(encoding="utf-8"))
     assert {use.split(" (")[0] for use in found} <= {"_type_b_at"}
+
+
+def test_referenced_names_are_detected():
+    source = "from .linalg import rank as r\nx = linalg.solve(a) + np.linalg.lstsq\n"
+    assert referenced_names(source) == {"rank", "x", "linalg", "solve", "a", "np", "lstsq"}
+
+
+def test_liealg_solves_nothing_against_the_basis():
+    # The jet basis is canonical, so bracket coordinates are read off it
+    # (``liealg._read_off``); no general solver belongs in the Lie layer.
+    used = referenced_names((SRC / "liealg.py").read_text(encoding="utf-8"))
+    assert used & {"solve", "rref"} == set()
 
 
 def test_killing_holds_no_float_code():

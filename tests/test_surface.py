@@ -12,7 +12,7 @@ import hypothesis.strategies as st
 
 from affkit.surface import (
     GAMMA_KEYS, AffineSurface, BadBasepoint, SurfaceError, curvature, is_flat,
-    make_surface, nabla_ricci, ricci, sphere, surface_from_json, surface_to_json,
+    load_surface, make_surface, nabla_ricci, ricci, sphere, surface_from_json, surface_to_json,
     torsion, type_a, type_b,
 )
 from affkit.symexpr import Expr, NotExactlyEvaluable, parse
@@ -101,6 +101,13 @@ def test_unknown_domain_note_is_rejected(note):
         make_surface({}, (1, 0), note)
     with pytest.raises(SurfaceError):
         AffineSurface(type_a({}).gamma, (Fraction(1), Fraction(0)), note).domain_bounds()
+
+
+def test_load_surface_names_deeply_nested_json(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"gamma": {"111": ' + "[" * 100_000 + "]" * 100_000 + "}}")
+    with pytest.raises(SurfaceError, match="nested too deeply"):
+        load_surface(path)
 
 
 @pytest.mark.parametrize("note, basepoint", [
