@@ -24,7 +24,7 @@ from .liealg import (ClassificationInconclusive, LieAlgError,
 from .numeric import NumericError
 from .surface import (SurfaceError, curvature, load_surface, nabla_ricci, ricci,
                       torsion)
-from .symexpr import ExprError
+from .symexpr import EvaluationPoleError, ExprError
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -88,14 +88,17 @@ def cmd_killing(args) -> int:
         field = load_field(args.check)
         res = residuals(s, field)
         symbolic_zero = {key: e.is_zero for key, e in res.items()}
-        numeric_max = 0.0
         x1, x2 = float(s.basepoint[0]), float(s.basepoint[1])
-        # Step towards the domain's right end by at most half the distance.
-        hi = s.domain_bounds()[1]
-        probe = (x1 + min(0.05, (hi - x1) / 2), x2 + 0.05)
-        for e in res.values():
-            if not e.is_zero:
-                numeric_max = max(numeric_max, abs(e.eval_numeric(probe)))
+        # Step towards the domain's right end by at most half the distance;
+        # a step onto a pole of the residuals (x1 = 0 or cos x1 = 0) is
+        # halved, and the poles lie too far apart for that to meet another.
+        step = min(0.05, (s.domain_bounds()[1] - x1) / 2)
+        probe_max = lambda dx: max((abs(e.eval_numeric((x1 + dx, x2 + 0.05)))
+                                    for e in res.values() if not e.is_zero), default=0.0)
+        try:
+            numeric_max = probe_max(step)
+        except EvaluationPoleError:
+            numeric_max = probe_max(step / 2)
         ok = all(symbolic_zero.values())
         _emit({"killing": ok, "residual_zero": symbolic_zero,
                "max_residual_at_probe": numeric_max})
@@ -250,7 +253,12 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except (ExprError, SurfaceError, KillingError, LieAlgError,
             ChartError, NumericError, ValueError) as exc:
-        _diag(f"input error: {exc}")
+        message = str(exc)
+        if "integer string conversion" in message:      # Python's own digit limit
+            message = ("a number in the result is longer than Python prints (4300 digits "
+                       "by default); the environment variable PYTHONINTMAXSTRDIGITS raises "
+                       "the limit, and 0 lifts it")
+        _diag(f"input error: {message}")
         return EXIT_INPUT
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
 from . import linalg
 from .numeric import jet_transport
@@ -54,6 +54,11 @@ class VectorField:
 
     def component(self, k: int) -> Expr:
         return self.a1 if k == 1 else self.a2
+
+    def jet(self) -> tuple[Expr, ...]:
+        """The symbolic 1-jet (a1, a2, d1 a1, d2 a1, d1 a2, d2 a2), in ``Jet1`` order."""
+        return (self.a1, self.a2, self.a1.diff("x1"), self.a1.diff("x2"),
+                self.a2.diff("x1"), self.a2.diff("x2"))
 
 
 def bracket_fields(X: VectorField, Y: VectorField) -> VectorField:
@@ -133,7 +138,7 @@ def _second_derivative_row(s: AffineSurface, i: int, j: int, k: int) -> list[Exp
 
 def residuals(s: AffineSurface, X: VectorField) -> dict[str, Expr]:
     """All eight Killing residuals K_ij^k = d_i d_j a^k - row . j1(X), canonical."""
-    jet = (X.a1, X.a2, X.a1.diff("x1"), X.a1.diff("x2"), X.a2.diff("x1"), X.a2.diff("x2"))
+    jet = X.jet()
     out: dict[str, Expr] = {}
     for i, j, k in product((1, 2), repeat=3):
         e = X.component(k).diff(f"x{i}").diff(f"x{j}")
@@ -188,21 +193,6 @@ def prolongation_symbolic(s: AffineSurface) -> JetSystem:
     return JetSystem(m1, m2, c0, second)
 
 
-def _integrability_rows(m1: ExprMat, m2: ExprMat) -> list[list[Expr]]:
-    """Rows of d1 M2 - d2 M1 + M2 M1 - M1 M2; they vanish on jets of
-    genuine solutions and constrain everything else."""
-    rows = []
-    for r in range(JET_DIM):
-        row = []
-        for c in range(JET_DIM):
-            e = m2[r][c].diff("x1") - m1[r][c].diff("x2")
-            for t in range(JET_DIM):
-                e = e + m2[r][t] * m1[t][c] - m1[r][t] * m2[t][c]
-            row.append(e)
-        rows.append(row)
-    return rows
-
-
 def _derive_row(row: list[Expr], m: ExprMat, var: str) -> list[Expr]:
     """d/dx of (row . v) along solutions: row.M + d(row)."""
     out = []
@@ -218,13 +208,15 @@ def killing_jet_space(s: AffineSurface) -> KillingJetSpace:
     """Exact basis of 1-jets of affine Killing fields at the basepoint.
 
     Constraint rows are carried symbolically and differentiated along the
-    jet system before each exact evaluation; their values at the basepoint
-    go into one ``linalg.Echelon``, whose nullspace is the answer.  The
-    iteration is provably complete once the frontier empties (the symbolic
-    row span is then closed under both derivations); otherwise it stops
-    after two fully stagnant rounds below 6.  That stopping rule is
-    unproven and stops too early on two known surfaces, pinned as strict
-    xfails by ``test_killing.py::test_stagnation_rule_stops_early`` and
+    jet system before each exact evaluation.  Every row, derived or not,
+    passes through one helper, ``feed``, which skips zero and repeated rows
+    and adds the row's value at the basepoint to one ``linalg.Echelon``,
+    whose nullspace is the answer.  The iteration is provably complete once
+    the frontier empties (the symbolic row span is then closed under both
+    derivations); otherwise it stops after two fully stagnant rounds below
+    6.  That stopping rule is unproven and stops too early on two known
+    surfaces, pinned as strict xfails by
+    ``test_killing.py::test_stagnation_rule_stops_early`` and
     ``test_cli.py::test_killing_dim_stops_early``.  A plateau at 6 never
     stops while constraint rows exist: dimension 6 forces isotropy gl(2),
     hence a flat torsion-free surface, on which every constraint row
@@ -234,21 +226,27 @@ def killing_jet_space(s: AffineSurface) -> KillingJetSpace:
     point = s.basepoint
     system = prolongation_symbolic(s)
     m1, m2 = system.m1, system.m2
-    base_rows = [row for row in system.c0 if any(not e.is_zero for e in row)]
-    for row in _integrability_rows(m1, m2):
-        if any(not e.is_zero for e in row):
-            base_rows.append(row)
-
     tracker = linalg.Echelon(JET_DIM)
     seen: set = set()
-    frontier: list[list[Expr]] = []
-    for row in base_rows:
-        key = tuple(row)
-        if key in seen:
-            continue
-        seen.add(key)
-        frontier.append(row)
-        tracker.add([e.eval_exact(point) for e in row])
+
+    def feed(rows) -> list[list[Expr]]:
+        """Add each new nonzero row's value at P; the new rows are the next frontier."""
+        fresh = []
+        for row in rows:
+            key = tuple(row)
+            if all(e.is_zero for e in row) or key in seen:
+                continue
+            seen.add(key)
+            fresh.append(row)
+            tracker.add([e.eval_exact(point) for e in row])
+        return fresh
+
+    # Row r of the integrability rows d1 M2 - d2 M1 + M2 M1 - M1 M2 is
+    # d1 of row r of M2 minus d2 of row r of M1, both along the system.
+    integrability = ([a - b for a, b in zip(_derive_row(m2[r], m1, "x1"),
+                                            _derive_row(m1[r], m2, "x2"))]
+                     for r in range(JET_DIM))
+    frontier = feed(chain(system.c0, integrability))
 
     def finish(history):
         jets = [Jet1.from_vector(v) for v in tracker.nullspace()]
@@ -260,19 +258,8 @@ def killing_jet_space(s: AffineSurface) -> KillingJetSpace:
             # Row span is closed under both derivations: provably complete.
             history.append(history[-1])
             return finish(history)
-        new_frontier: list[list[Expr]] = []
-        for row in frontier:
-            for m, var in ((m1, "x1"), (m2, "x2")):
-                derived = _derive_row(row, m, var)
-                if all(e.is_zero for e in derived):
-                    continue
-                key = tuple(derived)
-                if key in seen:
-                    continue
-                seen.add(key)
-                new_frontier.append(derived)
-                tracker.add([e.eval_exact(point) for e in derived])
-        frontier = new_frontier
+        frontier = feed(_derive_row(row, m, var) for row in frontier
+                        for m, var in ((m1, "x1"), (m2, "x2")))
         history.append(JET_DIM - tracker.rank)
         # A nonempty frontier means constraint rows exist, so a plateau at 6
         # is never the answer: keep deriving until they bite.
@@ -293,12 +280,7 @@ def killing_jet_space(s: AffineSurface) -> KillingJetSpace:
 # ---------------------------------------------------------------------------
 
 def jet_of(s: AffineSurface, X: VectorField) -> Jet1:
-    p = s.basepoint
-    return Jet1(
-        X.a1.eval_exact(p), X.a2.eval_exact(p),
-        X.a1.diff("x1").eval_exact(p), X.a1.diff("x2").eval_exact(p),
-        X.a2.diff("x1").eval_exact(p), X.a2.diff("x2").eval_exact(p),
-    )
+    return Jet1(*(e.eval_exact(s.basepoint) for e in X.jet()))
 
 
 class JetField:

@@ -17,23 +17,25 @@ proposes Type B eigenvalues, and each is tested exactly.
 
 The layer runs over the Gaussian integers Z[i], in ``linalg``'s format
 and through its one extension rule, ``gauss_bilinear``.  One integer
-bracket kernel serves ``structure_constants``, ``bracket_jets`` and the
-witness check.  Every entry point takes just the surface and solves its jets once:
-``structure_constants`` reads the basis jets' second derivatives off the
-``killing.JetSystem`` that ``killing_jet_space`` returns, and ``classify``
-keeps that presentation as its result's ``algebra``.  Each jet is extended
-by its second derivatives and the whole extended matrix is cleared over
-one denominator D (``IntJets.den``), so every bracket of two extended jets
-lies over D^2.  The basis is ``Echelon.nullspace()``'s canonical one, so
-a bracket's coordinates are read off its entries at the basis' free
-columns and checked in integers, with no solve.  A presentation is frozen,
-and den * ad(e_i) is derived once, when it is built, so no table can go
-stale.  Effectivity is a 2 x 2 determinant in Z[i].  Every ad comes from
-the presentation's Z[i] tables (``int_ad``): the witness searches work on
-den * ad(x) in Python integers, and the grading check tests whether the
-semisimple part of den * ad(xi), exact over Q(i), is a derivation, with
-no eigenvalue computed.  The Killing form is read off the structure
-constants directly.
+bracket kernel serves ``bracket_jets`` and ``_jet_bracket``, the one
+bracket of coefficient vectors computed from the jets, behind both the
+structure constants and the witness checks.  Every entry point takes just
+the surface and solves its jets once: ``structure_constants`` reads the
+basis jets' second derivatives off the ``killing.JetSystem`` that
+``killing_jet_space`` returns, and ``classify`` keeps that presentation as
+its result's ``algebra``.  Each jet is extended by its second derivatives
+and the whole extended matrix is cleared over one denominator D
+(``IntJets.den``), so every bracket of two extended jets lies over D^2.
+The basis is ``Echelon.nullspace()``'s canonical one, so a bracket's
+coordinates are read off its entries at the basis' free columns and
+checked in integers, with no solve.  A presentation is frozen, and
+den * ad(e_i) is derived once from the structure constants, when it is
+built, so no table can go stale.  Effectivity is a 2 x 2 determinant in
+Z[i].  Every ad, every bracket of coefficient vectors and the Killing form
+tr(ad e_i ad e_j) come from the presentation's Z[i] tables (``int_ad``):
+the witness searches work on den * ad(x) in Python integers, and the
+grading check tests whether the semisimple part of den * ad(xi), exact
+over Q(i), is a derivation, with no eigenvalue computed.
 """
 
 from __future__ import annotations
@@ -136,9 +138,9 @@ class IntJets(NamedTuple):
 
     Column k of ``ext`` is den times jet k (rows 0-5), followed by den
     times its second derivatives (rows 6-13), so the bracket of two columns
-    lies over den^2.  Rows 0-5 are the transposed basis: a bracket's
-    coordinates are read off at its free columns (``_read_off``), and its
-    rows 0 and 1 evaluate the basis fields at P.
+    lies over den^2.  Rows 0-5 over den are the transposed basis, the one
+    copy a presentation stores: a bracket's coordinates are read off at its
+    free columns (``_read_off``), and rows 0 and 1 evaluate the fields at P.
     """
 
     den: int
@@ -180,6 +182,24 @@ def _read_off(ints: IntJets, b: GaussVec) -> GaussVec | None:
     return x if inside else None
 
 
+def _jet_bracket(ints: IntJets, u: list[Scalar], v: list[Scalar], what: str) -> list[Scalar]:
+    """[u, v] for coefficient vectors over the basis, computed straight from
+    the jets: the one jet bracket behind the structure constants and the
+    witness checks.
+
+    u and v share a denominator d; their extended jets lie over den * d, so
+    the bracket lies over (den * d)^2, and its coordinates read off the
+    basis (``_read_off``) are rescaled by 1 / (den * d)^2.  A bracket that
+    leaves the span raises SolveFailure naming ``what``.
+    """
+    d, cleared = clear_denominators([u, v])
+    x, y = (gauss_bilinear(int_mat_vec, ints.ext, gauss_row(cleared, r)) for r in (0, 1))
+    coords = _read_off(ints, gauss_bilinear(_bracket_kernel, x, y))
+    if coords is None:
+        raise SolveFailure(f"{what} left the jet space")
+    return to_scalars(coords, (ints.den * d) ** 2)
+
+
 @dataclass(frozen=True)
 class LieAlgebraPresentation:
     """Structure constants over a jet basis, frozen.
@@ -187,18 +207,18 @@ class LieAlgebraPresentation:
     ``int_jets`` holds the basis jets and their second derivatives over
     Z[i] (``IntJets``), for jet brackets, evaluation at P and effectivity;
     ``structure_constants`` derives it from the surface's jet system for
-    its own brackets and hands it over.  ``c`` and ``jets`` are stored as
-    tuples, and the ad tables are derived from ``c`` once, at construction,
-    so they cannot go stale: ``den`` is the least common denominator of the
-    structure constants, and ``ad_re``/``ad_im`` hold den * ad(e_i) over
-    the Gaussian integers as sparse (row, column, value) entries, so
+    its own brackets and hands it over.  ``c`` is stored as tuples and is
+    read once, at construction, to derive the ad tables, so they cannot go
+    stale: ``den`` is the least common denominator of the structure
+    constants, and ``ad_re``/``ad_im`` hold den * ad(e_i) over the
+    Gaussian integers as sparse (row, column, value) entries, so
     den * ad(x) for an integer x is plain int arithmetic (``int_ad``);
-    ``ad_im`` is None for a real algebra.
+    ``ad_im`` is None for a real algebra.  Every bracket of coefficient
+    vectors and the Killing form are read off those tables.
     """
 
     dim: int
     c: tuple[tuple[tuple[Scalar, ...], ...], ...]   # [e_i, e_j] = sum_k c[i][j][k] e_k
-    jets: tuple[Jet1, ...]
     int_jets: IntJets = field(repr=False)
     den: int = field(init=False, repr=False)
     ad_re: list[list[tuple[int, int, int]]] = field(init=False, repr=False)
@@ -207,7 +227,6 @@ class LieAlgebraPresentation:
     def __post_init__(self):
         put = partial(object.__setattr__, self)
         put("c", tuple(tuple(tuple(row) for row in plane) for plane in self.c))
-        put("jets", tuple(self.jets))
         n = self.dim
         d, (re, im) = clear_denominators(
             [[self.c[i][j][k] for i in range(n) for j in range(n)] for k in range(n)])
@@ -238,25 +257,18 @@ class LieAlgebraPresentation:
         return rows(re), None if im is None else rows(im)
 
     def bracket_coeffs(self, u: list[Scalar], v: list[Scalar]) -> list[Scalar]:
-        n = self.dim
-        out = [ZERO] * n
-        for i in range(n):
-            if u[i].is_zero:
-                continue
-            for j in range(n):
-                if v[j].is_zero:
-                    continue
-                uv = u[i] * v[j]
-                for k, cijk in enumerate(self.c[i][j]):
-                    if not cijk.is_zero:
-                        out[k] = out[k] + uv * cijk
-        return out
+        """[u, v] = int_ad(u') v' / (den d^2), with u = u'/d and v = v'/d over Z[i]."""
+        d, cleared = clear_denominators([u, v])
+        uv = gauss_bilinear(int_mat_vec, self.int_ad(gauss_row(cleared, 0)), gauss_row(cleared, 1))
+        return to_scalars(uv, self.den * d * d)
 
     def killing_form(self) -> list[list[Scalar]]:
-        """B_ij = tr(ad(e_i) ad(e_j)) = sum over k, l of c[i][l][k] c[j][k][l]."""
-        n, c = self.dim, self.c
-        return [[sum((c[i][l][k] * c[j][k][l] for k in range(n) for l in range(n)), ZERO)
-                 for j in range(n)] for i in range(n)]
+        """B_ij = tr(ad(e_i) ad(e_j)), from the tables (``int_ad``) over den^2."""
+        n = self.dim
+        ads = [self.int_ad(([int(k == i) for k in range(n)], None)) for i in range(n)]
+        trace = lambda a, b: [sum(x * y for row, col in zip(a, zip(*b)) for x, y in zip(row, col))]
+        return [[to_scalars(gauss_bilinear(trace, a, b), self.den ** 2)[0] for b in ads]
+                for a in ads]
 
     def _values_at_p(self, coeffs: list[Scalar]) -> tuple[int, GaussVec]:
         """(d, g): the field with these coefficients has value g / d at P."""
@@ -270,25 +282,16 @@ class LieAlgebraPresentation:
 
 
 def structure_constants(s: AffineSurface) -> LieAlgebraPresentation:
-    """Exact structure constants of the Killing algebra in the jet basis.
-
-    Each of the n(n-1)/2 bracket jets comes from the integer bracket kernel
-    over den^2 (``IntJets``), and its coordinates in the canonical basis
-    are read off at the basis' free columns (``_read_off``), checked in
-    integers, then rescaled by 1 / den^2.
-    """
+    """Exact structure constants of the Killing algebra in the jet basis:
+    each pair of basis jets is bracketed by ``_jet_bracket``."""
     ks = killing_jet_space(s)
     n = ks.dim
     ints = _int_jets(ks.basis, ks.system)
-    cols = [gauss_column(ints.ext, k) for k in range(n)]
     c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
     for i, j in combinations(range(n), 2):
-        x = _read_off(ints, gauss_bilinear(_bracket_kernel, cols[i], cols[j]))
-        if x is None:
-            raise SolveFailure(f"bracket of basis jets {i},{j} left the jet space")
-        c[i][j] = to_scalars(x, ints.den ** 2)
+        c[i][j] = _jet_bracket(ints, _unit(n, i), _unit(n, j), f"bracket of basis jets {i},{j}")
         c[j][i] = [-y for y in c[i][j]]
-    return LieAlgebraPresentation(n, c, ks.basis, ints)
+    return LieAlgebraPresentation(n, c, ints)
 
 
 def jacobi_residual(L: LieAlgebraPresentation) -> list[Scalar]:
@@ -340,8 +343,8 @@ def grading_check(L: LieAlgebraPresentation, xi: list[Scalar]) -> GradingReport:
     images = [[row[j] for row in s] for j in range(n)]      # S e_j
     report = GradingReport(ok=True)
     for i, j in product(range(n), repeat=2):
-        lhs = [sum((a * b for a, b in zip(row, L.c[i][j]) if not b.is_zero), ZERO)
-               for row in s]
+        br = L.bracket_coeffs(_unit(n, i), _unit(n, j))
+        lhs = [sum((a * b for a, b in zip(row, br) if not b.is_zero), ZERO) for row in s]
         rhs = [a + b for a, b in zip(L.bracket_coeffs(images[i], _unit(n, j)),
                                      L.bracket_coeffs(_unit(n, i), images[j]))]
         if lhs != rhs:
@@ -430,20 +433,8 @@ def _search_candidates(n: int):
 
 
 def _verified_bracket(L, u, v) -> list[Scalar]:
-    """Bracket computed straight from the jets, as basis coefficients.
-
-    u and v share a denominator d; their extended jets lie over den * d, the
-    presentation's one jet denominator times d, so the bracket lies over
-    (den * d)^2, and its coordinates read off the basis (``_read_off``)
-    are rescaled by 1 / (den * d)^2.
-    """
-    ints = L.int_jets
-    d, cleared = clear_denominators([u, v])
-    x, y = (gauss_bilinear(int_mat_vec, ints.ext, gauss_row(cleared, r)) for r in (0, 1))
-    coords = _read_off(ints, gauss_bilinear(_bracket_kernel, x, y))
-    if coords is None:
-        raise SolveFailure("witness bracket left the jet space")
-    return to_scalars(coords, (ints.den * d) ** 2)
+    """The witness check: ``_jet_bracket`` over the presentation's jets."""
+    return _jet_bracket(L.int_jets, u, v, "witness bracket")
 
 
 def _type_a_at(L, ints, ad: GaussMat) -> Witness | None:

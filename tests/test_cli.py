@@ -3,7 +3,11 @@
 import hashlib
 from itertools import product
 import json
+import math
+import os
 from pathlib import Path
+import subprocess
+import sys
 import time
 
 import pytest
@@ -342,6 +346,47 @@ def test_classify_on_a_symbol_past_the_print_limit_is_an_input_error(tmp_path, c
     code, _, err = run(capsys, "classify", str(path))
     assert code not in (0, 1) and "Traceback" not in err
     assert "input error" in err
+
+
+@pytest.mark.parametrize("gamma, argv", [
+    ({"111": "9^5000"}, ("classify",)),
+    ({"111": "9^3000*x1", "221": "9^3000*x1"}, ("tensors", "--ricci")),
+], ids=["classify", "tensors-ricci"])
+def test_a_result_past_the_print_limit_names_the_environment_variable(gamma, argv, tmp_path,
+                                                                      capsys):
+    # Python's own advice, sys.set_int_max_str_digits(), is out of a CLI
+    # user's reach; the variable that raises the limit is not.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"gamma": gamma}))
+    code, payload, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2 and payload is None and "Traceback" not in err
+    assert "longer than Python prints (4300 digits by default)" in err
+    assert "PYTHONINTMAXSTRDIGITS" in err and "set_int_max_str_digits" not in err
+
+
+def test_lifting_the_print_limit_prints_the_result(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"gamma": {"111": "9^5000"}}))
+    src = str(Path(affkit.cli.__file__).parents[1])
+    path_var = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "0", "PYTHONPATH": path_var}
+    proc = subprocess.run([sys.executable, "-m", "affkit.cli", "classify", str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["dim"] == 6
+
+
+@pytest.mark.parametrize("gamma, field", [({}, {"a1": "1/x1"}), ({"111": "1/x1"}, {"a1": "1"})],
+                         ids=["pole-in-field", "pole-in-symbol"])
+def test_killing_check_probes_off_a_pole(gamma, field, tmp_path, capsys):
+    # From x1 = -1/20 the probe's step of 0.05 lands on the pole x1 = 0,
+    # which turned an exact verdict into an input error.
+    surface, field_path = tmp_path / "s.json", tmp_path / "f.json"
+    surface.write_text(json.dumps({"gamma": gamma, "basepoint": ["-1/20", "0"]}))
+    field_path.write_text(json.dumps(field))
+    code, payload, err = run(capsys, "killing", str(surface), "--check", str(field_path))
+    assert code == 1 and payload["killing"] is False, err
+    assert math.isfinite(payload["max_residual_at_probe"])
 
 
 DEEP = 100_000

@@ -1,6 +1,8 @@
 """Killing residuals, the exact jet solver, and numeric jet extension."""
 
 from fractions import Fraction
+import hashlib
+import random
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from affkit.surface import (GAMMA_KEYS, is_flat, make_surface, sphere, surface_f
                             type_a, type_b)
 from affkit.symexpr import Expr, parse
 
-from conftest import D2, EARLY_STOPS, LATE_CONSTRAINTS, RADIAL, random_type_a
+from conftest import D2, EARLY_STOPS, LATE_CONSTRAINTS, RADIAL, SPARSE_PATTERNS, random_type_a
 from helpers_oracle import X1, X2, gamma_sympy, sym_killing_residuals, taylor_killing_dim, to_sympy
 
 gamma_vals = st.fixed_dictionaries({k: st.integers(-2, 2) for k in GAMMA_KEYS})
@@ -282,6 +284,41 @@ def test_early_stop_surfaces_match_series_oracle(gamma, dim):
 def test_stagnation_rule_stops_early(gamma, dim):
     s = make_surface({k: parse(v) for k, v in gamma.items()}, (0, 0))
     assert killing_jet_space(s).dim == dim
+
+
+def digest_surfaces(group):
+    """The surfaces of one jet-solver digest: the sparse Type A or A/x1
+    patterns of the CLI digest test, the sphere with {112: i, 222: -2},
+    60 dense Type A surfaces (seed 0) or the late-constraint surfaces."""
+    if group in ("type_a", "type_b"):
+        return [(type_a if group == "type_a" else type_b)(g) for g in SPARSE_PATTERNS]
+    if group == "special":
+        return [sphere(), surface_from_json({"gamma": {"112": "i", "222": "-2"}})]
+    if group == "dense":
+        rand = random.Random(0)
+        return [random_type_a(rand) for _ in range(60)]
+    return [make_surface({k: parse(v) for k, v in g.items()}, (0, 0)) for g, _ in LATE_CONSTRAINTS]
+
+
+# (dim, constraint_history, basis) of each group, recorded before the
+# constraint rows went through one feeding path.
+JET_SPACE_SHA256 = {
+    "type_a": "a6e84aa40f1a981b1818a509e9ab1ec876e31a553fa19a4e655fca4fd417e022",
+    "type_b": "9d0125ca91c777bc20eb3afd5aa13098d51f0596b361f1afb2afe508562ee94d",
+    "special": "57cb1464da91f7a9783ebc95ac451a33133dba85240115c2f49cd7fc5de1d752",
+    "dense": "94139babac4b55f21fb7acef97f22890aebc93beb852ce718246430a1b96f1ed",
+    "late": "c6798fe0aea4b5af764c1fdcffc7e67cef665edddca5585e879342f33fc2a765",
+}
+
+
+@pytest.mark.parametrize("group", JET_SPACE_SHA256)
+def test_jet_solver_matches_recorded_digest(group):
+    digest = hashlib.sha256()
+    for s in digest_surfaces(group):
+        ks = killing_jet_space(s)
+        basis = [[str(x) for x in jet.as_vector()] for jet in ks.basis]
+        digest.update(f"{ks.dim}|{ks.constraint_history}|{basis}\n".encode())
+    assert digest.hexdigest() == JET_SPACE_SHA256[group]
 
 
 # ---------------------------------------------------------------------------

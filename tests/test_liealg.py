@@ -36,9 +36,8 @@ def presentation_from_table(dim, table):
             sc = val if isinstance(val, Scalar) else Scalar.of(val)
             c[i][j][k] = sc
             c[j][i][k] = -sc
-    jets = [Jet1(*([ZERO] * 6)) for _ in range(dim)]
     zero_jets = IntJets(1, ([[0] * dim for _ in range(14)], None))
-    return LieAlgebraPresentation(dim, c, jets, zero_jets)
+    return LieAlgebraPresentation(dim, c, zero_jets)
 
 
 SO3 = presentation_from_table(3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (2, 0): {1: 1}})
@@ -50,7 +49,8 @@ SPHERE_FRAME = [[ZERO, ONE, ZERO], [ONE, ZERO, ZERO], [ZERO, ZERO, ONE]]
 def coeffs_of(L, s, X):
     """Coefficient vector of a symbolic Killing field in the jet basis."""
     target = jet_of(s, X).as_vector()
-    cols = [[L.jets[k].as_vector()[r] for k in range(L.dim)] for r in range(6)]
+    basis = killing_jet_space(s).basis
+    cols = [[basis[k].as_vector()[r] for k in range(L.dim)] for r in range(6)]
     out = solve(cols, target)
     assert out is not None
     return out
@@ -245,6 +245,12 @@ def digest_algebras():
     return [structure_constants(s) for s in surfaces]
 
 
+def basis_jets(L):
+    """The canonical jet basis: rows 0-5 of ``L.int_jets.ext`` over its den."""
+    return [to_scalars(gauss_column(L.int_jets.ext, k), L.int_jets.den)[:6]
+            for k in range(L.dim)]
+
+
 def test_structure_constants_match_recorded_digest():
     digest = hashlib.sha256()
     for L in digest_algebras():
@@ -257,7 +263,7 @@ def test_jet_basis_is_canonical_at_its_last_entries():
     # The readout of bracket coordinates relies on it: basis jet k is 1 at
     # its last nonzero entry f_k, and every other basis jet is 0 there.
     for L in digest_algebras():
-        jets = [jet.as_vector() for jet in L.jets]
+        jets = basis_jets(L)
         for k, jet in enumerate(jets):
             f = max(r for r, x in enumerate(jet) if not x.is_zero)
             assert jet[f] == ONE
@@ -266,7 +272,7 @@ def test_jet_basis_is_canonical_at_its_last_entries():
 
 def test_read_off_constants_match_a_solve_against_the_basis():
     for L in digest_algebras():
-        cols = [[jet.as_vector()[r] for jet in L.jets] for r in range(6)]
+        cols = [[jet[r] for jet in basis_jets(L)] for r in range(6)]
         ext = [gauss_column(L.int_jets.ext, k) for k in range(L.dim)]
         for i, j in combinations(range(L.dim), 2):
             bracket = gauss_bilinear(liealg._bracket_kernel, ext[i], ext[j])
@@ -563,7 +569,7 @@ def test_effective_agrees_with_the_scalar_determinant(name, data):
     else:
         k = data.draw(GAUSSIAN_RATIONAL)
         v = [k * x for x in u]
-    value = lambda c: [sum((ck * jet.as_vector()[r] for ck, jet in zip(c, L.jets)), ZERO)
+    value = lambda c: [sum((ck * jet[r] for ck, jet in zip(c, basis_jets(L))), ZERO)
                        for r in (0, 1)]
     (u1, u2), (v1, v2) = value(u), value(v)
     assert effective(L, [u, v]) == (not (u1 * v2 - u2 * v1).is_zero)

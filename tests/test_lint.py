@@ -143,6 +143,33 @@ def unread_fields(records: dict[str, str], readers: list[str]) -> list[str]:
             for cls, fld, line in record_fields(source) if fld not in read]
 
 
+def attribute_reads(source: str, attr: str) -> list[str]:
+    """Loads of the attribute ``attr`` as "owner (line)": the owner is the
+    top-level definition, or "Class.method" for a method, or "<module>"."""
+    owners = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.ClassDef):
+            owners += [(f"{stmt.name}.{getattr(sub, 'name', '<body>')}", sub) for sub in stmt.body]
+        else:
+            owners.append((getattr(stmt, "name", "<module>"), stmt))
+    return [f"{owner} (line {node.lineno})" for owner, stmt in owners for node in ast.walk(stmt)
+            if isinstance(node, ast.Attribute) and node.attr == attr
+            and isinstance(node.ctx, ast.Load)]
+
+
+def echelon_add_sites(source: str) -> list[int]:
+    """Lines of ``.add`` calls on a name assigned an ``Echelon(...)``."""
+    tree = ast.parse(source)
+    builds = lambda call: isinstance(call, ast.Call) and "Echelon" in (
+        getattr(call.func, "attr", None), getattr(call.func, "id", None))
+    names = {target.id for node in ast.walk(tree)
+             if isinstance(node, ast.Assign) and builds(node.value)
+             for target in node.targets if isinstance(target, ast.Name)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add" and getattr(node.func.value, "id", None) in names]
+
+
 def test_unused_imports_are_detected():
     assert unused_imports("import math\nimport numpy as np\nnp.zeros(1)\n") == ["math (line 1)"]
     assert unused_imports("from os import path, sep\n__all__ = ['sep']\n") == ["path (line 1)"]
@@ -269,3 +296,30 @@ def test_liealg_solves_nothing_against_the_basis():
 def test_killing_holds_no_float_code():
     # The jet solver is exact; jet extension lives in ``numeric.jet_transport``.
     assert numpy_uses((SRC / "killing.py").read_text(encoding="utf-8")) == []
+
+
+def test_attribute_reads_are_detected():
+    source = ("class P:\n    def __post_init__(self):\n        x = self.c\n"
+              "    def m(self):\n        self.c = 1\n        return self.cc\n"
+              "def f(L):\n    return L.c[0]\n")
+    assert attribute_reads(source, "c") == ["P.__post_init__ (line 3)", "f (line 8)"]
+
+
+def test_liealg_reads_structure_constants_only_to_build_its_tables():
+    # Brackets of coefficient vectors, the Killing form and the grading
+    # check all go through the Z[i] ad tables; ``c`` is their input.
+    found = attribute_reads((SRC / "liealg.py").read_text(encoding="utf-8"), "c")
+    assert {use.split(" (")[0] for use in found} == {"LieAlgebraPresentation.__post_init__"}
+
+
+def test_echelon_add_sites_are_detected():
+    source = ("from . import linalg\nt = linalg.Echelon(6)\nseen = set()\n"
+              "seen.add(1)\nt.add([1])\ndef f(rows):\n    e = Echelon(2)\n"
+              "    for r in rows:\n        e.add(r)\n")
+    assert echelon_add_sites(source) == [5, 9]
+
+
+def test_killing_feeds_its_echelon_at_one_site():
+    # Every constraint row reaches the jet solver's elimination through one
+    # path: filtered, deduplicated and evaluated at P in one place.
+    assert len(echelon_add_sites((SRC / "killing.py").read_text(encoding="utf-8"))) == 1
