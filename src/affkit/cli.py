@@ -22,6 +22,7 @@ from .killing import (KillingError, killing_jet_space, load_field,
 from .liealg import (ClassificationInconclusive, LieAlgError,
                      NotHomogeneousCandidate, classify)
 from .numeric import NumericError
+from .scalars import DIGIT_LIMIT, DIGIT_LIMIT_HINT
 from .surface import (SurfaceError, curvature, load_surface, nabla_ricci, ricci,
                       torsion)
 from .symexpr import EvaluationPoleError, ExprError
@@ -29,6 +30,9 @@ from .symexpr import EvaluationPoleError, ExprError
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
+# The largest ``chart --grid``: the stencil evaluates 17 n^2 points, and the
+# tests reach n = 11, the benchmark pools n = 7.
+MAX_GRID = 51
 
 
 _output_path: str | None = None
@@ -137,9 +141,9 @@ def cmd_classify(args) -> int:
 
 def cmd_chart(args) -> int:
     sizes = (args.tol, args.step, args.half_width)
-    if args.grid < 3 or not all(math.isfinite(x) and x > 0 for x in sizes):
-        _diag("invalid run configuration: need grid >= 3 and finite tol > 0, step > 0, "
-              "half-width > 0")
+    if not 3 <= args.grid <= MAX_GRID or not all(math.isfinite(x) and x > 0 for x in sizes):
+        _diag(f"invalid run configuration: need 3 <= grid <= {MAX_GRID} and finite tol > 0, "
+              "step > 0, half-width > 0")
         return EXIT_INPUT
     s = load_surface(args.surface)
     fields = [load_field(path) for path in args.field]
@@ -254,10 +258,8 @@ def main(argv=None) -> int:
     except (ExprError, SurfaceError, KillingError, LieAlgError,
             ChartError, NumericError, ValueError) as exc:
         message = str(exc)
-        if "integer string conversion" in message:      # Python's own digit limit
-            message = ("a number in the result is longer than Python prints (4300 digits "
-                       "by default); the environment variable PYTHONINTMAXSTRDIGITS raises "
-                       "the limit, and 0 lifts it")
+        if DIGIT_LIMIT in message:     # input numbers are named where they are read
+            message = f"a number in the result is longer than Python prints {DIGIT_LIMIT_HINT}"
         _diag(f"input error: {message}")
         return EXIT_INPUT
 

@@ -19,20 +19,21 @@ basepoint cuts the jet space down until the dimension stabilizes; all of
 this is exact Gaussian-rational arithmetic, so the dimensions (at most 6)
 are exact integers.  ``killing_jet_space`` builds the prolongation once, as
 a :class:`JetSystem`, and its frozen :class:`KillingJetSpace` is what
-carries that system on to the Lie layer.  The module holds no float code:
-:class:`JetField` extends a real jet through ``numeric.jet_transport``.
+carries that system, symbolic, on to the Lie layer, which evaluates
+d_m v = M_m(P) v where it needs second derivatives.  The module holds no
+float code: :class:`JetField` extends a real jet through
+``numeric.jet_transport``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import chain, product
 
 from . import linalg
 from .numeric import jet_transport
 from .scalars import Scalar
-from .surface import AffineSurface
+from .surface import AffineSurface, read_json
 from .symexpr import Expr, parse
 
 JET_DIM = 6
@@ -159,18 +160,17 @@ def is_killing(s: AffineSurface, X: VectorField) -> bool:
 
 @dataclass(frozen=True)
 class JetSystem:
-    """One surface's prolongation: symbolic M1, M2 (d_i v = M_i v), the
-    K_12 - K_21 consistency rows C0, and the exact rows giving
-    dd_ij a^k = row . v at the basepoint, keyed (i, j, k)."""
+    """One surface's prolongation, symbolic: M1, M2 (d_i v = M_i v) and the
+    K_12 - K_21 consistency rows C0.  Row b^k_l of M_m gives
+    d_m d_l a^k = row . v, so d_1 d_2 a^k sits in both M1 and M2."""
 
     m1: ExprMat
     m2: ExprMat
     c0: list[list[Expr]]
-    second: dict[tuple[int, int, int], list[Scalar]]
 
 
 def prolongation_symbolic(s: AffineSurface) -> JetSystem:
-    """Build the surface's prolongation and evaluate its second-derivative rows."""
+    """Build the surface's prolongation; nothing is evaluated."""
     one = Expr.const(1)
     dd = {(i, j, k): _second_derivative_row(s, i, j, k) for i, j, k in product((1, 2), repeat=3)}
     m1: ExprMat = [_zero_row() for _ in range(JET_DIM)]
@@ -186,11 +186,7 @@ def prolongation_symbolic(s: AffineSurface) -> JetSystem:
         m2[_idx_b(k, 2)] = dd[2, 2, k]
     # K_12^k - K_21^k = (row(2,1,k) - row(1,2,k)) . v
     c0 = [[a - b for a, b in zip(dd[2, 1, k], dd[1, 2, k])] for k in (1, 2)]
-    # dd_ij a^k (i <= j) is row b^k_j of M_i; dd_21 a^k = dd_12 a^k.
-    second = {(i, j, k): [e.eval_exact(s.basepoint)
-                          for e in (m1, m2)[min(i, j) - 1][_idx_b(k, max(i, j))]]
-              for i, j, k in product((1, 2), repeat=3)}
-    return JetSystem(m1, m2, c0, second)
+    return JetSystem(m1, m2, c0)
 
 
 def _derive_row(row: list[Expr], m: ExprMat, var: str) -> list[Expr]:
@@ -320,8 +316,4 @@ def field_from_json(data) -> VectorField:
 
 
 def load_field(path) -> VectorField:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return field_from_json(json.load(fh))
-        except RecursionError:
-            raise KillingError("field file JSON is nested too deeply to read") from None
+    return field_from_json(read_json(path, KillingError, "field file"))

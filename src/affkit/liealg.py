@@ -1,7 +1,7 @@
 """Lie-algebra layer over Killing jets: brackets, spectra, classification.
 
 The Killing fields of a surface close under the Lie bracket.  Working at
-the 1-jet level (second derivatives supplied exactly by the prolongation),
+the 1-jet level (second derivatives d_m v = M_m(P) v at the basepoint P),
 this module computes structure constants, the grading of the generalized
 ad-eigenspaces, effectivity certificates, and searches for subalgebra
 witnesses of the three target presentations:
@@ -20,12 +20,12 @@ and through its one extension rule, ``gauss_bilinear``.  One integer
 bracket kernel serves ``bracket_jets`` and ``_jet_bracket``, the one
 bracket of coefficient vectors computed from the jets, behind both the
 structure constants and the witness checks.  Every entry point takes just
-the surface and solves its jets once: ``structure_constants`` reads the
-basis jets' second derivatives off the ``killing.JetSystem`` that
-``killing_jet_space`` returns, and ``classify`` keeps that presentation as
-its result's ``algebra``.  Each jet is extended by its second derivatives
-and the whole extended matrix is cleared over one denominator D
-(``IntJets.den``), so every bracket of two extended jets lies over D^2.
+the surface: ``structure_constants`` extends the basis jets through the
+``killing.JetSystem`` that ``killing_jet_space`` returns, ``classify``
+keeps that presentation as its ``algebra``, and ``bracket_jets`` builds
+only the symbolic prolongation.  Each jet is extended by its second
+derivatives and the whole extended matrix is cleared over one denominator
+D (``IntJets.den``), so every bracket of two extended jets lies over D^2.
 The basis is ``Echelon.nullspace()``'s canonical one, so a bracket's
 coordinates are read off its entries at the basis' free columns and
 checked in integers, with no solve.  A presentation is frozen, and
@@ -82,12 +82,6 @@ class ClassificationInconclusive(LieAlgError):
 # brackets
 # ---------------------------------------------------------------------------
 
-# An extended jet: the six jet entries of a field, then its eight second
-# derivatives dd_ij a^k at the basepoint, in this table's key order;
-# ``JetSystem.second`` is read by key.
-_SECOND = {key: JET_DIM + n for n, key in enumerate(product((1, 2), repeat=3))}
-
-
 def _bracket_terms() -> list[tuple[int, int, int]]:
     """(out, a, b) with [X, Y][out] += x[a] y[b] - x[b] y[a]: the jet of
     [X, Y]^k = X^l d_l Y^k - Y^l d_l X^k and of its first derivatives,
@@ -98,7 +92,8 @@ def _bracket_terms() -> list[tuple[int, int, int]]:
         terms.append((k - 1, l - 1, b(k, l)))
         for m in (1, 2):
             terms.append((b(k, m), b(l, m), b(k, l)))
-            terms.append((b(k, m), l - 1, _SECOND[(m, l, k)]))
+            # d_m d_l a^k is row b^k_l of M_m v: row 4 m + b(k, l) of ``_int_jets``
+            terms.append((b(k, m), l - 1, 4 * m + b(k, l)))
     return [t for t in terms if t[1] != t[2]]
 
 
@@ -122,7 +117,7 @@ def bracket_jets(s: AffineSurface, vx: Jet1, vy: Jet1) -> Jet1:
     Z[i] on the two jets extended as in ``IntJets``, over den, and lies
     over den^2.
     """
-    ints = _int_jets([vx, vy], prolongation_symbolic(s))
+    ints = _int_jets([vx, vy], prolongation_symbolic(s), s.basepoint)
     br = gauss_bilinear(_bracket_kernel, gauss_column(ints.ext, 0), gauss_column(ints.ext, 1))
     return Jet1.from_vector(to_scalars(br, ints.den ** 2))
 
@@ -137,7 +132,8 @@ class IntJets(NamedTuple):
     pair that ``bracket_jets`` brackets.
 
     Column k of ``ext`` is den times jet k (rows 0-5), followed by den
-    times its second derivatives (rows 6-13), so the bracket of two columns
+    times rows b^k_l of M1(P) v, then of M2(P) v, its second derivatives
+    d_m d_l a^k (rows 6-13), so the bracket of two columns
     lies over den^2.  Rows 0-5 over den are the transposed basis, the one
     copy a presentation stores: a bracket's coordinates are read off at its
     free columns (``_read_off``), and rows 0 and 1 evaluate the fields at P.
@@ -147,15 +143,15 @@ class IntJets(NamedTuple):
     ext: GaussMat
 
 
-def _int_jets(jets, system: JetSystem) -> IntJets:
-    """The jets extended by their second derivatives ``system.second . jet``
-    in ``_SECOND`` order, the 14 x n matrix cleared once.  The products run
-    over each jet's nonzero entries only, as basis jets are mostly zero."""
+def _int_jets(jets, system: JetSystem, point) -> IntJets:
+    """The jets extended by M_m . jet at the basepoint ``point``, the 14 x n
+    matrix cleared once.  Only rows b^k_l of M1, M2 are evaluated (rows a^k
+    repeat jet entries), and their products skip each jet's zero entries."""
     cols = [j.as_vector() for j in jets]
     support = [[(r, x) for r, x in enumerate(col) if not x.is_zero] for col in cols]
     ext = [[col[r] for col in cols] for r in range(JET_DIM)]
-    for key in _SECOND:
-        row = system.second[key]
+    for exprs in system.m1[2:] + system.m2[2:]:
+        row = [e.eval_exact(point) for e in exprs]
         ext.append([sum((row[r] * x for r, x in nz if not row[r].is_zero), ZERO)
                     for nz in support])
     return IntJets(*clear_denominators(ext))
@@ -286,7 +282,7 @@ def structure_constants(s: AffineSurface) -> LieAlgebraPresentation:
     each pair of basis jets is bracketed by ``_jet_bracket``."""
     ks = killing_jet_space(s)
     n = ks.dim
-    ints = _int_jets(ks.basis, ks.system)
+    ints = _int_jets(ks.basis, ks.system, s.basepoint)
     c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
     for i, j in combinations(range(n), 2):
         c[i][j] = _jet_bracket(ints, _unit(n, i), _unit(n, j), f"bracket of basis jets {i},{j}")

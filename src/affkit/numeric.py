@@ -33,6 +33,10 @@ from .surface import GAMMA_KEYS, AffineSurface
 from .symexpr import compile_exprs
 
 FD_STENCIL = 1e-3
+# The most steps one ``_rk4`` call may take: max|span| / step.  The tests
+# reach 1 000 and the benchmark pools 226; past the bound a flow or chart
+# raises NumericError before its first step instead of running for ages.
+MAX_RK4_STEPS = 10_000
 
 
 class NumericError(Exception):
@@ -128,9 +132,11 @@ def _rk4(rhs, y: np.ndarray, spans, step: float) -> np.ndarray:
     The step rule lives here only: ceil(max|span| / step) fixed steps for
     every row, so a row's result depends on the largest span in its batch;
     when every span is zero, ``y`` comes back unchanged and ``rhs`` is never
-    called.  The state update is compensated (Kahan) so that roundoff does
-    not accumulate over steps; stencil differences of flowed points then
-    sit at the single-rounding floor.
+    called.  A negative step, a non-finite span or more than MAX_RK4_STEPS
+    steps raise NumericError before the first step.  The state update is
+    compensated (Kahan) so that roundoff does not accumulate over steps;
+    stencil differences of flowed points then sit at the single-rounding
+    floor.
 
     The stage states and the weighted sum k1 + 2 k2 + 2 k3 + k4 live in two
     buffers that every step reuses.  Each value is computed by the same
@@ -139,7 +145,12 @@ def _rk4(rhs, y: np.ndarray, spans, step: float) -> np.ndarray:
     caller's ``y``, nor an array that ``rhs`` returns unless it is the stage
     buffer ``rhs`` was handed (whose result is exact all the same).
     """
-    n_steps = math.ceil(float(np.max(np.abs(spans))) / step)
+    ratio = float(np.max(np.abs(spans))) / step
+    if not 0 <= ratio <= MAX_RK4_STEPS:
+        raise NumericError(f"integration needs span / step = {ratio:.3g} RK4 steps; the step "
+                           f"must be positive and the steps at most MAX_RK4_STEPS = "
+                           f"{MAX_RK4_STEPS}")
+    n_steps = math.ceil(ratio)
     h = 1.0 / max(n_steps, 1)
     t = 0.0
     comp = np.zeros_like(y)

@@ -13,10 +13,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+# Python reads and prints int <-> decimal strings up to a digit limit; its
+# ValueError says DIGIT_LIMIT, and DIGIT_LIMIT_HINT tells a user the way out.
+DIGIT_LIMIT = "integer string conversion"
+DIGIT_LIMIT_HINT = ("(4300 digits by default); the environment variable PYTHONINTMAXSTRDIGITS "
+                    "raises the limit, and 0 lifts it")
+
+
 def as_fraction(x) -> Fraction:
     """Coerce ints, Fractions, and 'p/q' strings to an exact Fraction.
 
-    A malformed string or one with a zero denominator raises ValueError.
+    A malformed string, one with a zero denominator or one with more digits
+    than Python reads raises ValueError.
     """
     if isinstance(x, Fraction):
         return x
@@ -27,6 +35,11 @@ def as_fraction(x) -> Fraction:
             return Fraction(x.strip())
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {x!r}") from None
+        except ValueError as exc:
+            if DIGIT_LIMIT not in str(exc):
+                raise
+            raise ValueError(f"an input number of {len(x)} characters is longer than Python "
+                             f"reads {DIGIT_LIMIT_HINT}") from None
     raise TypeError(f"cannot coerce {x!r} to an exact rational")
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .scalars import ONE, as_fraction
+from .scalars import DIGIT_LIMIT, DIGIT_LIMIT_HINT, ONE, as_fraction
 from .symexpr import Expr, NotExactlyEvaluable, parse
 
 GAMMA_KEYS = ("111", "112", "121", "122", "211", "212", "221", "222")
@@ -88,6 +88,10 @@ def parse_domain(note: str) -> tuple[float, float]:
 
 
 def _bound(text: str) -> float:
+    """A matched bound p/q or pi/q; a zero q is named as the note wrote it."""
+    den = text.partition("/")[2]
+    if den and not den.strip("0"):
+        raise ValueError(f"zero denominator in {text!r}")
     return float(as_fraction(text.replace("pi", "1"))) * (math.pi if "pi" in text else 1)
 
 
@@ -234,9 +238,20 @@ def surface_from_json(data) -> AffineSurface:
     return make_surface(gamma, (as_fraction(bp[0]), as_fraction(bp[1])), domain)
 
 
-def load_surface(path) -> AffineSurface:
+def read_json(path, error: type[Exception], what: str):
+    """A JSON file's content.  JSON nested too deeply, or an integer longer
+    than Python reads, raises ``error`` naming the ``what`` file."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return surface_from_json(json.load(fh))
+            return json.load(fh)
         except RecursionError:
-            raise SurfaceError("surface file JSON is nested too deeply to read") from None
+            raise error(f"{what} JSON is nested too deeply to read") from None
+        except ValueError as exc:
+            if DIGIT_LIMIT not in str(exc):
+                raise
+            raise error(f"{what} holds an integer longer than Python reads "
+                        f"{DIGIT_LIMIT_HINT}") from None
+
+
+def load_surface(path) -> AffineSurface:
+    return surface_from_json(read_json(path, SurfaceError, "surface file"))

@@ -356,12 +356,16 @@ def grading_reference(L, xi: list) -> bool:
 # jet brackets over the field
 # ---------------------------------------------------------------------------
 
-def bracket_reference(system, x: list, y: list) -> list:
+def bracket_reference(system, point, x: list, y: list) -> list:
     """Jet vector of [X, Y] from the jet vectors x, y of two Killing fields,
     in Scalars: [X, Y]^k = X^l d_l Y^k - Y^l d_l X^k and its first
-    derivatives, with dd_ij a^k = ``system.second[(i, j, k)]`` . v."""
+    derivatives.  dd_ml a^k = dd_lm a^k is read as row b^k_j of M_i(P) . v
+    with i <= j, so d_2 d_1 comes from M1, not from M2 as in ``liealg``."""
+    rows = {(m, l, k): [e.eval_exact(point) for e in
+                        (system.m1, system.m2)[min(m, l) - 1][2 * k + max(m, l) - 1]]
+            for m, l, k in product((1, 2), repeat=3)}
     ddx, ddy = ({key: sum((r * a for r, a in zip(row, v)), ZERO)
-                 for key, row in system.second.items()} for v in (x, y))
+                 for key, row in rows.items()} for v in (x, y))
     b = lambda v, k, i: v[2 * k + i - 1]     # d_i a^k in the jet layout
     out = [ZERO] * 6
     for k, l in product((1, 2), repeat=2):

@@ -14,7 +14,7 @@ import pytest
 
 import affkit.cli
 import affkit.surface
-from affkit.cli import main
+from affkit.cli import MAX_GRID, main
 from affkit.surface import (sphere, surface_from_json, surface_to_json, type_a,
                             type_b)
 from affkit.symexpr import MAX_EXPONENT
@@ -243,6 +243,21 @@ def test_chart_non_finite_config_exits_two(option, value, files, capsys):
                              "--field", files["d1"], "--field", files["d2"], option, value)
     assert code == 2 and payload is None
     assert "invalid run configuration" in err
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--step", "1e-300", "MAX_RK4_STEPS"), ("--half-width", "1e300", "MAX_RK4_STEPS"),
+    ("--step", "1e-7", "MAX_RK4_STEPS"), ("--grid", str(MAX_GRID + 1), f"grid <= {MAX_GRID}"),
+])
+def test_chart_past_a_work_bound_exits_two_at_once(option, value, message, files, capsys):
+    # Unbounded, --step 1e-300 or --half-width 1e300 asked for ~1e300 RK4 steps.
+    start = time.perf_counter()
+    code, payload, err = run(capsys, "chart", files["flat"], "--mode", "normalize",
+                             "--field", files["d2"], option, value)
+    assert code == 2 and payload is None
+    assert "input error" in err or "invalid run configuration" in err
+    assert message in err
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("mode, fields", [
@@ -605,6 +620,34 @@ def test_zero_denominators_exit_two(domain, basepoint, tmp_path, capsys):
     code, payload, err = run(capsys, "killing", str(path), "--dim")
     assert code == 2 and payload is None
     assert "input error" in err and "zero denominator" in err
+
+
+def test_a_zero_pi_denominator_is_quoted_as_written(tmp_path, capsys):
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps({"domain": "x1 < pi/0"}))
+    code, payload, err = run(capsys, "killing", str(path), "--dim")
+    assert code == 2 and payload is None
+    assert "zero denominator in 'pi/0'" in err
+
+
+LONG = "1" * 5000    # past Python's 4 300-digit limit on reading an int
+
+
+@pytest.mark.parametrize("text, argv, named", [
+    (json.dumps({"basepoint": [LONG, "0"]}), ("killing",), "an input number"),
+    (json.dumps({"domain": f"x1 > {LONG}"}), ("killing",), "an input number"),
+    ('{"basepoint": [%s, 0]}' % LONG, ("killing",), "surface file holds an integer"),
+    ('{"a1": %s}' % LONG, ("killing", "{flat}", "--check"), "field file holds an integer"),
+], ids=["basepoint-string", "domain-bound", "basepoint-json-int", "field-json-int"])
+def test_an_input_number_past_the_digit_limit_is_named(text, argv, named, files, tmp_path,
+                                                       capsys):
+    # These were blamed on a number "in the result".
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    code, payload, err = run(capsys, *(arg.format(**files) for arg in argv), str(path))
+    assert code == 2 and payload is None and "Traceback" not in err
+    assert named in err and "PYTHONINTMAXSTRDIGITS" in err
+    assert "in the result" not in err and LONG[:100] not in err
 
 
 def test_verify_paper_negative_sweep_exits_two(capsys):

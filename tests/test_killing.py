@@ -202,6 +202,18 @@ def test_prolongation_type_b_entries_linear_in_constants(va, vb):
                 assert got == want
 
 
+@pytest.mark.parametrize("s", [type_a({"111": 1, "122": -2}), type_b({"221": 1}), sphere()],
+                         ids=["type_a", "type_b", "sphere"])
+def test_prolongation_evaluates_nothing(s, monkeypatch):
+    # M1 and M2 are the only second-order data: the Lie layer evaluates them
+    # at P where it extends a jet, so building the system evaluates nothing.
+    calls = []
+    original = Expr.eval_exact
+    monkeypatch.setattr(Expr, "eval_exact", lambda e, *a: calls.append(e) or original(e, *a))
+    prolongation_symbolic(s)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # jet space dimensions
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Integrators and the numeric Killing oracles."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import affkit.numeric
 from affkit.coords import commuting_chart, normalize_chart, type_b_chart
 from affkit.killing import Jet1, JetField, VectorField, jet_of, killing_jet_space, residuals
 from affkit.numeric import (
-    FD_STENCIL, DomainExit, Grid, NumericError, _rk4, default_grid, fd_residuals,
+    FD_STENCIL, MAX_RK4_STEPS, DomainExit, Grid, NumericError, _rk4, default_grid, fd_residuals,
     field_fn, flow, flow_batch, flow_preserves_connection, geodesic_endpoints, stencil,
     symbols_fn,
 )
@@ -29,6 +30,20 @@ ZERO_FIELD = VectorField(parse("0"), parse("0"))
 
 def test_flow_of_translation():
     assert flow(D2, (0.0, 0.0), 1.0) == pytest.approx((0.0, 1.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("t, step", [(1e300, 1e-3), (1.0, 1e-300), (1.01 * MAX_RK4_STEPS, 1.0),
+                                     (1.0, -1e-3)])
+def test_flow_past_the_step_bound_raises_before_stepping(t, step):
+    # A negative step took no step at all and returned the start point.
+    start = time.perf_counter()
+    with pytest.raises(NumericError, match="MAX_RK4_STEPS"):
+        flow(D2, (0.0, 0.0), t, step)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_flow_at_the_step_bound_runs():
+    assert flow(D2, (0.0, 0.0), MAX_RK4_STEPS * 1e-4, 1e-4)[1] == pytest.approx(1.0)
 
 
 def test_flow_of_linear_field_matches_exponential():
