@@ -21,7 +21,7 @@ from .killing import (KillingError, killing_jet_space, load_field,
                       residuals)
 from .liealg import (ClassificationInconclusive, LieAlgError,
                      NotHomogeneousCandidate, classify)
-from .numeric import NumericError
+from .numeric import NumericError, float_basepoint
 from .scalars import DIGIT_LIMIT, DIGIT_LIMIT_HINT
 from .surface import (SurfaceError, curvature, load_surface, nabla_ricci, ricci,
                       torsion)
@@ -92,7 +92,7 @@ def cmd_killing(args) -> int:
         field = load_field(args.check)
         res = residuals(s, field)
         symbolic_zero = {key: e.is_zero for key, e in res.items()}
-        x1, x2 = float(s.basepoint[0]), float(s.basepoint[1])
+        x1, x2 = float_basepoint(s)
         # Step towards the domain's right end by at most half the distance;
         # a step onto a pole of the residuals (x1 = 0 or cos x1 = 0) is
         # halved, and the poles lie too far apart for that to meet another.

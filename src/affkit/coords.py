@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .killing import VectorField, bracket_fields, is_killing
-from .numeric import (Grid, field_fn, flow_batch, geodesic_endpoints,
+from .numeric import (Grid, field_fn, float_basepoint, flow_batch, geodesic_endpoints,
                       pullback_gamma_batch, stencil, symbols_fn)
 from .surface import AffineSurface
 from .symexpr import Expr
@@ -148,7 +148,7 @@ def normalize_chart(s: AffineSurface, xi: VectorField, *,
     """
     if not is_killing(s, xi):
         raise NotKilling("the supplied field does not satisfy the Killing equations")
-    c = center or (float(s.basepoint[0]), float(s.basepoint[1]))
+    c = center or float_basepoint(s)
     f, xi_at_c = _value_at(xi, c)
     if math.hypot(*xi_at_c) < 1e-9:
         raise ZeroAtBasepoint("the field vanishes at the chart center")
@@ -182,7 +182,7 @@ def _effective_pair(s: AffineSurface, X: VectorField, Y: VectorField,
     br = bracket_fields(X, Y)
     if not ((br.a1 - bracket.a1).is_zero and (br.a2 - bracket.a2).is_zero):
         raise bad_relation
-    c = center or (float(s.basepoint[0]), float(s.basepoint[1]))
+    c = center or float_basepoint(s)
     (fx, xv), (fy, yv) = _value_at(X, c), _value_at(Y, c)
     if abs(xv[0] * yv[1] - xv[1] * yv[0]) < 1e-9:
         raise NotEffective("X(P) and Y(P) do not span the tangent plane")

@@ -10,32 +10,29 @@ witnesses of the three target presentations:
     affine pair         [X, Y] = Y            ("TypeB")
     rotation triple     [X, Y] = Z, [Y, Z] = X, [Z, X] = Y   ("so3")
 
-Witnesses are certificates: every reported relation, so3's included, is
-re-verified exactly through the jet bracket before it is returned.  The so3
-branch is one exact Gram-Schmidt against the Killing form; numpy only
-proposes Type B eigenvalues, and each is tested exactly.
+Jets are bracketed once, while ``structure_constants`` builds the
+presentation: the basis jets of the ``killing.JetSystem`` that
+``killing_jet_space`` returns are extended by their second derivatives,
+cleared over one denominator D (``IntJets.den``) and bracketed pairwise by
+one integer kernel over the Gaussian integers Z[i], so every bracket lies
+over D^2.  The basis is ``Echelon.nullspace()``'s canonical one, so a
+bracket's coordinates are read off its free columns and checked in
+integers, with no solve; a bracket that leaves the span raises
+SolveFailure.  The frozen presentation derives den * ad(e_i) from those
+constants once, so no table can go stale, and no jet is bracketed again:
+the jet bracket is bilinear, so every ad, every bracket of coefficient
+vectors and the Killing form tr(ad e_i ad e_j) read the Z[i] tables
+(``int_ad``) exactly.  The witness searches work on den * ad(x) in Python
+integers; the grading check tests whether the semisimple part of
+den * ad(xi) is a derivation, with no eigenvalue computed; effectivity is
+a 2 x 2 determinant in Z[i] of the fields' values at P.
 
-The layer runs over the Gaussian integers Z[i], in ``linalg``'s format
-and through its one extension rule, ``gauss_bilinear``.  One integer
-bracket kernel serves ``bracket_jets`` and ``_jet_bracket``, the one
-bracket of coefficient vectors computed from the jets, behind both the
-structure constants and the witness checks.  Every entry point takes just
-the surface: ``structure_constants`` extends the basis jets through the
-``killing.JetSystem`` that ``killing_jet_space`` returns, ``classify``
-keeps that presentation as its ``algebra``, and ``bracket_jets`` builds
-only the symbolic prolongation.  Each jet is extended by its second
-derivatives and the whole extended matrix is cleared over one denominator
-D (``IntJets.den``), so every bracket of two extended jets lies over D^2.
-The basis is ``Echelon.nullspace()``'s canonical one, so a bracket's
-coordinates are read off its entries at the basis' free columns and
-checked in integers, with no solve.  A presentation is frozen, and
-den * ad(e_i) is derived once from the structure constants, when it is
-built, so no table can go stale.  Effectivity is a 2 x 2 determinant in
-Z[i].  Every ad, every bracket of coefficient vectors and the Killing form
-tr(ad e_i ad e_j) come from the presentation's Z[i] tables (``int_ad``):
-the witness searches work on den * ad(x) in Python integers, and the
-grading check tests whether the semisimple part of den * ad(xi), exact
-over Q(i), is a derivation, with no eigenvalue computed.
+``"verified": true`` certifies relations that hold exactly in tables read
+off span-checked jet brackets.  A TypeA or TypeB pair comes from a kernel
+of den * ad(x) - den * lam, so its relation holds by construction (a TypeA
+pair inside the kernel is checked by ``bracket_coeffs``); the so3 frame is
+one exact Gram-Schmidt against the Killing form, and ``_so3_frame`` tests
+its relations.  numpy only proposes Type B eigenvalues, each tested exactly.
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ import numpy as np
 from . import linalg
 from .linalg import (GaussMat, GaussVec, clear_denominators, gauss_bilinear, gauss_column,
                      gauss_row, int_mat_vec, scalar_rows, to_scalars)
-from .killing import JET_DIM, Jet1, JetSystem, killing_jet_space, prolongation_symbolic
+from .killing import JET_DIM, JetSystem, killing_jet_space
 from .scalars import ONE, ZERO, Scalar
 from .surface import AffineSurface
 
@@ -67,7 +64,8 @@ class LieAlgError(Exception):
 
 
 class SolveFailure(LieAlgError):
-    """A bracket jet left the span of the basis (the jet space is not closed)."""
+    """The bracket of two basis jets left their span (the jet space is not
+    closed); ``structure_constants`` names the pair."""
 
 
 class NotHomogeneousCandidate(LieAlgError):
@@ -109,34 +107,20 @@ def _bracket_kernel(x: list[int], y: list[int]) -> list[int]:
     return out
 
 
-def bracket_jets(s: AffineSurface, vx: Jet1, vy: Jet1) -> Jet1:
-    """Jet of [X, Y] from the jets of two Killing fields.
-
-    [X, Y]^k = X^l d_l Y^k - Y^l d_l X^k, differentiated once with the
-    second derivatives of the surface's jet system.  The bracket runs over
-    Z[i] on the two jets extended as in ``IntJets``, over den, and lies
-    over den^2.
-    """
-    ints = _int_jets([vx, vy], prolongation_symbolic(s), s.basepoint)
-    br = gauss_bilinear(_bracket_kernel, gauss_column(ints.ext, 0), gauss_column(ints.ext, 1))
-    return Jet1.from_vector(to_scalars(br, ints.den ** 2))
-
-
 # ---------------------------------------------------------------------------
 # presentations
 # ---------------------------------------------------------------------------
 
 class IntJets(NamedTuple):
-    """Extended jets over Z[i], all over one denominator ``den``: a
-    presentation's basis, derived once by ``structure_constants``, or the
-    pair that ``bracket_jets`` brackets.
+    """A presentation's basis jets over Z[i], extended and cleared over one
+    denominator ``den`` once, by ``structure_constants``.
 
     Column k of ``ext`` is den times jet k (rows 0-5), followed by den
     times rows b^k_l of M1(P) v, then of M2(P) v, its second derivatives
-    d_m d_l a^k (rows 6-13), so the bracket of two columns
-    lies over den^2.  Rows 0-5 over den are the transposed basis, the one
-    copy a presentation stores: a bracket's coordinates are read off at its
-    free columns (``_read_off``), and rows 0 and 1 evaluate the fields at P.
+    d_m d_l a^k (rows 6-13), so the bracket of two columns lies over den^2.
+    Rows 0-5 over den are the transposed basis, the one copy a presentation
+    stores: the structure constants are read off it at its free columns
+    (``_read_off``), and rows 0 and 1 evaluate the fields at P.
     """
 
     den: int
@@ -178,34 +162,16 @@ def _read_off(ints: IntJets, b: GaussVec) -> GaussVec | None:
     return x if inside else None
 
 
-def _jet_bracket(ints: IntJets, u: list[Scalar], v: list[Scalar], what: str) -> list[Scalar]:
-    """[u, v] for coefficient vectors over the basis, computed straight from
-    the jets: the one jet bracket behind the structure constants and the
-    witness checks.
-
-    u and v share a denominator d; their extended jets lie over den * d, so
-    the bracket lies over (den * d)^2, and its coordinates read off the
-    basis (``_read_off``) are rescaled by 1 / (den * d)^2.  A bracket that
-    leaves the span raises SolveFailure naming ``what``.
-    """
-    d, cleared = clear_denominators([u, v])
-    x, y = (gauss_bilinear(int_mat_vec, ints.ext, gauss_row(cleared, r)) for r in (0, 1))
-    coords = _read_off(ints, gauss_bilinear(_bracket_kernel, x, y))
-    if coords is None:
-        raise SolveFailure(f"{what} left the jet space")
-    return to_scalars(coords, (ints.den * d) ** 2)
-
-
 @dataclass(frozen=True)
 class LieAlgebraPresentation:
     """Structure constants over a jet basis, frozen.
 
     ``int_jets`` holds the basis jets and their second derivatives over
-    Z[i] (``IntJets``), for jet brackets, evaluation at P and effectivity;
-    ``structure_constants`` derives it from the surface's jet system for
-    its own brackets and hands it over.  ``c`` is stored as tuples and is
-    read once, at construction, to derive the ad tables, so they cannot go
-    stale: ``den`` is the least common denominator of the structure
+    Z[i] (``IntJets``); ``structure_constants`` brackets them once and hands
+    them over, and afterwards they serve only evaluation at P and
+    effectivity.  ``c`` is stored as tuples and is read once, at
+    construction, to derive the ad tables, so they cannot go stale:
+    ``den`` is the least common denominator of the structure
     constants, and ``ad_re``/``ad_im`` hold den * ad(e_i) over the
     Gaussian integers as sparse (row, column, value) entries, so
     den * ad(x) for an integer x is plain int arithmetic (``int_ad``);
@@ -278,14 +244,23 @@ class LieAlgebraPresentation:
 
 
 def structure_constants(s: AffineSurface) -> LieAlgebraPresentation:
-    """Exact structure constants of the Killing algebra in the jet basis:
-    each pair of basis jets is bracketed by ``_jet_bracket``."""
+    """Exact structure constants of the Killing algebra in the jet basis.
+
+    The one place jets are bracketed: columns i and j of the extended basis
+    (``IntJets``) go through the integer kernel, and the bracket's
+    coordinates, over den^2, are read off the basis (``_read_off``).  A
+    bracket that leaves the span raises SolveFailure naming the pair.
+    """
     ks = killing_jet_space(s)
     n = ks.dim
     ints = _int_jets(ks.basis, ks.system, s.basepoint)
     c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
     for i, j in combinations(range(n), 2):
-        c[i][j] = _jet_bracket(ints, _unit(n, i), _unit(n, j), f"bracket of basis jets {i},{j}")
+        br = gauss_bilinear(_bracket_kernel, gauss_column(ints.ext, i), gauss_column(ints.ext, j))
+        coords = _read_off(ints, br)
+        if coords is None:
+            raise SolveFailure(f"bracket of basis jets {i},{j} left the jet space")
+        c[i][j] = to_scalars(coords, ints.den ** 2)
         c[j][i] = [-y for y in c[i][j]]
     return LieAlgebraPresentation(n, c, ints)
 
@@ -428,11 +403,6 @@ def _search_candidates(n: int):
                 return
 
 
-def _verified_bracket(L, u, v) -> list[Scalar]:
-    """The witness check: ``_jet_bracket`` over the presentation's jets."""
-    return _jet_bracket(L.int_jets, u, v, "witness bracket")
-
-
 def _type_a_at(L, ints, ad: GaussMat) -> Witness | None:
     """Commuting effective pairs among the integer candidate x and the
     kernel of ad(x), taken from ad = den * ad(x), which has the same kernel."""
@@ -442,9 +412,7 @@ def _type_a_at(L, ints, ad: GaussMat) -> Witness | None:
         # [x, v] = ad(x) v vanishes on the kernel; only kernel pairs can fail.
         if u is not x and not all(e.is_zero for e in L.bracket_coeffs(u, v)):
             continue
-        if not effective(L, [u, v]):
-            continue
-        if all(e.is_zero for e in _verified_bracket(L, u, v)):
+        if effective(L, [u, v]):
             return Witness("TypeA", [u, v], "[X,Y]=0")
     return None
 
@@ -453,8 +421,9 @@ def _type_b_at(L, ints, ad: GaussMat, diagnostics) -> Witness | None:
     """Spectra in Python integers: ad = den * ad(x) from the presentation's
     tables, its monic Z[i] characteristic polynomial, and the exact root
     test.  A rational eigenvalue lam has den * lam in Z, so its eigenvectors
-    are the kernel of the integer matrix den * ad(x) - den * lam."""
-    n, den = L.dim, L.den
+    are the kernel of the integer matrix den * ad(x) - den * lam, and
+    [x / lam, y] = y holds for each of them by construction."""
+    den = L.den
     poly = linalg.int_charpoly(*ad)
     try:
         coeffs = linalg.float_coeffs(poly, den)
@@ -473,10 +442,7 @@ def _type_b_at(L, ints, ad: GaussMat, diagnostics) -> Witness | None:
         x = x or [Scalar.of(v) for v in ints]
         for y in _shifted_kernel(ad, int(lam.re * den)):
             x_scaled = [xi / lam for xi in x]
-            if not effective(L, [x_scaled, y]):
-                continue
-            got = _verified_bracket(L, x_scaled, y)
-            if all((got[k] - y[k]).is_zero for k in range(n)):
+            if effective(L, [x_scaled, y]):
                 return Witness("TypeB", [x_scaled, y], "[X,Y]=Y")
     return None
 
@@ -537,15 +503,13 @@ def _so3_frame(L) -> tuple[list[list[Scalar]], list[Scalar]] | None:
 
 
 def _find_so3(L) -> Witness | None:
-    """``_so3_frame``'s triple, each relation re-verified by the jet bracket."""
+    """``_so3_frame``'s triple and its relations, each tested exactly there."""
     found = _so3_frame(L)
     if found is None:
         return None
     f, ks = found
     relations = []
     for (a, b, c), k in zip(_CYCLE, ks):
-        if _verified_bracket(L, f[a], f[b]) != [k * x for x in f[c]]:
-            return None
         k = "" if k == ONE else str(k.re) if k.re.denominator == 1 else f"({k.re})"
         relations.append(f"[{'XYZ'[a]},{'XYZ'[b]}]={k}{'XYZ'[c]}")
     return Witness("so3", f, ", ".join(relations))
@@ -555,8 +519,10 @@ def classify(s: AffineSurface) -> ClassificationResult:
     """Search the Killing algebra for certified subalgebra witnesses.
 
     Branches are reported in the order TypeA, TypeB, so3 and are not
-    exclusive; each witness' relations are re-verified exactly through the
-    jet bracket.  A so3 coefficient other than 1 is printed: [Y,Z]=2X.
+    exclusive.  Each witness' relations hold exactly in the presentation's
+    tables, read off span-checked jet brackets (see the module docstring);
+    no jet is bracketed again.  A so3 coefficient other than 1 is printed:
+    [Y,Z]=2X.
     """
     L = structure_constants(s)
     if L.dim < 2:

@@ -65,11 +65,21 @@ class Grid:
         return np.array([(x, y) for x in xs for y in ys])
 
 
+def float_basepoint(s: AffineSurface) -> tuple[float, float]:
+    """The exact basepoint rounded to floats; NumericError when a
+    coordinate lies beyond the float range."""
+    try:
+        return float(s.basepoint[0]), float(s.basepoint[1])
+    except OverflowError:
+        raise NumericError("the basepoint lies beyond the float range of the numeric "
+                           "layer") from None
+
+
 def default_grid(s: AffineSurface, n: int = 5, half_width: float = 0.2,
                  center: tuple[float, float] | None = None) -> Grid:
     """Grid around the basepoint, shrunk near the domain boundary so that
     the reach of ``stencil`` (2 * FD_STENCIL) stays inside the domain."""
-    c = center or (float(s.basepoint[0]), float(s.basepoint[1]))
+    c = center or float_basepoint(s)
     lo, hi = s.domain_bounds()
     room = min(c[0] - lo, hi - c[0]) - 2 * FD_STENCIL
     hw = min(half_width, 0.8 * room)
@@ -250,7 +260,7 @@ def jet_transport(s: AffineSurface, matrices, step: float = 1e-3):
         entries = _real_array_fn([m[r][c] for r, c in zip(rows, cols)],
                                  "jet extension needs a real jet system")
         legs.append((cols, scatter, entries))
-    base = (float(s.basepoint[0]), float(s.basepoint[1]))
+    base = float_basepoint(s)
 
     def transport(jet, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float).reshape(-1, 2)

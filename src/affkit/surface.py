@@ -88,11 +88,16 @@ def parse_domain(note: str) -> tuple[float, float]:
 
 
 def _bound(text: str) -> float:
-    """A matched bound p/q or pi/q; a zero q is named as the note wrote it."""
+    """A matched bound p/q or pi/q; a zero q, or a bound beyond the float
+    range, is named as the note wrote it."""
     den = text.partition("/")[2]
     if den and not den.strip("0"):
         raise ValueError(f"zero denominator in {text!r}")
-    return float(as_fraction(text.replace("pi", "1"))) * (math.pi if "pi" in text else 1)
+    try:
+        return float(as_fraction(text.replace("pi", "1"))) * (math.pi if "pi" in text else 1)
+    except OverflowError:
+        raise ValueError(f"domain bound {text[:20]!r}... of {len(text)} characters lies "
+                         "beyond the float range") from None
 
 
 def make_surface(gamma: dict[str, Expr], basepoint, domain_note: str = "") -> AffineSurface:

@@ -14,6 +14,7 @@ import pytest
 
 import affkit.cli
 import affkit.surface
+from affkit import paperchecks
 from affkit.cli import MAX_GRID, main
 from affkit.surface import (sphere, surface_from_json, surface_to_json, type_a,
                             type_b)
@@ -23,9 +24,11 @@ from conftest import EARLY_STOPS, LATE_CONSTRAINTS, SPARSE_PATTERNS
 
 # Stdout of `classify` and `killing --basis` recorded before the exact core
 # skipped zeros and real-only work; exact answers must not change by a byte.
-# The type_a_*_m2 surfaces exhaust the Type B witness budget and list 446
-# skipped eigenvalues each, so their bytes also pin the np.roots-driven
-# diagnostics; the last one has a Gaussian (non-real) symbol.
+# The type_a_*_m2 surfaces have dimension 4: their Type B search runs the
+# whole candidate stream (272 candidates, which ends by itself; only
+# dimension 6 is cut at WITNESS_BUDGET) without a witness, and the real ones
+# list 446 skipped eigenvalues each, so their bytes also pin the
+# np.roots-driven diagnostics; the last one has a Gaussian (non-real) symbol.
 GOLDEN = Path(__file__).parent / "data" / "cli"
 GOLDEN_SURFACES = {
     "sphere": sphere,
@@ -654,6 +657,44 @@ def test_verify_paper_negative_sweep_exits_two(capsys):
     code, payload, err = run(capsys, "verify-paper", "--sweep", "-3")
     assert code == 2 and payload is None
     assert "sweep" in err
+
+
+def test_verify_paper_sweep_past_the_bound_exits_two_at_once(capsys):
+    # A sweep of 10^9 surfaces would run for days; it is refused before
+    # the first check.
+    t0 = time.monotonic()
+    code, payload, err = run(capsys, "verify-paper", "--sweep", str(paperchecks.MAX_SWEEP + 1))
+    assert code == 2 and payload is None
+    assert "sweep" in err and time.monotonic() - t0 < 1.0
+    code, payload, err = run(capsys, "verify-paper", "--sweep", "1000000000")
+    assert code == 2 and payload is None
+
+
+HUGE = "1" + "0" * 400     # an exact number beyond the float range (about 1.8e308)
+
+
+@pytest.mark.parametrize("gamma_file, argv, named", [
+    ({"domain": "x1 < " + "1" * 4000}, ("killing", "{s}"), "domain bound"),
+    ({"domain": "x1 < " + "1" * 4000}, ("tensors", "{s}", "--ricci"), "domain bound"),
+    ({"basepoint": [HUGE, "0"]}, ("killing", "{s}", "--check", "{d2}"), "basepoint"),
+    ({"basepoint": [HUGE, "0"]}, ("chart", "{s}", "--mode", "normalize", "--field", "{d2}"),
+     "basepoint"),
+], ids=["domain-killing", "domain-tensors", "basepoint-check", "basepoint-chart"])
+def test_a_number_beyond_the_float_range_exits_two(gamma_file, argv, named, files, tmp_path,
+                                                   capsys):
+    # These exited 1 with an OverflowError traceback.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(gamma_file))
+    code, payload, err = run(capsys, *(arg.format(s=path, **files) for arg in argv))
+    assert code == 2 and payload is None and "Traceback" not in err
+    assert named in err and "float range" in err
+
+
+def test_exact_commands_take_a_basepoint_beyond_the_float_range(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"basepoint": [HUGE, "0"]}))
+    code, payload, _ = run(capsys, "killing", str(path))
+    assert code == 0 and payload == {"dim": 6}
 
 
 def test_output_file_flag(files, capsys, tmp_path):

@@ -14,10 +14,11 @@ import affkit.liealg as liealg
 from affkit.killing import (Jet1, VectorField, bracket_fields, jet_of, killing_jet_space,
                             prolongation_symbolic)
 from affkit.liealg import (
-    IntJets, LieAlgebraPresentation, NotHomogeneousCandidate, SolveFailure, bracket_jets,
-    classify, effective, grading_check, jacobi_residual, structure_constants,
+    IntJets, LieAlgebraPresentation, NotHomogeneousCandidate, SolveFailure, classify,
+    effective, grading_check, jacobi_residual, structure_constants,
 )
-from affkit.linalg import gauss_bilinear, gauss_column, rank, solve, to_scalars
+from affkit.linalg import (clear_denominators, gauss_bilinear, gauss_column, gauss_row,
+                           int_mat_vec, rank, solve, to_scalars)
 from affkit.scalars import I, ONE, ZERO, Scalar
 from affkit.surface import (GAMMA_KEYS, make_surface, nabla_ricci, ricci, sphere,
                             surface_from_json, torsion, type_a, type_b)
@@ -104,34 +105,37 @@ def test_sphere_triple_closes_with_rotation_relations(sphere_fields):
 # jet brackets
 # ---------------------------------------------------------------------------
 
+def reference_bracket(s, jx, jy) -> list:
+    """Jet vector of [X, Y] from two jets, by the field-level oracle."""
+    return bracket_reference(prolongation_symbolic(s), s.basepoint, jx.as_vector(),
+                             jy.as_vector())
+
+
 def test_jet_bracket_of_translations_vanishes(flat_surface):
     j1 = jet_of(flat_surface, D1)
     j2 = jet_of(flat_surface, D2)
-    assert all(x.is_zero for x in bracket_jets(flat_surface, j1, j2).as_vector())
+    assert all(x.is_zero for x in reference_bracket(flat_surface, j1, j2))
 
 
 def test_jet_bracket_flat_scaling(flat_surface):
     j1 = jet_of(flat_surface, D1)
     jx = jet_of(flat_surface, VectorField(parse("x1"), parse("0")))
-    br = bracket_jets(flat_surface, j1, jx)
-    assert br.as_vector() == j1.as_vector()
+    assert reference_bracket(flat_surface, j1, jx) == j1.as_vector()
 
 
 def test_jet_bracket_matches_field_bracket_on_sphere(sphere_surface, sphere_fields):
     x_f, y_f, z_f = sphere_fields
-    jx = jet_of(sphere_surface, x_f)
-    jy = jet_of(sphere_surface, y_f)
-    br = bracket_jets(sphere_surface, jx, jy)
-    assert br.as_vector() == jet_of(sphere_surface, z_f).as_vector()
-    assert br.as_vector() == [ZERO, ONE, ZERO, ZERO, ZERO, ZERO]
+    br = reference_bracket(sphere_surface, jet_of(sphere_surface, x_f),
+                           jet_of(sphere_surface, y_f))
+    assert br == jet_of(sphere_surface, z_f).as_vector()
+    assert br == [ZERO, ONE, ZERO, ZERO, ZERO, ZERO]
 
 
 def test_jet_bracket_commutes_with_jet_of(sphere_surface, sphere_fields):
     for U, V in combinations(sphere_fields, 2):
-        lhs = bracket_jets(sphere_surface, jet_of(sphere_surface, U),
-                           jet_of(sphere_surface, V))
-        rhs = jet_of(sphere_surface, bracket_fields(U, V))
-        assert lhs.as_vector() == rhs.as_vector()
+        lhs = reference_bracket(sphere_surface, jet_of(sphere_surface, U),
+                                jet_of(sphere_surface, V))
+        assert lhs == jet_of(sphere_surface, bracket_fields(U, V)).as_vector()
 
 
 BRACKET_SURFACES = {
@@ -157,9 +161,13 @@ GAUSSIAN_JET = st.lists(GAUSSIAN_RATIONAL, min_size=6, max_size=6).filter(
 @pytest.mark.parametrize("name", sorted(BRACKET_SURFACES))
 @given(GAUSSIAN_JET, GAUSSIAN_JET)
 def test_integer_bracket_matches_the_field_reference(name, x, y):
+    # The integer kernel that ``structure_constants`` brackets basis jets
+    # with, on two arbitrary Gaussian jets extended the same way.
     s, system = surface_and_system(name)
-    got = bracket_jets(s, Jet1.from_vector(x), Jet1.from_vector(y))
-    assert got.as_vector() == bracket_reference(system, s.basepoint, x, y)
+    ints = liealg._int_jets([Jet1.from_vector(x), Jet1.from_vector(y)], system, s.basepoint)
+    br = gauss_bilinear(liealg._bracket_kernel, gauss_column(ints.ext, 0),
+                        gauss_column(ints.ext, 1))
+    assert to_scalars(br, ints.den ** 2) == bracket_reference(system, s.basepoint, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +274,26 @@ def test_read_off_constants_match_a_solve_against_the_basis():
             assert solve(cols, to_scalars(bracket, L.int_jets.den ** 2)) == list(L.c[i][j])
 
 
-def test_witness_bracket_names_a_cut_basis(flat_surface):
-    # As for the constants: without x2 d2, [x2 d1, x1 d2] leaves the span.
-    L, unit = structure_constants(flat_surface), liealg._unit
-    assert liealg._verified_bracket(L, unit(6, 3), unit(6, 4)) == list(L.c[3][4])
-    re, im = L.int_jets.ext
-    cut = replace(L, int_jets=IntJets(L.int_jets.den, ([row[:5] for row in re], im)))
-    with pytest.raises(SolveFailure, match="witness bracket left the jet space"):
-        liealg._verified_bracket(cut, unit(5, 3), unit(5, 4))
+def jet_bracket_coords(L, u, v):
+    """[u, v] computed from the jets: u = u'/d and v = v'/d over Z[i] extend
+    to ext.u' and ext.v' over den * d, whose bracket is read off the basis
+    over (den * d)^2."""
+    d, cleared = clear_denominators([u, v])
+    x, y = (gauss_bilinear(int_mat_vec, L.int_jets.ext, gauss_row(cleared, r)) for r in (0, 1))
+    coords = liealg._read_off(L.int_jets, gauss_bilinear(liealg._bracket_kernel, x, y))
+    assert coords is not None
+    return to_scalars(coords, (L.int_jets.den * d) ** 2)
+
+
+@given(GAUSSIAN_JET, GAUSSIAN_JET)
+def test_table_brackets_equal_jet_brackets(x, y):
+    # The jet bracket is bilinear and every basis bracket was read off the
+    # jets, so the Z[i] tables answer every later bracket exactly; this is
+    # the property that stands in for re-bracketing witnesses' jets.  The
+    # Gaussian algebra goes first, so a failure there shrinks quickly.
+    for L in sorted(digest_algebras(), key=lambda L: L.ad_im is None):
+        u, v = x[:L.dim], y[:L.dim]
+        assert L.bracket_coeffs(u, v) == jet_bracket_coords(L, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +600,13 @@ def test_classify_sphere_is_exactly_so3(sphere_surface):
     w = res.branches[0]
     assert w.elements == SPHERE_FRAME
     assert w.relations == "[X,Y]=Z, [Y,Z]=X, [Z,X]=Y"
+    jets = basis_jets(res.algebra)
+    jet = lambda coeffs: [sum((x * j[r] for x, j in zip(coeffs, jets)), ZERO) for r in range(6)]
+    system = prolongation_symbolic(sphere_surface)
     for a, b, c in CYCLE:
-        assert liealg._verified_bracket(res.algebra, w.elements[a], w.elements[b]) == w.elements[c]
+        br = bracket_reference(system, sphere_surface.basepoint, jet(w.elements[a]),
+                               jet(w.elements[b]))
+        assert br == jet(w.elements[c])
 
 
 def test_classify_type_b_surface(type_b_radial_fields):
@@ -593,7 +618,8 @@ def test_classify_type_b_surface(type_b_radial_fields):
 
 def test_verify_paper_builds_the_sphere_jet_system_once(monkeypatch):
     # The sphere is classified once; the dimension item reads that result,
-    # and the fixture loop reuses its algebra instead of solving again.
+    # and the fixture loop reuses its algebra instead of solving again.  The
+    # flat plane is solved once too: the bound reads its fixture's algebra.
     import affkit.killing as killing
     from affkit.paperchecks import verify_paper
     built = []
@@ -606,6 +632,7 @@ def test_verify_paper_builds_the_sphere_jet_system_once(monkeypatch):
     monkeypatch.setattr(killing, "prolongation_symbolic", counting)
     assert all(item.passed for item in verify_paper(sweep_size=1))
     assert sum(s == sphere() for s in built) == 1
+    assert sum(s == type_a({}) for s in built) == 1
 
 
 def test_classify_rejects_rigid_surface():
@@ -726,9 +753,7 @@ def test_so3_frame_rejects_indefinite_degenerate_and_broken_algebras():
 
 
 @pytest.mark.parametrize("k, printed", [(2, "2X"), (Fraction(1, 2), "(1/2)X")])
-def test_so3_relations_print_a_coefficient_other_than_one(k, printed, monkeypatch):
-    # A table has no jets, so its c tensor stands in for the jet bracket.
-    monkeypatch.setattr(liealg, "_verified_bracket", lambda L, u, v: L.bracket_coeffs(u, v))
+def test_so3_relations_print_a_coefficient_other_than_one(k, printed):
     L = presentation_from_table(3, {(0, 1): {2: 1}, (1, 2): {0: Scalar.of(k)}, (2, 0): {1: 1}})
     w = liealg._find_so3(L)
     assert w.relations == f"[X,Y]=Z, [Y,Z]={printed}, [Z,X]=Y"

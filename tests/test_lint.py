@@ -157,6 +157,18 @@ def attribute_reads(source: str, attr: str) -> list[str]:
             and isinstance(node.ctx, ast.Load)]
 
 
+def top_level_references(source: str, names: set[str]) -> dict[str, set[str]]:
+    """The names in ``names`` that each top-level definition references
+    (``referenced_names``), keyed by its name or "<module>"; a definition
+    that references none is left out."""
+    found: dict[str, set[str]] = {}
+    for stmt in ast.parse(source).body:
+        used = referenced_names(ast.get_source_segment(source, stmt)) & names
+        if used:
+            found.setdefault(getattr(stmt, "name", "<module>"), set()).update(used)
+    return found
+
+
 def echelon_add_sites(source: str) -> list[int]:
     """Lines of ``.add`` calls on a name assigned an ``Echelon(...)``."""
     tree = ast.parse(source)
@@ -310,6 +322,25 @@ def test_liealg_reads_structure_constants_only_to_build_its_tables():
     # check all go through the Z[i] ad tables; ``c`` is their input.
     found = attribute_reads((SRC / "liealg.py").read_text(encoding="utf-8"), "c")
     assert {use.split(" (")[0] for use in found} == {"LieAlgebraPresentation.__post_init__"}
+
+
+def test_top_level_references_are_detected():
+    source = ("from .k import helper\n"
+              "def build():\n    return _kernel(1) + helper\n"
+              "class C:\n    def m(self):\n        return self._kernel\n"
+              "def _kernel(a):\n    return a\n")
+    assert top_level_references(source, {"_kernel", "helper"}) == {
+        "<module>": {"helper"}, "build": {"_kernel", "helper"}, "C": {"_kernel"}}
+
+
+def test_liealg_brackets_jets_only_while_building_the_presentation():
+    # Every later bracket reads the Z[i] tables: no other definition may
+    # extend, bracket or read off jets, and no second jet system is built
+    # next to the one ``killing_jet_space`` returns.
+    source = (SRC / "liealg.py").read_text(encoding="utf-8")
+    jet_side = {"_bracket_kernel", "_read_off", "_int_jets"}
+    assert top_level_references(source, jet_side) == {"structure_constants": jet_side}
+    assert "prolongation_symbolic" not in referenced_names(source)
 
 
 def test_echelon_add_sites_are_detected():
