@@ -2,9 +2,8 @@
 
 The Killing fields of a surface close under the Lie bracket.  Working at
 the 1-jet level (second derivatives d_m v = M_m(P) v at the basepoint P),
-this module computes structure constants, the grading of the generalized
-ad-eigenspaces, effectivity certificates, and searches for subalgebra
-witnesses of the three target presentations:
+this module computes structure constants, effectivity certificates, and
+searches for subalgebra witnesses of the three target presentations:
 
     abelian pair        [X, Y] = 0            ("TypeA")
     affine pair         [X, Y] = Y            ("TypeB")
@@ -23,9 +22,8 @@ constants once, so no table can go stale, and no jet is bracketed again:
 the jet bracket is bilinear, so every ad, every bracket of coefficient
 vectors and the Killing form tr(ad e_i ad e_j) read the Z[i] tables
 (``int_ad``) exactly.  The witness searches work on den * ad(x) in Python
-integers; the grading check tests whether the semisimple part of
-den * ad(xi) is a derivation, with no eigenvalue computed; effectivity is
-a 2 x 2 determinant in Z[i] of the fields' values at P.
+integers; effectivity is a 2 x 2 determinant in Z[i] of the fields'
+values at P.
 
 ``"verified": true`` certifies relations that hold exactly in tables read
 off span-checked jet brackets.  A TypeA or TypeB pair comes from a kernel
@@ -168,8 +166,8 @@ class LieAlgebraPresentation:
 
     ``int_jets`` holds the basis jets and their second derivatives over
     Z[i] (``IntJets``); ``structure_constants`` brackets them once and hands
-    them over, and afterwards they serve only evaluation at P and
-    effectivity.  ``c`` is stored as tuples and is read once, at
+    them over, and afterwards they serve only effectivity, through the
+    fields' values at P.  ``c`` is stored as tuples and is read once, at
     construction, to derive the ad tables, so they cannot go stale:
     ``den`` is the least common denominator of the structure
     constants, and ``ad_re``/``ad_im`` hold den * ad(e_i) over the
@@ -232,15 +230,12 @@ class LieAlgebraPresentation:
         return [[to_scalars(gauss_bilinear(trace, a, b), self.den ** 2)[0] for b in ads]
                 for a in ads]
 
-    def _values_at_p(self, coeffs: list[Scalar]) -> tuple[int, GaussVec]:
-        """(d, g): the field with these coefficients has value g / d at P."""
-        d, cleared = clear_denominators([coeffs])
+    def _values_at_p(self, coeffs: list[Scalar]) -> GaussVec:
+        """g over Z[i]: the field with these coefficients has value g / (d * den)
+        at P, for d the least common denominator of ``coeffs``."""
+        _, cleared = clear_denominators([coeffs])
         rows = _leading_rows(self.int_jets.ext, 2)
-        return d * self.int_jets.den, gauss_bilinear(int_mat_vec, rows, gauss_row(cleared, 0))
-
-    def evaluate(self, coeffs: list[Scalar]) -> tuple[Scalar, Scalar]:
-        d, g = self._values_at_p(coeffs)
-        return tuple(to_scalars(g, d))
+        return gauss_bilinear(int_mat_vec, rows, gauss_row(cleared, 0))
 
 
 def structure_constants(s: AffineSurface) -> LieAlgebraPresentation:
@@ -274,7 +269,7 @@ def jacobi_residual(L: LieAlgebraPresentation) -> list[Scalar]:
 
 
 # ---------------------------------------------------------------------------
-# spectra and grading
+# spectra
 # ---------------------------------------------------------------------------
 
 def _rationalize_root(z: complex, poly: linalg.IntPoly, den: int) -> Scalar | None:
@@ -292,38 +287,6 @@ def _shifted_kernel(m: GaussMat, s: int) -> list[linalg.Vec]:
     return linalg.nullspace(scalar_rows(linalg.gauss_shift(m, s, 0)), n_cols=len(m[0]))
 
 
-@dataclass
-class GradingReport:
-    ok: bool
-    violations: list[str] = field(default_factory=list)
-
-
-def grading_check(L: LieAlgebraPresentation, xi: list[Scalar]) -> GradingReport:
-    """Verify [E(alpha), E(beta)] lies inside E(alpha + beta) for the
-    generalized eigenspaces E of ad(xi), exactly.
-
-    The semisimple part S of ad(xi) acts on E(alpha) as alpha (Jordan-
-    Chevalley), so the grading holds exactly when S is a derivation:
-    S[e_i, e_j] = [S e_i, e_j] + [e_i, S e_j] on every basis pair.  The
-    identity is linear in S, so S is taken of den * d * ad(xi) from the
-    integer tables (``int_ad``), and no eigenvalue is computed.
-    """
-    n = L.dim
-    _, cleared = clear_denominators([xi])
-    s = linalg.semisimple_part(scalar_rows(L.int_ad(gauss_row(cleared, 0))))
-    images = [[row[j] for row in s] for j in range(n)]      # S e_j
-    report = GradingReport(ok=True)
-    for i, j in product(range(n), repeat=2):
-        br = L.bracket_coeffs(_unit(n, i), _unit(n, j))
-        lhs = [sum((a * b for a, b in zip(row, br) if not b.is_zero), ZERO) for row in s]
-        rhs = [a + b for a, b in zip(L.bracket_coeffs(images[i], _unit(n, j)),
-                                     L.bracket_coeffs(_unit(n, i), images[j]))]
-        if lhs != rhs:
-            report.ok = False
-            report.violations.append(f"S[e{i}, e{j}] != [S e{i}, e{j}] + [e{i}, S e{j}]")
-    return report
-
-
 # ---------------------------------------------------------------------------
 # effectivity and classification
 # ---------------------------------------------------------------------------
@@ -334,7 +297,7 @@ def effective(L: LieAlgebraPresentation, elements: list[list[Scalar]]) -> bool:
     Each element's denominators are cleared (which scales its value at P by
     a positive integer), so the 2 x 2 determinants are tested in Z[i].
     """
-    values = [L._values_at_p(e)[1] for e in elements]
+    values = [L._values_at_p(e) for e in elements]
     det = lambda u, v: [u[0] * v[1] - u[1] * v[0]]
     for u, v in combinations(values, 2):
         re, im = gauss_bilinear(det, u, v)

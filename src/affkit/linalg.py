@@ -13,11 +13,8 @@ lists or int matrices to Z[i] (``gauss_mul`` is it over the integer
 product).  A matrix A = B/d has its characteristic polynomial computed
 from B's by Faddeev-LeVerrier in Python integers (every division there is
 exact), and a rational root of A's polynomial is tested as a root of B's,
-which is monic over Z[i].  ``semisimple_part`` takes the Jordan-Chevalley
-semisimple part of a Scalar matrix exactly, by Newton's iteration on the
-squarefree part of that polynomial, with no eigenvalue computed.  Products
-and row operations skip zero entries, since the matrices met here (ad
-matrices, constraint rows) are mostly zero.
+which is monic over Z[i].  Products and row operations skip zero entries,
+since the matrices met here (ad matrices, constraint rows) are mostly zero.
 """
 
 from __future__ import annotations
@@ -255,82 +252,6 @@ def is_root(poly: IntPoly, d: int, r: Scalar) -> bool:
     for cr, ci in zip(reversed(poly[0]), reversed(poly[1])):
         ar, ai = ar * sr - ai * si + cr, ar * si + ai * sr + ci
     return not ar and not ai
-
-
-# A polynomial over the Gaussian rationals as [c_0, ..., c_n].
-Poly = list[Scalar]
-
-
-def _poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder of a by b over Q(i); b's leading coefficient
-    is nonzero, and so is the remainder's, unless the remainder is []."""
-    rem, nb = a[:], len(b)
-    quot = [ZERO] * max(len(a) - nb + 1, 0)
-    inv = ONE / b[-1]
-    for k in reversed(range(len(quot))):
-        f = quot[k] = rem[k + nb - 1] * inv
-        for j, y in enumerate(b):
-            rem[k + j] = rem[k + j] - f * y
-    rem = rem[:nb - 1]
-    while rem and rem[-1].is_zero:
-        rem.pop()
-    return quot, rem
-
-
-def _derivative(p: Poly) -> Poly:
-    return [c * k for k, c in enumerate(p)][1:]
-
-
-def _mat_mul(a: Mat, b: Mat) -> Mat:
-    """The product ``a @ b`` of Scalar matrices; zero entries of ``a`` are
-    skipped."""
-    out = []
-    for row in a:
-        acc = [ZERO] * len(b[0])
-        for t, x in enumerate(row):
-            if not x.is_zero:
-                acc = [y if z.is_zero else y + x * z for y, z in zip(acc, b[t])]
-        out.append(acc)
-    return out
-
-
-def _poly_at(p: Poly, m: Mat) -> Mat:
-    """p(m) by Horner's rule."""
-    out = [[ZERO] * len(m) for _ in m]
-    for c in reversed(p):
-        out = _mat_mul(out, m)
-        for i, row in enumerate(out):
-            row[i] = row[i] + c
-    return out
-
-
-def semisimple_part(m: Mat) -> Mat:
-    """The semisimple part S of m = S + N (Jordan-Chevalley: S is
-    diagonalizable over C, N is nilpotent and SN = NS), exactly over Q(i).
-
-    Newton's iteration S <- S - q'(S)^-1 q(S) from S = m, for q the
-    squarefree part chi / gcd(chi, chi') of m's characteristic polynomial
-    chi (``int_charpoly``).  Every S is m plus a nilpotent polynomial in m,
-    so its eigenvalues are the roots of q, q'(S) is invertible and commutes
-    with q(S), and the step is read off one ``Echelon`` of the rows
-    [q'(S) | q(S)].  The iteration converges quadratically in the nilpotent
-    q(m): it ends with q(S) = 0 after about log2 of the largest
-    multiplicity of an eigenvalue.
-    """
-    n = len(m)
-    d, b = clear_denominators(m)
-    chi = [Scalar(Fraction(x, d ** (n - k)), Fraction(y, d ** (n - k)))
-           for k, (x, y) in enumerate(zip(*int_charpoly(*b)))]
-    g, h = chi, _derivative(chi)
-    while h:
-        g, h = h, _poly_divmod(g, h)[1]
-    q = _poly_divmod(chi, g)[0]
-    s, qs = m, _poly_at(q, m)
-    while any(not x.is_zero for row in qs for x in row):
-        step = _reduced([a + b for a, b in zip(_poly_at(_derivative(q), s), qs)], 2 * n)
-        s = [[x - y for x, y in zip(row, srow[n:])] for row, srow in zip(s, step.rows)]
-        qs = _poly_at(q, s)
-    return s
 
 
 def float_coeffs(poly: IntPoly, d: int) -> list[complex]:

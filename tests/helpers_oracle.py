@@ -19,9 +19,10 @@ Cross-check paths that deliberately avoid the package's own kernel:
 * the field (Scalar) ad matrix and matrix product, the reference for the
   package's integer ad tables and Killing form;
 
-* the former eigenspace grading check (explicit generalized eigenspaces,
-  exact where the roots are Gaussian rationals and numeric elsewhere), the
-  reference for the package's exact derivation test;
+* the eigenspace grading [E(a), E(b)] inside E(a+b) through explicit
+  generalized eigenspaces (exact where the roots are Gaussian rationals and
+  numeric elsewhere), the reference for acceptance criterion 6 and for the
+  theorem behind verify-paper's grading item (Jacobi implies the grading);
 
 * the field (Scalar) jet bracket, the reference for the package's
   integer bracket kernel.
@@ -195,11 +196,11 @@ def ad_reference(c, xi: list) -> list:
 # ---------------------------------------------------------------------------
 # eigenspace grading through explicit eigenspaces
 # ---------------------------------------------------------------------------
-# The package's former grading check, kept verbatim as the reference for the
-# exact derivation test: exact Gaussian-rational roots get exact kernels of
-# (ad - alpha)^n, every other root an np.roots/SVD eigenspace, and brackets
-# of basis vectors are tested against the target eigenspace (exact span or
-# least-squares residual).
+# The reference for acceptance criterion 6 and for the theorem that
+# verify-paper's eigenspace-grading item rests on: exact Gaussian-rational
+# roots get exact kernels of (ad - alpha)^n, every other root an
+# np.roots/SVD eigenspace, and brackets of basis vectors are tested against
+# the target eigenspace (exact span or least-squares residual).
 
 GRADING_TOL = 1e-8
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -501,7 +502,8 @@ def test_classify_matches_recorded_digest_on_sparse_surfaces(tmp_path, capsys):
 
 
 # Stdout of `verify-paper`, recorded before ad, spectra and the Killing form
-# moved onto the integer tables; the grading items run through them.
+# moved onto the integer tables; the Jacobi item runs through them, and the
+# grading item reads its verdict.
 VERIFY_PAPER_RUNS = {
     "verify_paper": [],
     **{f"verify_paper.{control}": ["--sweep", "2", "--negative-control", control]
@@ -559,6 +561,16 @@ def test_verify_paper_builds_the_sphere_curvature_once(monkeypatch, capsys):
     code, payload, _ = run(capsys, "verify-paper", "--sweep", "1")
     assert code == 0 and payload["pass"] is True
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("dim", [5, 1])
+def test_verify_paper_dimension_bound_fails_off_the_classification(dim, monkeypatch, capsys):
+    # A jet solver that reports a dimension the classification excludes (5),
+    # or one below the 2 of the translations d1, d2, turns the bound red.
+    monkeypatch.setattr(paperchecks, "killing_jet_space", lambda s: SimpleNamespace(dim=dim))
+    code, payload, _ = run(capsys, "verify-paper", "--sweep", "2")
+    assert code == 1 and payload["pass"] is False
+    assert [item["name"] for item in payload["items"] if not item["pass"]] == ["dimension-bound"]
 
 
 # The parser is built by the first main call and reused by every later one.

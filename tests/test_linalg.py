@@ -2,13 +2,13 @@
 
 from fractions import Fraction
 
-from hypothesis import example, given
+from hypothesis import given
 import hypothesis.strategies as st
 import sympy as sp
 
 from affkit.linalg import (
     Echelon, clear_denominators, float_coeffs, gauss_mul, int_charpoly, is_root, nullspace,
-    rank, semisimple_part, solve,
+    rank, solve,
 )
 from affkit.scalars import ONE, ZERO, Scalar
 
@@ -250,60 +250,3 @@ def test_root_test_agrees_with_field_evaluation(r0, q2, p3, q3, rotate):
         assert is_root(poly, d, cand) == poly_eval_reference(ref, cand).is_zero, cand
     assert is_root(poly, d, r0)
 
-
-@st.composite
-def jordan_matrices(draw):
-    """P J P^-1 for a Jordan form J of size 1-6 whose eigenvalues repeat
-    (drawn from at most three Gaussian rationals), with P a product of
-    shears I + f e_rc."""
-    n = draw(st.integers(1, 6))
-    values = draw(st.lists(ENTRIES, min_size=1, max_size=3))
-    a = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        a[i][i] = draw(st.sampled_from(values))
-        if i and a[i][i] == a[i - 1][i - 1] and draw(st.booleans()):
-            a[i - 1][i] = ONE
-    for _ in range(draw(st.integers(0, 4))):
-        r, c, f = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(ENTRIES)
-        if r != c:
-            a[r] = [x + f * y for x, y in zip(a[r], a[c])]
-            for row in a:
-                row[c] = row[c] - f * row[r]
-    return a
-
-
-def _from_sympy(z) -> Scalar:
-    re, im = z.as_real_imag()
-    return Scalar.of(Fraction(str(re)), Fraction(str(im)))
-
-
-HALF_THIRD = Scalar.of(Fraction(1, 2), Fraction(1, 3))
-
-
-@given(st.one_of(jordan_matrices(), st.integers(1, 6).flatmap(lambda n: sparse_matrices(n, n))))
-# ad(e0) of the Heisenberg algebra, a 2-block at 1/2 + i/3, the spectrum
-# 0, +-sqrt(2), and +-sqrt(2) on two 2-blocks.
-@example(M([[0, 0, 0], [0, 0, 0], [0, 1, 0]]))
-@example([[HALF_THIRD, ONE], [ZERO, HALF_THIRD]])
-@example(M([[0, 0, 0], [0, 0, 1], [0, 2, 0]]))
-@example(M([[0, 2, 1, 0], [1, 0, 0, 1], [0, 0, 0, 2], [0, 0, 1, 0]]))
-def test_semisimple_part_is_the_jordan_chevalley_part(m):
-    # S commutes with m, m - S is nilpotent and S is a root of the
-    # squarefree part q of m's characteristic polynomial, which sympy takes
-    # from the field reference: the three properties fix S.
-    n = len(m)
-    s = semisimple_part(m)
-    assert mat_mul_reference(s, m) == mat_mul_reference(m, s)
-    nil = [[x - y for x, y in zip(row_m, row_s)] for row_m, row_s in zip(m, s)]
-    power = nil
-    for _ in range(n - 1):
-        power = mat_mul_reference(power, nil)
-    assert all(x.is_zero for row in power for x in row)
-    t = sp.Symbol("t")
-    chi = sp.Poly([to_sympy(c) for c in reversed(charpoly_reference(m))], t, domain="QQ_I")
-    q_s = [[ZERO] * n for _ in range(n)]
-    for c in chi.sqf_part().all_coeffs():
-        q_s = mat_mul_reference(q_s, s)
-        for i in range(n):
-            q_s[i][i] = q_s[i][i] + _from_sympy(c)
-    assert all(x.is_zero for row in q_s for x in row)

@@ -318,8 +318,8 @@ def test_attribute_reads_are_detected():
 
 
 def test_liealg_reads_structure_constants_only_to_build_its_tables():
-    # Brackets of coefficient vectors, the Killing form and the grading
-    # check all go through the Z[i] ad tables; ``c`` is their input.
+    # Brackets of coefficient vectors and the Killing form both go through
+    # the Z[i] ad tables; ``c`` is their input.
     found = attribute_reads((SRC / "liealg.py").read_text(encoding="utf-8"), "c")
     assert {use.split(" (")[0] for use in found} == {"LieAlgebraPresentation.__post_init__"}
 
