@@ -30,19 +30,16 @@ off span-checked jet brackets.  A TypeA or TypeB pair comes from a kernel
 of den * ad(x) - den * lam, so its relation holds by construction (a TypeA
 pair inside the kernel is checked by ``bracket_coeffs``); the so3 frame is
 one exact Gram-Schmidt against the Killing form, and ``_so3_frame`` tests
-its relations.  numpy only proposes Type B eigenvalues, each tested exactly.
+its relations.  Type B eigenvalues come from ``linalg.rational_eigenvalues``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
 from itertools import chain, combinations, product
 from math import gcd
 from typing import NamedTuple
-
-import numpy as np
 
 from . import linalg
 from .linalg import (GaussMat, GaussVec, clear_denominators, gauss_bilinear, gauss_column,
@@ -272,16 +269,6 @@ def jacobi_residual(L: LieAlgebraPresentation) -> list[Scalar]:
 # spectra
 # ---------------------------------------------------------------------------
 
-def _rationalize_root(z: complex, poly: linalg.IntPoly, den: int) -> Scalar | None:
-    """The exact root of P_A near z, given ``poly`` = P_B for A = B/den: a
-    root lam in Q(i) has den * lam in Z[i], a root of the monic Z[i] P_B, so
-    the nearest point of Z[i] / den is the one candidate (``linalg.is_root``)."""
-    cand = Scalar(Fraction(round(den * z.real), den), Fraction(round(den * z.imag), den))
-    if abs(complex(cand) - z) < 1e-6 and linalg.is_root(poly, den, cand):
-        return cand
-    return None
-
-
 def _shifted_kernel(m: GaussMat, s: int) -> list[linalg.Vec]:
     """Kernel of m - s*I for m over Z[i] and an integer s."""
     return linalg.nullspace(scalar_rows(linalg.gauss_shift(m, s, 0)), n_cols=len(m[0]))
@@ -381,29 +368,23 @@ def _type_a_at(L, ints, ad: GaussMat) -> Witness | None:
 
 
 def _type_b_at(L, ints, ad: GaussMat, diagnostics) -> Witness | None:
-    """Spectra in Python integers: ad = den * ad(x) from the presentation's
-    tables, its monic Z[i] characteristic polynomial, and the exact root
-    test.  A rational eigenvalue lam has den * lam in Z, so its eigenvectors
+    """The rational eigenvalues (``linalg.rational_eigenvalues``) of ad(x) =
+    ad / den, with ad = den * ad(x) from the presentation's tables.  A
+    rational eigenvalue lam has den * lam in Z, so its eigenvectors
     are the kernel of the integer matrix den * ad(x) - den * lam, and
     [x / lam, y] = y holds for each of them by construction."""
-    den = L.den
-    poly = linalg.int_charpoly(*ad)
     try:
-        coeffs = linalg.float_coeffs(poly, den)
+        eigenvalues = linalg.rational_eigenvalues(ad, L.den)
     except OverflowError:
         diagnostics.append(f"skipped candidate {list(ints)}: its charpoly overflows a float")
         return None
     x = None
-    for z in np.roots(coeffs):
-        if abs(z) < 1e-9 or abs(z.imag) > 1e-9:
-            continue
-        lam = _rationalize_root(z.real, poly, den)
-        if lam is None or lam.is_zero:
-            diagnostics.append(
-                f"skipped non-rational candidate eigenvalue {z.real:.6g}")
+    for z, lam in eigenvalues:
+        if lam is None:
+            diagnostics.append(f"skipped non-rational candidate eigenvalue {z:.6g}")
             continue
         x = x or [Scalar.of(v) for v in ints]
-        for y in _shifted_kernel(ad, int(lam.re * den)):
+        for y in _shifted_kernel(ad, int(lam.re * L.den)):
             x_scaled = [xi / lam for xi in x]
             if effective(L, [x_scaled, y]):
                 return Witness("TypeB", [x_scaled, y], "[X,Y]=Y")

@@ -12,16 +12,21 @@ Scalars into it and ``to_scalars``/``scalar_rows`` take them back, and
 lists or int matrices to Z[i] (``gauss_mul`` is it over the integer
 product).  A matrix A = B/d has its characteristic polynomial computed
 from B's by Faddeev-LeVerrier in Python integers (every division there is
-exact), and a rational root of A's polynomial is tested as a root of B's,
-which is monic over Z[i].  Products and row operations skip zero entries,
-since the matrices met here (ad matrices, constraint rows) are mostly zero.
+exact), and ``rational_eigenvalues`` alone decides A's rational eigenvalues:
+``np.roots``, this module's one numpy use, only proposes them, each tested as
+a root of B's polynomial, which is monic over Z[i].  Products and row
+operations skip zero entries, since the matrices met here (ad matrices,
+constraint rows) are mostly zero.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
 from fractions import Fraction
+from functools import reduce
 from math import lcm
+
+import numpy as np
 
 from .scalars import ONE, ZERO, Scalar
 
@@ -236,31 +241,41 @@ def int_charpoly(re: IntMat, im: IntMat | None = None) -> IntPoly:
     return cr, ci
 
 
-def is_root(poly: IntPoly, d: int, r: Scalar) -> bool:
-    """Whether r is an exact root of P_A, given ``poly`` = P_B for A = B/d.
+def rational_eigenvalues(m: GaussMat, d: int) -> list[tuple[float, Scalar | None]]:
+    """(z.real, lam) once for each nonzero real rational eigenvalue lam of
+    A = m/d, m over Z[i], and (z.real, None) for each real (|imag| <= 1e-9)
+    proposal z that is none, in ``np.roots`` order; OverflowError if P_A
+    overflows a float.
 
-    r is a root of P_A exactly when d*r is a root of P_B, which is monic
-    over Z[i]; a root of such a polynomial in Q(i) lies in Z[i], so any r
-    with d*r outside Z[i] is rejected without evaluation.  P_B(d*r) is
-    evaluated by Horner's rule in Python integers.
+    np.roots only proposes: d*lam is a root of P_m, which is monic over Z[i],
+    so z's one candidate is the integer s nearest d*z, tested by Horner's rule
+    in Python integers.  np.roots splits a double or triple root by about
+    eps^(1/2) or eps^(1/3), so a z within 1e-6 of the real axis is taken and
+    rounded within 1e-4 (relative to max(1, |z|)); off the axis, one that
+    fails is left out.
     """
-    sr, si = r.re * d, r.im * d
-    if sr.denominator != 1 or si.denominator != 1:
-        return False
-    sr, si = sr.numerator, si.numerator
-    ar = ai = 0
-    for cr, ci in zip(reversed(poly[0]), reversed(poly[1])):
-        ar, ai = ar * sr - ai * si + cr, ar * si + ai * sr + ci
-    return not ar and not ai
-
-
-def float_coeffs(poly: IntPoly, d: int) -> list[complex]:
-    """P_A's coefficients as complex floats, highest degree first (np.roots).
-
-    Int true division rounds correctly, so each value equals
-    ``complex(Scalar)`` of the exact coefficient c_k(B) / d^(n-k).
-    """
+    poly = int_charpoly(*m)
     n = len(poly[0]) - 1
-    return [complex(poly[0][k] / d ** (n - k), poly[1][k] / d ** (n - k))
-            for k in range(n, -1, -1)]
+    # Int true division rounds correctly: complex() of each exact c_k(m) / d^(n-k).
+    coeffs = [complex(poly[0][k] / d ** (n - k), poly[1][k] / d ** (n - k))
+              for k in range(n, -1, -1)]
+    out, found = [], set()
+    for z in np.roots(coeffs):
+        scale = max(1.0, abs(z))
+        if abs(z) < 1e-9 or abs(z.imag) > 1e-6 * scale:
+            continue
+        s = round(Fraction(z.real) * d)
+        near = s != 0 and abs(s / d - z.real) <= 1e-4 * scale
+        if near and s in found:
+            continue
+        if near and _is_root(poly, s):
+            found.add(s)
+            out.append((z.real, Scalar(Fraction(s, d), _F0)))
+        elif abs(z.imag) <= 1e-9:
+            out.append((z.real, None))
+    return out
 
+
+def _is_root(poly: IntPoly, s: int) -> bool:
+    """Whether P(s) = 0 for the integer s, by Horner's rule in Python integers."""
+    return not any(reduce(lambda acc, c: acc * s + c, reversed(part), 0) for part in poly)

@@ -13,8 +13,8 @@ Cross-check paths that deliberately avoid the package's own kernel:
 * column-major Gauss-Jordan elimination, the reference for the package's
   incremental reduced row echelon form;
 
-* the field (Scalar) Faddeev-LeVerrier recursion and Horner evaluation,
-  the reference for the package's fraction-free integer spectra;
+* the field (Scalar) Faddeev-LeVerrier recursion, the reference for the
+  package's fraction-free integer characteristic polynomials;
 
 * the field (Scalar) ad matrix and matrix product, the reference for the
   package's integer ad tables and Killing form;
@@ -40,7 +40,6 @@ import numpy as np
 import sympy as sp
 
 from affkit import linalg
-from affkit.liealg import _rationalize_root
 from affkit.scalars import ONE, ZERO, Scalar
 
 X1, X2 = sp.symbols("x1 x2")
@@ -166,14 +165,6 @@ def mat_mul_reference(a: list, b: list) -> list:
              for j in range(len(b[0]))] for i in range(len(a))]
 
 
-def poly_eval_reference(coeffs: list, x):
-    """Horner evaluation of [c_0, ..., c_n] at the Scalar x."""
-    acc = ZERO
-    for ck in reversed(coeffs):
-        acc = acc * x + ck
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # ad matrices over the field
 # ---------------------------------------------------------------------------
@@ -236,25 +227,6 @@ def _int_horner(poly, sr: int, si: int):
     return ar, ai, qr[::-1], qi[::-1]
 
 
-def _scaled_root(d: int, r: Scalar):
-    """d*r as a Gaussian integer, or None when it is not one."""
-    sr, si = r.re * d, r.im * d
-    if sr.denominator != 1 or si.denominator != 1:
-        return None
-    return sr.numerator, si.numerator
-
-
-def _deflate(poly, d: int, r: Scalar):
-    """P_B / (t - d*r) over Z[i]; r must be an exact root (see ``is_root``)."""
-    s = _scaled_root(d, r)
-    if s is None:
-        raise ValueError("not an exact root")
-    vr, vi, qr, qi = _int_horner(poly, *s)
-    if vr or vi:
-        raise ValueError("not an exact root")
-    return qr, qi
-
-
 def _shifted_kernel(m, s: tuple[int, int], power: int) -> list:
     """Kernel of (m - s*I)^power for m and s over Z[i]."""
     if m[1] is None and s[1]:   # a real m shifted by a non-real s
@@ -266,18 +238,25 @@ def _shifted_kernel(m, s: tuple[int, int], power: int) -> list:
 
 def _eigenvalues(L, xi: list):
     """(exact roots with multiplicity, leftover numeric roots, (D, M)) for
-    ad(xi) = M / D with M over Z[i]."""
+    ad(xi) = M / D with M over Z[i].  Each np.roots proposal z is rounded to
+    the nearest s / D with s in Z[i]; when P_M(s) = 0 by integer Horner, s / D
+    is an exact root and P_M is deflated by (t - s)."""
     d, m = linalg.clear_denominators([xi])
     x = linalg.gauss_row(m, 0)
     den, ad = d * L.den, L.int_ad(x)
     poly = linalg.int_charpoly(*ad)
-    numeric = np.roots(linalg.float_coeffs(poly, den))
+    n = len(poly[0]) - 1
+    numeric = np.roots([complex(poly[0][k] / den ** (n - k), poly[1][k] / den ** (n - k))
+                        for k in range(n, -1, -1)])
     exact: list[Scalar] = []
     for z in numeric:
-        root = _rationalize_root(complex(z), poly, den)
-        if root is not None:
-            exact.append(root)
-            poly = _deflate(poly, den, root)
+        sr, si = round(den * z.real), round(den * z.imag)
+        if abs(complex(sr / den, si / den) - z) >= 1e-6:
+            continue
+        vr, vi, qr, qi = _int_horner(poly, sr, si)
+        if not vr and not vi:
+            exact.append(Scalar.of(Fraction(sr, den), Fraction(si, den)))
+            poly = qr, qi
     leftover = [complex(z) for z in numeric
                 if not any(abs(complex(r) - z) < 1e-7 for r in exact)]
     return exact, leftover, (den, ad)

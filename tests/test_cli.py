@@ -358,6 +358,19 @@ def test_classify_skips_type_b_proposals_that_overflow_a_float(tmp_path, capsys)
     assert all(d.endswith("overflows a float") for d in payload["diagnostics"])
 
 
+def test_classify_rounds_type_b_proposals_against_a_denominator_past_the_float_range(
+        tmp_path, capsys):
+    # 1/9^400 puts 9^400 into the presentation's denominator, past the float
+    # range; each proposal is rounded against it exactly (den * z as a float
+    # raised an OverflowError, exit 1), and no coefficient overflows.
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"gamma": {"111": "1/9^400"}}))
+    code, payload, _ = run(capsys, "classify", str(path))
+    assert code == 0 and payload["dim"] == 6
+    assert [b["kind"] for b in payload["branches"]] == ["TypeA", "TypeB"]
+    assert not any(d.endswith("overflows a float") for d in payload["diagnostics"])
+
+
 def test_classify_on_a_symbol_past_the_print_limit_is_an_input_error(tmp_path, capsys):
     # 9^5000 has 4 772 digits, past Python's integer print limit.
     path = tmp_path / "big.json"
@@ -484,10 +497,10 @@ def test_output_matches_recorded_bytes(name, command, tmp_path, capsys):
     assert capsys.readouterr().out == want
 
 
-# `SPARSE_PATTERNS`, each as Type A and as A/x1.  Stdout recorded before the
-# Gaussian-integer arithmetic moved into `linalg` and the witness search got
-# one candidate stream.
-SPARSE_CLASSIFY_SHA256 = "6684f7728014a2e2619f1476ca41a8738cd44df5603ff6d53b71d0b79109f054"
+# `SPARSE_PATTERNS`, each as Type A and as A/x1.  Stdout recorded when the
+# Type B search began to try repeated eigenvalues, which changed six TypeB
+# witnesses and no dim, kind or diagnostic.
+SPARSE_CLASSIFY_SHA256 = "8987697965e6c4176e5c523638aadc5ef4f56916ee3652ff7a29fa88399650d4"
 
 
 def test_classify_matches_recorded_digest_on_sparse_surfaces(tmp_path, capsys):

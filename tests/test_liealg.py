@@ -11,6 +11,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 import affkit.liealg as liealg
+import affkit.linalg as linalg
 from affkit.killing import (Jet1, VectorField, bracket_fields, jet_of, killing_jet_space,
                             prolongation_symbolic)
 from affkit.liealg import (
@@ -604,6 +605,19 @@ def test_type_b_witness_with_fractional_coefficients():
     assert res.algebra.bracket_coeffs(x, y) == y
 
 
+def test_type_b_witness_takes_a_double_eigenvalue():
+    # The candidate x = (0, 1, 0, 1) has the charpoly t^2 (t + 1)^2, and
+    # np.roots splits its double root -1 off the real axis; the root is still
+    # tried, so the witness is X = -x, not the later candidate's
+    # (0, 1, 0, 2) / -2.
+    res = classify(type_b({"212": 1}))
+    wb = next(w for w in res.branches if w.kind == "TypeB")
+    x, y = wb.elements
+    minus_one = Scalar.of(-1)
+    assert x == [ZERO, minus_one, ZERO, minus_one] and y == [ONE, ZERO, ZERO, ZERO]
+    assert res.algebra.bracket_coeffs(x, y) == y
+
+
 def test_sphere_admits_no_two_dimensional_subalgebra(sphere_surface):
     # Every pair in the algebra either fails to close or fails effectivity.
     L = structure_constants(sphere_surface)
@@ -655,7 +669,7 @@ def in_basis(L, p):
 
 def test_so3_branch_makes_no_numpy_call(sphere_surface, monkeypatch):
     L = structure_constants(sphere_surface)
-    monkeypatch.setattr(liealg, "np", _NoNumpy())
+    monkeypatch.setattr(linalg, "np", _NoNumpy())
     w = liealg._find_so3(L)
     assert w.kind == "so3" and w.elements == SPHERE_FRAME
     assert w.relations == "[X,Y]=Z, [Y,Z]=X, [Z,X]=Y"

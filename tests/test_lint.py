@@ -287,10 +287,15 @@ def test_numpy_uses_are_detected():
                                   "C (line 9)"]
 
 
-def test_liealg_uses_numpy_only_to_propose_type_b_eigenvalues():
-    # Every other branch is decided and certified in exact arithmetic.
-    found = numpy_uses((SRC / "liealg.py").read_text(encoding="utf-8"))
-    assert {use.split(" (")[0] for use in found} <= {"_type_b_at"}
+def test_liealg_holds_no_numpy_use():
+    # Every branch is decided and certified in exact arithmetic; Type B takes
+    # its eigenvalues from ``linalg.rational_eigenvalues``.
+    assert numpy_uses((SRC / "liealg.py").read_text(encoding="utf-8")) == []
+
+
+def test_linalg_uses_numpy_only_to_propose_rational_eigenvalues():
+    found = numpy_uses((SRC / "linalg.py").read_text(encoding="utf-8"))
+    assert {use.split(" (")[0] for use in found} == {"rational_eigenvalues"}
 
 
 def test_referenced_names_are_detected():
